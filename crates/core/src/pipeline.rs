@@ -299,8 +299,8 @@ impl Chunk {
 struct EthPool {
     net: PrepPoolNet,
     flows: FlowSim,
-    /// Outstanding keyed completion-check event, cancelled when superseded.
-    check: Option<EventKey>,
+    /// Outstanding completion check, cancelled when superseded.
+    check: Option<ArmedCheck>,
     cont: FxHashMap<FlowId, u64>,
     /// Start instant of each in-flight Ethernet flow; populated only while a
     /// real tracer is attached (span endpoints for the trace layer).
@@ -311,6 +311,33 @@ struct EthPool {
     period: u64,
     counters: Vec<u64>,
     rr_pool: usize,
+}
+
+/// A keyed completion-check event and the completion it was armed for.
+/// Every mutation of the checked [`FlowSim`] re-arms the check, so when the
+/// event fires `(at, flow)` is still that simulator's next completion.
+#[derive(Debug, Clone, Copy)]
+struct ArmedCheck {
+    key: EventKey,
+    at: SimTime,
+    flow: FlowId,
+}
+
+impl ArmedCheck {
+    /// Supersede `check` (lazily cancelling its event) with one armed for
+    /// `flows`' earliest completion under the current rate set, if any.
+    fn rearm(check: &mut Option<Self>, flows: &FlowSim, ev: Ev, sched: &mut Scheduler<Ev>) {
+        if let Some(old) = check.take() {
+            sched.cancel(old.key);
+        }
+        if let Some((at, flow)) = flows.next_completion() {
+            *check = Some(ArmedCheck {
+                key: sched.schedule_keyed_at(at, ev),
+                at,
+                flow,
+            });
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -431,8 +458,8 @@ pub(crate) struct PipelineModel<T: Tracer> {
     t_sync: SimTime,
 
     flows: FlowSim,
-    /// Outstanding keyed completion-check event, cancelled when superseded.
-    flow_check: Option<EventKey>,
+    /// Outstanding completion check, cancelled when superseded.
+    flow_check: Option<ArmedCheck>,
     flow_cont: FxHashMap<FlowId, u64>,
     link_bytes: Vec<f64>,
 
@@ -887,22 +914,12 @@ impl<T: Tracer> PipelineModel<T> {
     /// previous check (if still pending) is superseded: lazily cancelled so
     /// the engine drops it unfired instead of delivering a stale event.
     fn bump_flows(&mut self, sched: &mut Scheduler<Ev>) {
-        if let Some(key) = self.flow_check.take() {
-            sched.cancel(key);
-        }
-        if let Some((t, _)) = self.flows.next_completion() {
-            self.flow_check = Some(sched.schedule_keyed_at(t, Ev::FlowCheck));
-        }
+        ArmedCheck::rearm(&mut self.flow_check, &self.flows, Ev::FlowCheck, sched);
     }
 
     fn bump_eth(&mut self, sched: &mut Scheduler<Ev>) {
         let eth = self.eth.as_mut().expect("ethernet pool active");
-        if let Some(key) = eth.check.take() {
-            sched.cancel(key);
-        }
-        if let Some((t, _)) = eth.flows.next_completion() {
-            eth.check = Some(sched.schedule_keyed_at(t, Ev::EthFlowCheck));
-        }
+        ArmedCheck::rearm(&mut eth.check, &eth.flows, Ev::EthFlowCheck, sched);
     }
 
     fn add_eth_flow(
@@ -1517,48 +1534,49 @@ impl<T: Tracer> Model for PipelineModel<T> {
             Ev::FlowCheck => {
                 // Only the latest check can fire: superseded ones were
                 // cancelled in bump_flows and dropped by the engine.
-                self.flow_check = None;
-                if let Some((t, fid)) = self.flows.next_completion() {
-                    self.flows.complete(t.max(self.flows.now()), fid);
-                    let cont = self
-                        .flow_cont
-                        .remove(&fid)
-                        .expect("every flow has a continuation");
-                    if self.tracer.enabled() {
-                        if let Some(start) = self.flow_started.remove(&fid) {
-                            let (name, track) = self
-                                .chunks
-                                .get(&cont)
-                                .map(|c| (xfer_name(c.stage), c.acc as u32))
-                                .unwrap_or(("xfer", 0));
-                            self.tracer.span(Component::Flow, name, track, start, now);
-                        }
+                let Some(ArmedCheck { at, flow: fid, .. }) = self.flow_check.take() else {
+                    return;
+                };
+                debug_assert_eq!(self.flows.next_completion(), Some((at, fid)));
+                self.flows.complete(at.max(self.flows.now()), fid);
+                let cont = self
+                    .flow_cont
+                    .remove(&fid)
+                    .expect("every flow has a continuation");
+                if self.tracer.enabled() {
+                    if let Some(start) = self.flow_started.remove(&fid) {
+                        let (name, track) = self
+                            .chunks
+                            .get(&cont)
+                            .map(|c| (xfer_name(c.stage), c.acc as u32))
+                            .unwrap_or(("xfer", 0));
+                        self.tracer.span(Component::Flow, name, track, start, now);
                     }
-                    self.on_flow_done(now, cont, sched);
-                    self.bump_flows(sched);
                 }
+                self.on_flow_done(now, cont, sched);
+                self.bump_flows(sched);
             }
             Ev::EthFlowCheck => {
                 let Some(eth) = self.eth.as_mut() else { return };
-                eth.check = None;
-                if let Some((t, fid)) = eth.flows.next_completion() {
-                    let at = t.max(eth.flows.now());
-                    eth.flows.complete(at, fid);
-                    let cont = eth.cont.remove(&fid).expect("eth continuation registered");
-                    let started = eth.started.remove(&fid);
-                    if self.tracer.enabled() {
-                        if let Some(start) = started {
-                            let (name, track) = self
-                                .chunks
-                                .get(&cont)
-                                .map(|c| (xfer_name(c.stage), c.pool_dev as u32))
-                                .unwrap_or(("eth", 0));
-                            self.tracer.span(Component::Flow, name, track, start, now);
-                        }
+                let Some(ArmedCheck { at, flow: fid, .. }) = eth.check.take() else {
+                    return;
+                };
+                debug_assert_eq!(eth.flows.next_completion(), Some((at, fid)));
+                eth.flows.complete(at.max(eth.flows.now()), fid);
+                let cont = eth.cont.remove(&fid).expect("eth continuation registered");
+                let started = eth.started.remove(&fid);
+                if self.tracer.enabled() {
+                    if let Some(start) = started {
+                        let (name, track) = self
+                            .chunks
+                            .get(&cont)
+                            .map(|c| (xfer_name(c.stage), c.pool_dev as u32))
+                            .unwrap_or(("eth", 0));
+                        self.tracer.span(Component::Flow, name, track, start, now);
                     }
-                    self.on_eth_flow_done(now, cont, sched);
-                    self.bump_eth(sched);
                 }
+                self.on_eth_flow_done(now, cont, sched);
+                self.bump_eth(sched);
             }
             Ev::PoolPrepDone(id) => self.on_pool_prep_done(now, id, sched),
             Ev::PrepDone(id, generation) => self.on_prep_done(now, id, generation, sched),

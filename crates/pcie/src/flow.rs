@@ -16,10 +16,19 @@
 //! domain-incremental solver is the only allocator the simulator runs;
 //! [`FlowNet::max_min_rates_ref`] is the per-flow oracle it is tested
 //! against, bit for bit.
+//!
+//! Flows live in per-route-class queues sorted by remaining bytes. Members
+//! of a class share one rate, so draining subtracts the same `rate * dt`
+//! from each and (IEEE subtraction being monotone) never reorders a queue,
+//! and completion time is monotone in remaining bytes. Per event the
+//! simulator therefore pays O(live classes) to find the next completion and
+//! nothing per flow to publish new rates; only [`FlowSim::advance`] still
+//! touches every active flow, as one contiguous subtraction per member.
 
 use crate::topology::{LinkId, Topology};
 use serde::{Deserialize, Serialize};
-use trainbox_sim::{FxHashMap, SimTime, TimeWeighted};
+use std::collections::VecDeque;
+use trainbox_sim::{FxHashMap, SimTime};
 
 /// Identifier of an active flow in a [`FlowSim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -263,13 +272,20 @@ impl ClassKey {
     }
 }
 
-/// One equivalence class of flows for the allocator.
+/// One equivalence class of flows for the allocator, holding its members.
 #[derive(Debug, Clone)]
 struct FlowClass {
     route: Vec<LinkId>,
     demand: Option<f64>,
-    /// Active flows in this class; 0 marks a tombstoned (reusable) slot.
-    members: usize,
+    /// Active members as `(id, remaining bytes)`, sorted by remaining bytes;
+    /// empty marks a tombstoned (reusable) slot.
+    queue: VecDeque<(FlowId, f64)>,
+}
+
+impl FlowClass {
+    fn members(&self) -> usize {
+        self.queue.len()
+    }
 }
 
 /// Persistent scratch for the domain-incremental solver ([`FlowSim`]'s hot
@@ -379,7 +395,7 @@ fn solve_domain(
                 ds.residual[li] = capacity[li];
                 ds.unfrozen_on[li] = 0;
             }
-            ds.unfrozen_on[li] += cl.members;
+            ds.unfrozen_on[li] += cl.members();
         }
     }
     let mut unfrozen = n;
@@ -412,7 +428,7 @@ fn solve_domain(
             let cl = &classes[ds.class_ids[k]];
             for l in &cl.route {
                 let r = &mut ds.residual[l.index()];
-                for _ in 0..cl.members {
+                for _ in 0..cl.members() {
                     *r -= inc;
                 }
             }
@@ -432,7 +448,7 @@ fn solve_domain(
                 ds.frozen[k] = true;
                 unfrozen -= 1;
                 for l in &cl.route {
-                    ds.unfrozen_on[l.index()] -= cl.members;
+                    ds.unfrozen_on[l.index()] -= cl.members();
                 }
             }
         }
@@ -447,16 +463,6 @@ fn solve_domain(
     }
 }
 
-#[derive(Debug, Clone)]
-struct ActiveFlow {
-    /// Index into the simulator's class table.
-    class: usize,
-    remaining: f64,
-    /// Current max-min rate, written in place by `recompute` so the hot
-    /// advance/next-completion loops touch one map instead of two.
-    rate: f64,
-}
-
 /// Event-driven finite-transfer simulator over a [`FlowNet`].
 ///
 /// Drive it from a DES loop: add flows as transfers start, query
@@ -468,7 +474,7 @@ struct ActiveFlow {
 /// ```
 /// use trainbox_pcie::flow::{FlowNet, FlowSim, FlowSpec};
 /// use trainbox_pcie::topology::LinkId;
-/// use trainbox_sim::{SimTime, TimeWeighted};
+/// use trainbox_sim::SimTime;
 ///
 /// // One 1 GB/s link shared by two 1 MB transfers: each gets 0.5 GB/s,
 /// // both complete at 2 ms.
@@ -484,15 +490,13 @@ struct ActiveFlow {
 #[derive(Debug, Clone)]
 pub struct FlowSim {
     net: FlowNet,
-    flows: FxHashMap<FlowId, ActiveFlow>,
-    order: Vec<FlowId>,
-    /// Flow classes (route + demand equivalence); tombstoned slots are
-    /// reused so indices stay stable while flows churn.
+    /// Flow classes (route + demand equivalence) with their member queues;
+    /// tombstoned slots are reused so indices stay stable while flows churn.
     classes: Vec<FlowClass>,
     class_index: FxHashMap<ClassKey, usize>,
     free_classes: Vec<usize>,
-    /// Per-link load accumulator for utilization accounting.
-    load: Vec<f64>,
+    /// Class of each active flow.
+    flow_class: FxHashMap<FlowId, usize>,
     /// Set when the flow set or a capacity changed since the last
     /// recomputation; a clean simulator skips the allocator entirely.
     dirty: bool,
@@ -505,14 +509,14 @@ pub struct FlowSim {
     /// disappeared; such classes form their own pseudo-domains.
     dirty_nolink: bool,
     /// Per-class rate from the last solve of that class's domain; classes in
-    /// clean domains keep their rates without any allocator work.
+    /// clean domains keep their rates without any allocator work. The only
+    /// copy of the rates: every member of a class drains at its class's.
     class_rate: Vec<f64>,
     dscratch: DomainScratch,
     recomputes: u64,
     domain_solves: u64,
     now: SimTime,
     next_id: u64,
-    utilization: Vec<TimeWeighted>,
     /// When enabled, every allocator recomputation appends one
     /// [`FlowTraceEvent`] here; the trace layer drains it with
     /// [`FlowSim::take_trace`]. Off by default — recording only observes the
@@ -538,20 +542,14 @@ pub struct FlowTraceEvent {
 
 impl FlowSim {
     /// Create a simulator over `net` at time zero with no flows.
-    ///
-    /// Per-link utilization tracking starts disabled; call
-    /// [`FlowSim::set_track_utilization`] before adding flows to record it.
     pub fn new(net: FlowNet) -> Self {
-        let utilization = Vec::new();
         let n_links = net.link_count();
         FlowSim {
             net,
-            flows: FxHashMap::default(),
-            order: Vec::new(),
             classes: Vec::new(),
             class_index: FxHashMap::default(),
             free_classes: Vec::new(),
-            load: Vec::new(),
+            flow_class: FxHashMap::default(),
             dirty: false,
             domains: LinkDomains::new(n_links),
             dirty_links: Vec::new(),
@@ -562,7 +560,6 @@ impl FlowSim {
             domain_solves: 0,
             now: SimTime::ZERO,
             next_id: 0,
-            utilization,
             trace: false,
             trace_log: Vec::new(),
         }
@@ -575,7 +572,7 @@ impl FlowSim {
 
     /// Number of active flows.
     pub fn active(&self) -> usize {
-        self.flows.len()
+        self.flow_class.len()
     }
 
     /// Borrow the capacity view.
@@ -597,21 +594,6 @@ impl FlowSim {
         self.domain_solves
     }
 
-    /// Enable (or disable) per-link time-weighted utilization tracking.
-    ///
-    /// Off by default: it costs O(links) samples per rate recomputation and
-    /// no figure reads it, so the DES pipelines leave it off. Enable before
-    /// adding flows — samples only accumulate from that point on.
-    pub fn set_track_utilization(&mut self, on: bool) {
-        if on && self.utilization.is_empty() {
-            self.utilization = (0..self.net.link_count())
-                .map(|i| TimeWeighted::new(format!("link-{i}")))
-                .collect();
-        } else if !on {
-            self.utilization = Vec::new();
-        }
-    }
-
     /// Enable (or disable) rate-change tracing: each allocator recomputation
     /// appends one [`FlowTraceEvent`] to an internal log. Purely
     /// observational — the rates themselves are identical with tracing on or
@@ -631,27 +613,32 @@ impl FlowSim {
 
     /// Find or create the class for `spec`, consuming its route. Marks the
     /// class's domain dirty and merges the route's links into one domain
-    /// (they now share a potential bottleneck).
+    /// (they now share a potential bottleneck). The caller queues the member.
     fn intern_class(&mut self, spec: FlowSpec) -> usize {
         let key = ClassKey::of(&spec);
         if let Some(&c) = self.class_index.get(&key) {
-            self.classes[c].members += 1;
             self.mark_route_dirty(c);
             return c;
         }
-        let class = FlowClass { route: spec.route, demand: spec.demand, members: 1 };
-        if let Some((&first, rest)) = class.route.split_first() {
+        if let Some((&first, rest)) = spec.route.split_first() {
             for l in rest {
                 self.domains.union(first.index(), l.index());
             }
         }
         let c = match self.free_classes.pop() {
             Some(slot) => {
-                self.classes[slot] = class;
+                // Keep the slot's (empty) queue and its allocation.
+                let cl = &mut self.classes[slot];
+                cl.route = spec.route;
+                cl.demand = spec.demand;
                 slot
             }
             None => {
-                self.classes.push(class);
+                self.classes.push(FlowClass {
+                    route: spec.route,
+                    demand: spec.demand,
+                    queue: VecDeque::new(),
+                });
                 self.classes.len() - 1
             }
         };
@@ -677,12 +664,11 @@ impl FlowSim {
         self.dirty = true;
     }
 
-    /// Drop one membership from class `c`, tombstoning the slot when empty.
+    /// Note that class `c` lost a member, tombstoning the slot when empty.
     fn release_class(&mut self, c: usize) {
         self.mark_route_dirty(c);
         let cl = &mut self.classes[c];
-        cl.members -= 1;
-        if cl.members == 0 {
+        if cl.queue.is_empty() {
             let key = ClassKey {
                 route: std::mem::take(&mut cl.route),
                 demand_bits: cl.demand.map_or(u64::MAX, f64::to_bits),
@@ -705,47 +691,25 @@ impl FlowSim {
         self.dirty = false;
         self.recomputes += 1;
         self.solve_dirty_domains();
-        for id in &self.order {
-            // invariant: `order` and `flows` are mutated together (add_flow
-            // pushes both, complete removes both), so every ordered id is
-            // present in the map.
-            let f = self.flows.get_mut(id).expect("ordered flow is active");
-            f.rate = self.class_rate[f.class];
-        }
         if self.trace {
             let mut min_rate = f64::INFINITY;
             let mut max_rate = 0.0f64;
-            for id in &self.order {
-                let r = self.flows[id].rate;
-                min_rate = min_rate.min(r);
-                max_rate = max_rate.max(r);
+            for (cl, &r) in self.classes.iter().zip(&self.class_rate) {
+                if !cl.queue.is_empty() {
+                    min_rate = min_rate.min(r);
+                    max_rate = max_rate.max(r);
+                }
             }
-            if self.order.is_empty() {
+            let active = self.active();
+            if active == 0 {
                 min_rate = 0.0;
             }
             self.trace_log.push(FlowTraceEvent {
                 at: self.now,
-                active: self.order.len(),
+                active,
                 min_rate,
                 max_rate,
             });
-        }
-        if self.utilization.is_empty() {
-            return;
-        }
-        // Record the new per-link utilization from this instant onward,
-        // accumulating loads in flow arrival order (the same summation order
-        // as the per-flow reference, so the statistics match bit for bit).
-        self.load.clear();
-        self.load.resize(self.net.capacity.len(), 0.0);
-        for id in &self.order {
-            let f = &self.flows[id];
-            for l in &self.classes[f.class].route {
-                self.load[l.index()] += f.rate;
-            }
-        }
-        for (li, load) in self.load.iter().enumerate() {
-            self.utilization[li].set(self.now, load / self.net.capacity[li]);
         }
     }
 
@@ -781,7 +745,7 @@ impl FlowSim {
         if self.dirty_nolink {
             self.dirty_nolink = false;
             for (c, cl) in self.classes.iter().enumerate() {
-                if cl.members > 0 && cl.route.is_empty() {
+                if !cl.queue.is_empty() && cl.route.is_empty() {
                     self.class_rate[c] =
                         cl.demand.expect("validated: a link-free flow carries a demand");
                 }
@@ -795,7 +759,7 @@ impl FlowSim {
             // route into a single domain.
             self.dscratch.class_ids.clear();
             for (c, cl) in self.classes.iter().enumerate() {
-                if cl.members == 0 || cl.route.is_empty() {
+                if cl.queue.is_empty() || cl.route.is_empty() {
                     continue;
                 }
                 if self.domains.find(cl.route[0].index()) == root {
@@ -819,18 +783,17 @@ impl FlowSim {
 
     /// Debug-build cross-check of the domain-incremental solver: the
     /// domain's rates must match [`FlowNet::max_min_rates_ref`] run on the
-    /// domain's flows alone, bit for bit.
+    /// domain's flows alone, bit for bit. The oracle's rates do not depend
+    /// on the order of its flows, so they are listed class by class.
     #[cfg(debug_assertions)]
     fn assert_domain_matches_reference(&mut self, root: usize) {
         let mut cids = Vec::new();
         let mut specs = Vec::new();
-        for id in &self.order {
-            let c = self.flows[id].class;
-            let cl = &self.classes[c];
-            if cl.route.is_empty() {
+        for (c, cl) in self.classes.iter().enumerate() {
+            if cl.route.is_empty() || self.domains.find(cl.route[0].index()) != root {
                 continue;
             }
-            if self.domains.find(cl.route[0].index()) == root {
+            for _ in 0..cl.members() {
                 cids.push(c);
                 specs.push(FlowSpec { route: cl.route.clone(), demand: cl.demand });
             }
@@ -846,31 +809,6 @@ impl FlowSim {
         }
     }
 
-    /// Time-weighted mean utilization of `link` over `[0, now]`, in `[0, 1]`
-    /// (zero before any time has elapsed).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`FlowSim::set_track_utilization`] enabled tracking.
-    pub fn mean_utilization(&self, link: LinkId) -> f64 {
-        assert!(!self.utilization.is_empty(), "utilization tracking is off");
-        if self.now == SimTime::ZERO {
-            0.0
-        } else {
-            self.utilization[link.index()].mean(self.now)
-        }
-    }
-
-    /// Peak instantaneous utilization observed on `link`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`FlowSim::set_track_utilization`] enabled tracking.
-    pub fn peak_utilization(&self, link: LinkId) -> f64 {
-        assert!(!self.utilization.is_empty(), "utilization tracking is off");
-        self.utilization[link.index()].peak()
-    }
-
     /// Advance the clock to `now`, draining bytes at current rates.
     ///
     /// # Panics
@@ -880,8 +818,11 @@ impl FlowSim {
         assert!(now >= self.now, "FlowSim cannot go backwards in time");
         let dt = (now - self.now).as_secs_f64();
         if dt > 0.0 {
-            for f in self.flows.values_mut() {
-                f.remaining = (f.remaining - f.rate * dt).max(0.0);
+            for (cl, &rate) in self.classes.iter_mut().zip(&self.class_rate) {
+                let drained = rate * dt;
+                for (_, remaining) in &mut cl.queue {
+                    *remaining = (*remaining - drained).max(0.0);
+                }
             }
         }
         self.now = now;
@@ -900,8 +841,10 @@ impl FlowSim {
         let id = FlowId(self.next_id);
         self.next_id += 1;
         let class = self.intern_class(spec);
-        self.flows.insert(id, ActiveFlow { class, remaining: bytes, rate: 0.0 });
-        self.order.push(id);
+        let queue = &mut self.classes[class].queue;
+        let at = queue.partition_point(|&(_, remaining)| remaining <= bytes);
+        queue.insert(at, (id, bytes));
+        self.flow_class.insert(id, class);
         self.recompute();
         id
     }
@@ -945,27 +888,43 @@ impl FlowSim {
 
     /// Remaining bytes of a flow (`None` if unknown/completed).
     pub fn remaining(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.remaining)
+        let c = *self.flow_class.get(&id)?;
+        self.classes[c]
+            .queue
+            .iter()
+            .find(|&&(f, _)| f == id)
+            .map(|&(_, r)| r)
     }
 
     /// Current rate of a flow in bytes/s (`None` if unknown).
     pub fn rate(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.rate)
+        self.flow_class.get(&id).map(|&c| self.class_rate[c])
     }
 
     /// The earliest `(time, flow)` completion under current rates, if any
     /// flow is active. Ties break toward the earliest-started flow.
+    ///
+    /// Only the head of each class queue, and the members tied with it, are
+    /// examined: a class's completion times ascend along its queue. Flow ids
+    /// are issued in arrival order, so the smallest id among the flows with
+    /// the minimum time is the earliest-started one.
     pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
         let mut best: Option<(SimTime, FlowId)> = None;
-        for id in &self.order {
-            let f = &self.flows[id];
-            if f.rate <= 0.0 {
+        for (cl, &rate) in self.classes.iter().zip(&self.class_rate) {
+            if rate <= 0.0 {
                 continue;
             }
-            let dt = f.remaining / f.rate;
-            let t = self.now + SimTime::from_secs_f64(dt);
-            if best.is_none_or(|(bt, _)| t < bt) {
-                best = Some((t, *id));
+            let finish = |remaining: f64| self.now + SimTime::from_secs_f64(remaining / rate);
+            let mut members = cl.queue.iter();
+            let Some(&(head, remaining)) = members.next() else {
+                continue;
+            };
+            let t = finish(remaining);
+            let first = members
+                .take_while(|&&(_, remaining)| finish(remaining) == t)
+                .fold(head, |first, &(id, _)| first.min(id));
+            if best.is_none_or(|b| (t, first) < b) {
+                best = Some((t, first));
             }
         }
         best
@@ -979,11 +938,17 @@ impl FlowSim {
     /// Panics if `id` is not active or `now` is in the past.
     pub fn complete(&mut self, now: SimTime, id: FlowId) {
         self.advance(now);
-        let Some(flow) = self.flows.remove(&id) else {
+        let Some(c) = self.flow_class.remove(&id) else {
             panic!("unknown flow {id:?}")
         };
-        self.release_class(flow.class);
-        self.order.retain(|&f| f != id);
+        let queue = &mut self.classes[c].queue;
+        // Usually the head: completions leave a class in queue order.
+        let at = queue
+            .iter()
+            .position(|&(f, _)| f == id)
+            .expect("active flow is queued");
+        queue.remove(at);
+        self.release_class(c);
         self.recompute();
     }
 
@@ -1207,6 +1172,63 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn completion_order_follows_remaining_bytes_then_arrival() {
+        // 1 GB/s link. A (4 MB) runs alone for 1 ms, then B (1 MB) joins on
+        // the same route: B, later-started and smaller, completes first.
+        let net = FlowNet::from_capacities(vec![1e9, 1e9]);
+        let mut sim = FlowSim::new(net);
+        let a = sim.add_flow(SimTime::ZERO, FlowSpec::new(vec![link(0)]), 4e6);
+        let b = sim.add_flow(SimTime::from_millis(1), FlowSpec::new(vec![link(0)]), 1e6);
+        assert_eq!(sim.next_completion(), Some((SimTime::from_millis(3), b)));
+        sim.complete(SimTime::from_millis(3), b);
+        assert_eq!(sim.next_completion(), Some((SimTime::from_millis(5), a)));
+        sim.complete(SimTime::from_millis(5), a);
+
+        // Equal flows complete earliest-started first, within a class (C
+        // then D on link 0) and across classes (E on link 1 before F).
+        let t0 = sim.now();
+        let c = sim.add_flow(t0, FlowSpec::new(vec![link(0)]), 1e6);
+        let e = sim.add_flow(t0, FlowSpec::new(vec![link(1)]), 1e6);
+        let d = sim.add_flow(t0, FlowSpec::new(vec![link(0)]), 1e6);
+        let f = sim.add_flow(t0, FlowSpec::new(vec![link(1)]), 1e6);
+        let order: Vec<FlowId> = sim.drain().into_iter().map(|(_, id)| id).collect();
+        assert_eq!(order, vec![c, e, d, f]);
+
+        // Flows drained to zero tie whatever their sizes were: G, larger
+        // and earlier, completes before H although H heads the queue.
+        let t0 = sim.now();
+        let g = sim.add_flow(t0, FlowSpec::new(vec![link(0)]), 2e6);
+        let h = sim.add_flow(t0, FlowSpec::new(vec![link(0)]), 1e6);
+        let t1 = t0 + SimTime::from_millis(10);
+        sim.advance(t1);
+        assert_eq!(sim.remaining(g), Some(0.0));
+        assert_eq!(sim.remaining(h), Some(0.0));
+        assert_eq!(sim.next_completion(), Some((t1, g)));
+    }
+
+    #[test]
+    fn cancelling_a_queued_flow_leaves_its_class_in_order() {
+        // Three flows share one route; cancelling the middle one (not the
+        // queue head) speeds up the other two and keeps their order.
+        let net = FlowNet::from_capacities(vec![3e9]);
+        let mut sim = FlowSim::new(net);
+        let small = sim.add_flow(SimTime::ZERO, FlowSpec::new(vec![link(0)]), 1.5e6);
+        let big = sim.add_flow(SimTime::ZERO, FlowSpec::new(vec![link(0)]), 4.5e6);
+        let mid = sim.add_flow(SimTime::ZERO, FlowSpec::new(vec![link(0)]), 3e6);
+        sim.complete(SimTime::ZERO, mid);
+        assert_eq!(sim.remaining(mid), None);
+        assert_eq!(sim.rate(small), Some(1.5e9));
+        let done = sim.drain();
+        assert_eq!(
+            done,
+            vec![
+                (SimTime::from_millis(1), small),
+                (SimTime::from_millis(2), big)
+            ]
+        );
+    }
+
+    #[test]
     fn completion_frees_bandwidth() {
         let net = FlowNet::from_capacities(vec![1e9]);
         let mut sim = FlowSim::new(net);
@@ -1219,33 +1241,6 @@ pub(crate) mod tests {
         let (_tb, idb) = sim.next_completion().unwrap();
         assert!((sim.rate(idb).unwrap() - 1e9).abs() < 1.0);
         assert_eq!(sim.active(), 1);
-    }
-
-    #[test]
-    fn utilization_tracks_load_over_time() {
-        // One 1 GB/s link: a flow saturates it for 1 ms, then idle 1 ms.
-        let net = FlowNet::from_capacities(vec![1e9]);
-        let mut sim = FlowSim::new(net);
-        sim.set_track_utilization(true);
-        let f = sim.add_flow(SimTime::ZERO, FlowSpec::new(vec![link(0)]), 1e6);
-        let (t, _) = sim.next_completion().unwrap();
-        sim.complete(t, f);
-        assert_eq!(sim.peak_utilization(link(0)), 1.0);
-        sim.advance(SimTime::from_millis(2));
-        let mean = sim.mean_utilization(link(0));
-        assert!((mean - 0.5).abs() < 1e-6, "mean={mean}");
-    }
-
-    #[test]
-    fn utilization_shares_between_flows() {
-        // Demand-capped flow uses half the link.
-        let net = FlowNet::from_capacities(vec![10.0]);
-        let mut sim = FlowSim::new(net);
-        sim.set_track_utilization(true);
-        let _ = sim.add_flow(SimTime::ZERO, FlowSpec::with_demand(vec![link(0)], 5.0), 50.0);
-        sim.advance(SimTime::from_secs(1));
-        assert!((sim.mean_utilization(link(0)) - 0.5).abs() < 1e-6);
-        assert_eq!(sim.peak_utilization(link(0)), 0.5);
     }
 
     #[test]
@@ -1418,45 +1413,88 @@ pub(crate) mod tests {
         }
 
         /// After every step of a random add/complete/degrade history, each
-        /// active flow's rate equals the per-domain oracle's, bit for bit.
+        /// active flow's rate equals the per-domain oracle's, bit for bit;
+        /// its remaining bytes equal a ledger drained at the oracle's rates;
+        /// and `next_completion` equals a brute-force scan over the active
+        /// flows in arrival order: minimum time, then earliest-started.
+        /// Transfer sizes and time steps come from small sets, so flows of
+        /// one class with equal remaining bytes, and flows drained to zero,
+        /// actually occur.
         #[test]
         fn flow_sim_histories_match_reference(
             ops in proptest::collection::vec(
-                (0u8..3, proptest::collection::vec(0u32..4, 0..4), any::<bool>(), 1u64..1_000_000),
+                (
+                    0u8..3,
+                    proptest::collection::vec(0u32..4, 0..4),
+                    any::<bool>(),
+                    1u64..1_000_000,
+                    0usize..4,
+                    0usize..4,
+                ),
                 1..30,
             ),
         ) {
+            const SIZES: [f64; 4] = [1.0, 64.0, 4096.0, 65536.0];
+            const STEPS_NS: [u64; 4] = [0, 0, 1, 977];
             let mut sim = FlowSim::new(FlowNet::from_capacities(vec![1e9, 2e9, 0.5e9, 1e9]));
             let mut seen: Vec<Vec<LinkId>> = Vec::new();
-            let mut active: Vec<(FlowId, FlowSpec)> = Vec::new();
+            // (id, spec, remaining bytes) in arrival order, and the oracle's
+            // rate of each.
+            let mut active: Vec<(FlowId, FlowSpec, f64)> = Vec::new();
+            let mut want: Vec<f64> = Vec::new();
             let mut t = SimTime::ZERO;
-            for (op, route, capped, v) in ops {
-                t += SimTime::from_nanos(v % 977);
+            for (op, route, capped, v, size, step) in ops {
+                t += SimTime::from_nanos(STEPS_NS[step]);
+                if op == 1 {
+                    match sim.next_completion() {
+                        Some((ct, _)) => t = ct.max(t),
+                        None => continue,
+                    }
+                }
+                // Every operation below first drains the flows up to `t`.
+                let dt = (t - sim.now()).as_secs_f64();
+                if dt > 0.0 {
+                    for ((_, _, remaining), rate) in active.iter_mut().zip(&want) {
+                        *remaining = (*remaining - rate * dt).max(0.0);
+                    }
+                }
                 match op {
                     0 => {
-                        let spec = random_flow(route, 4, capped, 1e8 + v as f64 * 1e3);
+                        // Every third add joins the previous flow's class.
+                        let spec = match active.last() {
+                            Some((_, last, _)) if v % 3 == 0 => last.clone(),
+                            _ => random_flow(route, 4, capped, 1e8 + v as f64 * 1e3),
+                        };
                         seen.push(spec.route.clone());
-                        let id = sim.add_flow(t, spec.clone(), v as f64);
-                        active.push((id, spec));
+                        let id = sim.add_flow(t, spec.clone(), SIZES[size]);
+                        active.push((id, spec, SIZES[size]));
                     }
                     1 => {
-                        if let Some((ct, id)) = sim.next_completion() {
-                            t = ct.max(t);
-                            sim.complete(t, id);
-                            active.retain(|&(a, _)| a != id);
-                        }
+                        let (_, id) = sim.next_completion().expect("checked above");
+                        sim.complete(t, id);
+                        active.retain(|&(a, _, _)| a != id);
                     }
                     _ => {
                         let l = route.first().map_or(0, |l| l % 4);
                         sim.set_capacity(t, link(l), 0.25e9 + v as f64);
                     }
                 }
-                let specs: Vec<FlowSpec> = active.iter().map(|(_, s)| s.clone()).collect();
-                let want = reference_rates(sim.net(), &seen, &specs);
-                for ((id, _), w) in active.iter().zip(&want) {
+                let specs: Vec<FlowSpec> = active.iter().map(|(_, s, _)| s.clone()).collect();
+                want = reference_rates(sim.net(), &seen, &specs);
+                let mut brute: Option<(SimTime, FlowId)> = None;
+                for ((id, _, remaining), w) in active.iter().zip(&want) {
                     let g = sim.rate(*id).expect("flow is active");
                     prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?}: sim={} ref={}", id, g, w);
+                    let r = sim.remaining(*id).expect("flow is active");
+                    prop_assert_eq!(r.to_bits(), remaining.to_bits(), "{:?} remaining", id);
+                    if *w > 0.0 {
+                        let done = sim.now() + SimTime::from_secs_f64(remaining / w);
+                        if brute.is_none_or(|(bt, _)| done < bt) {
+                            brute = Some((done, *id));
+                        }
+                    }
                 }
+                prop_assert_eq!(sim.next_completion(), brute);
             }
         }
     }
