@@ -2,7 +2,8 @@
 //!
 //! The cluster scale-out layer (`crate::scaleout`) runs one logical process
 //! per *server*; a single-server simulation was therefore still sequential.
-//! This module partitions one server's [`PipelineModel`] along the seams the
+//! This module partitions one server's
+//! [`PipelineModel`](crate::pipeline::PipelineModel) along the seams the
 //! TrainBox topology already draws: a **lane** is half a train box — four
 //! accelerators plus the SSD and preparation FPGA nominally assigned to them
 //! (`assign_devices_nominal` maps accelerator `a` to SSD/prep `a / 4`).
@@ -12,33 +13,17 @@
 //! max-min rates the global allocator would, bit for bit.
 //!
 //! The only cross-lane coupling is the ring synchronization: every
-//! accelerator in the server joins one all-reduce per generation. The lane
-//! coordinator replays exactly the solo path's arithmetic — the sync starts
-//! at `max(lane arrivals)` and completes `t_sync` later — so the **lookahead
-//! is the full-ring all-reduce time**: once a lane parks at the barrier, the
-//! earliest instant it can observe any other lane is the global release.
-//! Windows are therefore one generation long but far cheaper than the
-//! cluster barrier; the runner uses [`par::run_windows_with`]'s
-//! cheap-window fast path so thread spawn/join never dominates short
-//! windows.
-//!
-//! Determinism discipline is inherited wholesale from `sim::par`: offers are
-//! folded and grants applied in lane-index order at every barrier, so
-//! `parallel_workers: 0` is byte-identical to any worker count by
-//! construction (pinned by `crates/core/tests/parallel_equivalence.rs`).
+//! accelerator in the server joins one all-reduce per generation, which the
+//! barrier runner (`crate::barrier`) replays exactly — the sync starts at
+//! `max(lane arrivals)` and completes `t_sync` later. The lanes' value is
+//! mostly the smaller per-lane [`FlowSim`] (each max-min solve and
+//! completion scan covers one lane's flows, not the server's), not the
+//! threads that advance them.
 //!
 //! [`FlowSim`]: trainbox_pcie::flow::FlowSim
 
-use std::marker::PhantomData;
-use std::time::Instant;
-
 use crate::arch::{Server, ServerKind};
-use crate::faults::{FaultKind, FaultPlan};
-use crate::pipeline::{DesFailure, Ev, PipelineModel, SimConfig, SimResult};
-use crate::scaleout::{merge_fault_stats, ClusterLp, LpOffer, CLUSTER_TRACK_STRIDE};
-use trainbox_nn::Workload;
-use trainbox_sim::par::{self, Coordinator, WindowPolicy};
-use trainbox_sim::{Engine, ForkTracer, SimError, SimTime, Tracer};
+use crate::faults::{FaultKind, FaultPlan, FaultStats};
 
 /// Accelerators per lane: half a train box (4 accelerators share one SSD
 /// and one prep FPGA under `assign_devices_nominal`).
@@ -128,11 +113,33 @@ impl LanePartition {
         }
     }
 
+    /// Merge the lanes' fault statistics (lane order) into the single
+    /// engine's: counters add up, and downtime is recorded in the order the
+    /// single engine injects the faults — the plan's time-sorted order. Each
+    /// lane's list is the injected prefix of its own sub-plan in that same
+    /// order, so walking the sorted plan and taking the owner lane's next
+    /// entry interleaves them exactly (equal-instant faults included).
+    pub(crate) fn merge_fault_stats(
+        &self,
+        plan: &FaultPlan,
+        mut lanes: Vec<FaultStats>,
+    ) -> FaultStats {
+        let mut queues: Vec<_> =
+            lanes.iter_mut().map(|s| std::mem::take(&mut s.downtime).into_iter()).collect();
+        let mut merged = crate::barrier::merge_fault_stats(lanes);
+        merged.downtime = plan
+            .sorted_events()
+            .iter()
+            .filter_map(|ev| queues[self.fault_owner(ev.kind)?].next())
+            .collect();
+        merged
+    }
+
     /// The sub-plan lane `lane` replays: exactly the events it owns, same
     /// retry policy. Filtering preserves order, and every event lands in
     /// exactly one lane, so the merged fault statistics equal the solo
-    /// path's.
-    fn plan_for_lane(&self, plan: &FaultPlan, lane: usize) -> FaultPlan {
+    /// path's ([`Self::merge_fault_stats`]).
+    pub(crate) fn plan_for_lane(&self, plan: &FaultPlan, lane: usize) -> FaultPlan {
         FaultPlan {
             events: plan
                 .events
@@ -145,220 +152,14 @@ impl LanePartition {
     }
 }
 
-/// One closed generation as the coordinator saw it: the latest lane arrival,
-/// the granted release, and the lookahead in force that window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LaneWindow {
-    pub(crate) max_arrival: SimTime,
-    pub(crate) release: SimTime,
-    pub(crate) lookahead: SimTime,
-}
-
-/// The ring barrier between lanes: every generation closes at
-/// `max(lane arrivals) + lookahead`, where the lookahead is the full-ring
-/// all-reduce time — identical to the interval the solo path spans between
-/// starting the sync and [`Ev::SyncDone`].
-pub(crate) struct LaneCoord<T: Tracer> {
-    t_sync: SimTime,
-    releases: Vec<SimTime>,
-    windows: Vec<LaneWindow>,
-    _lp: PhantomData<fn(T)>,
-}
-
-impl<T: Tracer> LaneCoord<T> {
-    pub(crate) fn new(t_sync: SimTime) -> Self {
-        LaneCoord { t_sync, releases: Vec::new(), windows: Vec::new(), _lp: PhantomData }
-    }
-
-    /// The lookahead for the window being closed, recomputed at every
-    /// barrier. It is the *minimum cross-lane event latency*: after a lane
-    /// parks, the earliest instant another lane can affect it is the global
-    /// sync completion, one full-ring all-reduce after the last arrival.
-    /// Today that is a constant — lane mode excludes the dropout faults
-    /// that re-form the ring — but a survivor-aware ring would change the
-    /// value here, per window, without touching the protocol.
-    fn window_lookahead(&self) -> SimTime {
-        self.t_sync
-    }
-
-    /// Per-window barrier records (for tests and diagnostics).
-    pub(crate) fn windows(&self) -> &[LaneWindow] {
-        &self.windows
-    }
-}
-
-impl<T: Tracer + Send> Coordinator for LaneCoord<T> {
-    type Lp = ClusterLp<T>;
-
-    fn exchange(
-        &mut self,
-        offers: Vec<LpOffer>,
-    ) -> Result<Option<Vec<Option<SimTime>>>, SimError> {
-        let latest = offers
-            .iter()
-            .filter_map(|o| match o {
-                LpOffer::Barrier(now) => Some(*now),
-                LpOffer::Done => None,
-            })
-            .max();
-        let Some(latest) = latest else {
-            return Ok(None); // every lane closed its final generation
-        };
-        // Identical target batches keep lanes in generation lockstep; a
-        // mixed Barrier/Done window would be a protocol bug.
-        let lookahead = self.window_lookahead();
-        let release = latest.saturating_add(lookahead);
-        self.windows.push(LaneWindow { max_arrival: latest, release, lookahead });
-        self.releases.push(release);
-        Ok(Some(
-            offers
-                .iter()
-                .map(|o| match o {
-                    LpOffer::Barrier(_) => Some(release),
-                    LpOffer::Done => None,
-                })
-                .collect(),
-        ))
-    }
-}
-
-/// Simulate one server with its pipeline partitioned into lanes, under the
-/// conservative window runner. Called from
-/// [`crate::pipeline::try_simulate_traced_deadline`] for every eligible
-/// `(server, plan)`; `cfg.parallel_workers` only selects how many threads
-/// advance the lanes (`0`/`1` = the byte-identical sequential reference).
-///
-/// # Errors
-///
-/// A [`DesFailure`] exactly like the single-engine path's.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn simulate_lanes_traced_deadline<T: ForkTracer + Send>(
-    server: &Server,
-    workload: &Workload,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-    part: &LanePartition,
-    mut tracer: T,
-    deadline: Option<Instant>,
-) -> Result<(SimResult, T, par::RunStats), DesFailure> {
-    let n = server.n_accels();
-    // Same expression the model evaluates for its own `t_sync`, so the
-    // coordinator's releases are bit-identical to the solo path's SyncDone
-    // times (for any declared sync pattern, not just the ring).
-    let eff = crate::profile::effective_workload(workload);
-    let t_sync = server.sync_model(&eff).sync_time(eff.model_bytes(), n);
-
-    let mut lps: Vec<ClusterLp<T>> = (0..part.lanes)
-        .map(|l| {
-            let lane_plan = part.plan_for_lane(plan, l);
-            let mut model =
-                PipelineModel::new(server, workload, cfg, &lane_plan, tracer.fork());
-            model.set_lane(l * ACCELS_PER_LANE..(l + 1) * ACCELS_PER_LANE);
-            let mut engine = Engine::new(model);
-            engine.schedule_at(SimTime::ZERO, Ev::Start);
-            ClusterLp { engine, max_events: cfg.max_events, deadline }
-        })
-        .collect();
-    let mut coord = LaneCoord::<T>::new(t_sync);
-    let stats = match par::run_windows_with(
-        &mut coord,
-        &mut lps,
-        cfg.parallel_workers,
-        WindowPolicy::fine_grained(),
-    ) {
-        Ok(stats) => stats,
-        Err(error) => {
-            let events = lps.iter().map(|lp| lp.engine.events_processed()).sum();
-            let partial = merge_fault_stats(
-                lps.iter().map(|lp| lp.engine.model().fault_stats().clone()).collect(),
-            );
-            return Err(DesFailure { error, events, partial_faults: partial });
-        }
-    };
-
-    debug_assert!(
-        coord
-            .windows()
-            .iter()
-            .all(|w| w.release >= w.max_arrival.saturating_add(w.lookahead)),
-        "every release must honor the window's lookahead"
-    );
-    let releases = coord.releases;
-    debug_assert_eq!(releases.len() as u64, cfg.batches, "one release per generation");
-    let warm = cfg.warmup_batches as usize;
-    let first = releases[warm - 1];
-    let last = *releases.last().expect("generations completed");
-    let window = (last - first).as_secs_f64();
-    let batches_measured = (cfg.batches - cfg.warmup_batches) as f64;
-
-    let models: Vec<PipelineModel<T>> =
-        lps.into_iter().map(|lp| lp.engine.into_model()).collect();
-    // Each lane recorded only its own accelerators; per-generation sums
-    // reconstruct the full server's counts.
-    let batch_samples: Vec<u64> = (0..cfg.batches as usize)
-        .map(|g| models.iter().map(|m| m.batch_samples()[g]).sum())
-        .collect();
-    let samples: u64 = batch_samples[warm..].iter().sum();
-    let effective = samples as f64 / window;
-    let useful: u64 = batch_samples.iter().sum();
-    let recomputes: u64 = models.iter().map(PipelineModel::recompute_count).sum();
-    let batch = models[0].batch_size();
-
-    // Lanes' flows never share a link, so elementwise addition reproduces
-    // the solo path's per-link byte totals exactly.
-    let n_links = models[0].link_bytes().len();
-    let mut link_bytes = vec![0.0f64; n_links];
-    for m in &models {
-        for (slot, b) in link_bytes.iter_mut().zip(m.link_bytes()) {
-            *slot += b;
-        }
-    }
-    let rc_bytes = server
-        .topology()
-        .rc_links()
-        .iter()
-        .map(|l| link_bytes[l.index()])
-        .sum();
-
-    let mut faults =
-        merge_fault_stats(models.iter().map(|m| m.fault_stats().clone()).collect());
-    // Lane mode excludes permanent losses, but keep the solo path's NaN
-    // resolution so the accounting can never diverge.
-    let end = last.as_secs_f64();
-    for d in &mut faults.downtime {
-        if d.secs.is_nan() {
-            d.secs = (end - d.at_secs).max(0.0);
-        }
-    }
-    faults.nominal_samples_per_sec = batches_measured * n as f64 * batch as f64 / window;
-    faults.goodput_samples_per_sec = if faults.wasted_samples == 0 {
-        effective
-    } else {
-        effective * useful as f64 / (useful + faults.wasted_samples) as f64
-    };
-
-    let result = SimResult {
-        samples_per_sec: effective,
-        batch_done_at: releases,
-        events: stats.total_events(),
-        recomputes,
-        link_bytes,
-        rc_bytes,
-        faults,
-        tenancy: None,
-    };
-    // Per-lane streams merge in lane-index order — deterministic for any
-    // worker count, same discipline as the cluster runner.
-    let parts: Vec<T> = models.into_iter().map(PipelineModel::into_tracer).collect();
-    tracer.absorb(parts, CLUSTER_TRACK_STRIDE);
-    Ok((result, tracer, stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::ServerConfig;
     use crate::faults::FaultEvent;
+    use crate::pipeline::{simulate_solo, try_simulate_traced_deadline, SimConfig};
+    use trainbox_nn::Workload;
+    use trainbox_sim::NoopTracer;
 
     fn trainbox_nopool(n: usize) -> Server {
         ServerConfig::new(ServerKind::TrainBoxNoPool, n).build()
@@ -438,37 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_lower_bounds_actual_cross_lane_latency() {
-        // Protocol property, checked on the coordinator itself: whatever a
-        // lane offered, the granted release is at least its own arrival plus
-        // the window's lookahead — no lane can observe another before the
-        // lookahead elapses, which is what makes the conservative window
-        // sound.
-        let t_sync = SimTime::from_secs_f64(1.5e-3);
-        let mut coord = LaneCoord::<trainbox_sim::NoopTracer>::new(t_sync);
-        let arrivals = [3.0e-3, 2.0e-3, 3.5e-3, 1.0e-3];
-        let offers: Vec<LpOffer> = arrivals
-            .iter()
-            .map(|&s| LpOffer::Barrier(SimTime::from_secs_f64(s)))
-            .collect();
-        let grants = coord.exchange(offers).expect("exchange ok").expect("grants");
-        let w = coord.windows()[0];
-        assert!(w.lookahead > SimTime::ZERO, "lookahead must be positive");
-        assert_eq!(w.lookahead, t_sync);
-        for (&s, grant) in arrivals.iter().zip(grants) {
-            let release = grant.expect("every parked lane gets a release");
-            let arrival = SimTime::from_secs_f64(s);
-            assert!(
-                release >= arrival.saturating_add(w.lookahead),
-                "release {release:?} violates the lookahead bound for arrival {arrival:?}"
-            );
-        }
-        // All-done window ends the protocol.
-        let done = vec![LpOffer::Done, LpOffer::Done, LpOffer::Done, LpOffer::Done];
-        assert!(coord.exchange(done).expect("exchange ok").is_none());
-    }
-
-    #[test]
     fn lane_releases_are_spaced_by_at_least_the_lookahead() {
         // End-to-end: in a real partitioned run, consecutive generation
         // closes are separated by at least one full-ring sync — the next
@@ -483,21 +253,65 @@ mod tests {
             ..SimConfig::default()
         };
         let t_sync = server.ring_model().allreduce_time(w.model_bytes(), 8);
-        let (result, _) = crate::pipeline::try_simulate_traced_deadline(
-            &server,
-            &w,
-            &cfg,
-            &FaultPlan::empty(),
-            trainbox_sim::NoopTracer,
-            None,
-        )
-        .expect("run completes");
+        let (result, _) =
+            try_simulate_traced_deadline(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer, None)
+                .expect("run completes");
         assert_eq!(result.batch_done_at.len(), 4);
         for pair in result.batch_done_at.windows(2) {
             assert!(
                 pair[1] >= pair[0].saturating_add(t_sync),
                 "generations must be separated by the ring sync"
             );
+        }
+    }
+
+    #[test]
+    fn lane_run_equals_the_single_engine_except_event_count() {
+        // The lane partition is canonical because it changes no answer:
+        // every `SimResult` field but `events` (each lane schedules its own
+        // barrier and release events) matches the single engine bit for bit,
+        // fault-free and under lane-local faults — downtime order included.
+        let w = Workload::resnet50();
+        for n in [8usize, 16, 64] {
+            let server = ServerConfig::new(ServerKind::TrainBoxNoPool, n).batch_size(64).build();
+            let cfg = SimConfig {
+                chunk_samples: 32,
+                batches: 4,
+                warmup_batches: 1,
+                ..SimConfig::default()
+            };
+            let lanes = n / ACCELS_PER_LANE;
+            let local = FaultPlan {
+                events: vec![
+                    // Two lanes' faults at one instant, the later lane's
+                    // first in the plan, and a lane-0 fault after lane 1's.
+                    FaultEvent {
+                        at_secs: 1e-3,
+                        kind: FaultKind::SsdStall { ssd: lanes - 1, secs: 2e-3 },
+                    },
+                    FaultEvent { at_secs: 1e-3, kind: FaultKind::SsdStall { ssd: 0, secs: 1e-3 } },
+                    FaultEvent {
+                        at_secs: 2e-3,
+                        kind: FaultKind::PrepSlowdown { dev: 1, factor: 0.5, secs: 5e-3 },
+                    },
+                    FaultEvent {
+                        at_secs: 3e-3,
+                        kind: FaultKind::LinkDegrade { link: 0, fraction: 0.5, secs: 1e-3 },
+                    },
+                ],
+                retry: Default::default(),
+            };
+            for plan in [FaultPlan::empty(), local] {
+                assert!(LanePartition::of(&server, &plan).is_some(), "n={n} must partition");
+                let (lane, _) =
+                    try_simulate_traced_deadline(&server, &w, &cfg, &plan, NoopTracer, None)
+                        .expect("lane run");
+                let (mut solo, _) = simulate_solo(&server, &w, &cfg, &plan, NoopTracer, None)
+                    .expect("single-engine run");
+                assert_ne!(solo.events, lane.events, "n={n}: lanes add barrier events");
+                solo.events = lane.events;
+                assert_eq!(solo, lane, "n={n} faults={}", plan.events.len());
+            }
         }
     }
 }

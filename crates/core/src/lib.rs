@@ -50,6 +50,7 @@
 
 pub mod analytic;
 pub mod arch;
+pub(crate) mod barrier;
 pub mod calib;
 pub mod faults;
 pub mod fpga;

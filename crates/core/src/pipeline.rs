@@ -380,9 +380,25 @@ pub(crate) enum Ev {
     FaultRecover(usize),
     /// Backoff elapsed: re-dispatch the chunk's prep request.
     PrepRetry(u64),
-    /// Cluster mode only: the coordinator released the global synchronization
+    /// Barrier modes only: the coordinator released the synchronization
     /// barrier — close the generation at the granted global time.
-    ClusterResume,
+    Release,
+}
+
+/// How a [`PipelineModel`] closes a generation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum BarrierMode {
+    /// The single-engine run: the local ring sync closes the generation.
+    Solo,
+    /// One lane of a partitioned server: drive only these accelerators
+    /// (plus their nominally assigned SSD and prep device) and park once
+    /// they arrive, *before* any [`Ev::SyncDone`] — the ring spans every
+    /// lane, so the coordinator's release (`max(arrivals) + t_sync`)
+    /// stands in for the sync.
+    Lane(std::ops::Range<usize>),
+    /// One server of a cluster: run the local ring sync, then park until
+    /// the coordinator's release (`max(arrivals) + cross_sync`).
+    Cluster,
 }
 
 /// Mutable degraded-mode state: who is alive, how fast, and what the fault
@@ -484,21 +500,12 @@ pub(crate) struct PipelineModel<T: Tracer> {
     rr_prep: usize,
     done: bool,
 
-    /// Cluster mode: when set, a finished local ring sync does **not** close
-    /// the generation — the model parks at the global barrier
-    /// (`at_barrier`) until the cluster coordinator grants a resume time.
-    cluster_hold: bool,
-    /// Parked at the global synchronization barrier, waiting for
-    /// [`Ev::ClusterResume`]. Read-and-cleared by the cluster runner.
+    /// How a generation closes: locally, or at a barrier the partitioned
+    /// runner (`crate::barrier`) releases.
+    barrier: BarrierMode,
+    /// Parked at the barrier, waiting for [`Ev::Release`].
+    /// Read-and-cleared by the barrier runner.
     at_barrier: bool,
-
-    /// Intra-server lane mode: when set, this model instance simulates only
-    /// the accelerators in the range (plus their nominally assigned SSD and
-    /// prep device). The lane parks at the ring barrier once *its* devices
-    /// arrive — without scheduling [`Ev::SyncDone`] — and the lane
-    /// coordinator (`crate::intraserver`) grants the global release time,
-    /// exactly the role the cluster coordinator plays one level up.
-    lane: Option<std::ops::Range<usize>>,
 
     /// Synchronization latency model (ring, parameter server, or
     /// all-to-all, per the workload's declared pattern) and gradient size,
@@ -675,9 +682,8 @@ impl<T: Tracer> PipelineModel<T> {
             rr_ssd: 0,
             rr_prep: 0,
             done: false,
-            cluster_hold: false,
+            barrier: BarrierMode::Solo,
             at_barrier: false,
-            lane: None,
             sync,
             model_bytes: workload.model_bytes(),
             faults,
@@ -686,32 +692,34 @@ impl<T: Tracer> PipelineModel<T> {
         }
     }
 
-    // --- cluster-runner interface (crate-private) -------------------------
+    // --- barrier-runner interface (crate-private) -------------------------
     //
-    // The cluster DES in `crate::scaleout` drives one `PipelineModel` per
-    // server as a logical process: it needs to switch the model into
-    // barrier-hold mode, observe/clear the barrier flag, and pull the
-    // per-generation records out at the end. Nothing here changes solo-run
-    // behavior.
+    // The partitioned DES in `crate::barrier` drives one `PipelineModel` per
+    // lane or per cluster server as a logical process: it switches the
+    // model into a barrier mode, observes/clears the barrier flag, and pulls
+    // the per-generation records out at the end. Nothing here changes
+    // solo-run behavior.
 
-    /// Switch into cluster mode: local syncs park at the global barrier
-    /// instead of closing generations (see [`Ev::ClusterResume`]).
-    pub(crate) fn set_cluster_hold(&mut self) {
-        self.cluster_hold = true;
-    }
-
-    /// Switch into intra-server lane mode: simulate only accelerators
-    /// `lane` (their refill traffic, prep work, and compute), and park at
-    /// the ring barrier once they all arrive. Used by `crate::intraserver`.
-    pub(crate) fn set_lane(&mut self, lane: std::ops::Range<usize>) {
-        debug_assert!(!lane.is_empty() && lane.end <= self.accels.len());
-        self.lane = Some(lane);
+    /// Switch how generations close (see [`BarrierMode`]).
+    pub(crate) fn set_barrier(&mut self, mode: BarrierMode) {
+        if let BarrierMode::Lane(lane) = &mode {
+            debug_assert!(!lane.is_empty() && lane.end <= self.accels.len());
+        }
+        self.barrier = mode;
     }
 
     /// The accelerator indices this model instance drives: the lane in lane
     /// mode, every accelerator otherwise.
     fn lane_range(&self) -> std::ops::Range<usize> {
-        self.lane.clone().unwrap_or(0..self.accels.len())
+        match &self.barrier {
+            BarrierMode::Lane(lane) => lane.clone(),
+            BarrierMode::Solo | BarrierMode::Cluster => 0..self.accels.len(),
+        }
+    }
+
+    /// Full-group synchronization time at the initial device complement.
+    pub(crate) fn t_sync(&self) -> SimTime {
+        self.t_sync
     }
 
     /// Bytes moved over each directed PCIe link so far.
@@ -741,9 +749,9 @@ impl<T: Tracer> PipelineModel<T> {
         &self.batch_samples
     }
 
-    /// Accelerators this server started with.
+    /// Accelerators this model instance drives (its lane's, or all).
     pub(crate) fn n_accels(&self) -> usize {
-        self.accels.len()
+        self.lane_range().len()
     }
 
     /// Per-accelerator batch size.
@@ -1283,11 +1291,11 @@ impl<T: Tracer> PipelineModel<T> {
             .all(|(st, &alive)| !alive || st.batches_computed > self.sync_gen);
         if all_arrived {
             self.sync_in_progress = true;
-            if self.lane.is_some() {
+            if matches!(self.barrier, BarrierMode::Lane(_)) {
                 // Lane mode: the ring spans *all* lanes, so this lane cannot
                 // know when the sync completes — park at the barrier and let
-                // the lane coordinator grant max(lane arrivals) + t_sync,
-                // exactly what the solo path's SyncDone would compute.
+                // the coordinator grant max(lane arrivals) + t_sync, exactly
+                // what the solo path's SyncDone would compute.
                 self.at_barrier = true;
                 return;
             }
@@ -1321,7 +1329,7 @@ impl<T: Tracer> PipelineModel<T> {
 
     fn on_sync_done(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         self.sync_in_progress = false;
-        if self.cluster_hold {
+        if self.barrier == BarrierMode::Cluster {
             // The local (intra-server) ring reduction is done, but in a
             // cluster the generation only closes once every server has
             // finished and the cross-server phase has run — park at the
@@ -1345,9 +1353,11 @@ impl<T: Tracer> PipelineModel<T> {
         // In lane mode each lane records only its own accelerators' samples;
         // the runner sums the lanes into the full server's per-generation
         // counts.
-        let counted = match &self.lane {
-            Some(r) => self.faults.accel_alive[r.clone()].iter().filter(|&&a| a).count(),
-            None => self.faults.alive_accels(),
+        let counted = match &self.barrier {
+            BarrierMode::Lane(r) => {
+                self.faults.accel_alive[r.clone()].iter().filter(|&&a| a).count()
+            }
+            BarrierMode::Solo | BarrierMode::Cluster => self.faults.alive_accels(),
         };
         self.batch_samples.push(counted as u64 * self.batch);
         if self.sync_gen >= self.target_batches {
@@ -1359,7 +1369,7 @@ impl<T: Tracer> PipelineModel<T> {
         }
     }
 
-    /// A coordinator release arrived ([`Ev::ClusterResume`]).
+    /// A coordinator release arrived ([`Ev::Release`]).
     ///
     /// Cluster mode: the local sync already completed (`on_sync_done` parked
     /// at the barrier), so this just closes the generation at the global
@@ -1369,7 +1379,7 @@ impl<T: Tracer> PipelineModel<T> {
     /// here, and lane 0 emits the global all-reduce spans the solo path
     /// would have traced.
     fn on_resume(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
-        if self.lane.is_some() {
+        if matches!(self.barrier, BarrierMode::Lane(_)) {
             self.sync_in_progress = false;
             if self.tracer.enabled() && self.lane_range().start == 0 {
                 // `now - t_sync` is exactly the global max arrival: the same
@@ -1585,7 +1595,7 @@ impl<T: Tracer> Model for PipelineModel<T> {
             Ev::Fault(i) => self.on_fault(now, i, sched),
             Ev::FaultRecover(i) => self.on_fault_recover(now, i, sched),
             Ev::PrepRetry(id) => self.on_prep_retry(now, id, sched),
-            Ev::ClusterResume => self.on_resume(now, sched),
+            Ev::Release => self.on_resume(now, sched),
         }
         if self.tracer.enabled() {
             self.drain_flow_trace();
@@ -1678,9 +1688,10 @@ impl std::error::Error for DesFailure {}
 ///
 /// # Panics
 ///
-/// Panics on invalid input — `cfg.batches <= cfg.warmup_batches` or an
-/// invalid fault plan (see [`FaultPlan::validate`]) — and if every prep
-/// device or accelerator is lost to faults.
+/// Panics on invalid input — `cfg.warmup_batches == 0`,
+/// `cfg.batches <= cfg.warmup_batches` or an invalid fault plan (see
+/// [`FaultPlan::validate`]) — and if every prep device or accelerator is
+/// lost to faults.
 pub(crate) fn try_simulate_traced_deadline<T: ForkTracer + Send>(
     server: &Server,
     workload: &Workload,
@@ -1689,25 +1700,37 @@ pub(crate) fn try_simulate_traced_deadline<T: ForkTracer + Send>(
     tracer: T,
     deadline: Option<std::time::Instant>,
 ) -> Result<(SimResult, T), DesFailure> {
-    assert!(cfg.batches > cfg.warmup_batches, "need batches after warmup");
-    // Tenanted workloads get their interference decomposition attached to
-    // whichever path produced the result.
-    let attach = |mut result: SimResult| {
-        if !workload.tenants.is_empty() {
-            result.tenancy =
-                Some(TenancyStats::of(server, &workload.tenants, result.samples_per_sec));
-        }
-        result
-    };
     // Eligible configurations always run lane-partitioned — the partition is
     // part of the canonical result, chosen from `(server, plan)` alone, and
     // `cfg.parallel_workers` only picks how many threads advance the lanes.
-    if let Some(part) = crate::intraserver::LanePartition::of(server, plan) {
-        return crate::intraserver::simulate_lanes_traced_deadline(
-            server, workload, cfg, plan, &part, tracer, deadline,
-        )
-        .map(|(result, tracer, _stats)| (attach(result), tracer));
+    let (mut result, tracer) = match crate::intraserver::LanePartition::of(server, plan) {
+        Some(part) => {
+            let (result, tracer, _stats) = crate::barrier::simulate_lanes(
+                server, workload, cfg, plan, &part, tracer, deadline,
+            )?;
+            (result, tracer)
+        }
+        None => simulate_solo(server, workload, cfg, plan, tracer, deadline)?,
+    };
+    // Tenanted workloads get their interference decomposition attached to
+    // whichever path produced the result.
+    if !workload.tenants.is_empty() {
+        result.tenancy = Some(TenancyStats::of(server, &workload.tenants, result.samples_per_sec));
     }
+    Ok((result, tracer))
+}
+
+/// The single-engine run behind [`try_simulate_traced_deadline`]: one
+/// `PipelineModel` driving every device, whatever the partition would be.
+pub(crate) fn simulate_solo<T: Tracer>(
+    server: &Server,
+    workload: &Workload,
+    cfg: &SimConfig,
+    plan: &FaultPlan,
+    tracer: T,
+    deadline: Option<std::time::Instant>,
+) -> Result<(SimResult, T), DesFailure> {
+    check_window(cfg);
     let model = PipelineModel::new(server, workload, cfg, plan, tracer);
     let mut engine = Engine::new(model);
     engine.schedule_at(SimTime::ZERO, Ev::Start);
@@ -1732,27 +1755,69 @@ pub(crate) fn try_simulate_traced_deadline<T: ForkTracer + Send>(
     if m.tracer.enabled() {
         m.drain_flow_trace();
     }
-    let n0 = m.accels.len() as f64;
-    let first = m.batch_done_at[cfg.warmup_batches as usize - 1];
-    let last = *m.batch_done_at.last().expect("batches completed");
-    let batches_measured = (cfg.batches - cfg.warmup_batches) as f64;
-    let window = (last - first).as_secs_f64();
-    // Samples actually synchronized in the measured window (with dropouts,
-    // later generations contribute fewer samples than the first).
-    let samples: u64 = m.batch_samples[cfg.warmup_batches as usize..].iter().sum();
-    let effective = samples as f64 / window;
+    let (samples_per_sec, faults) = steady_state(
+        cfg,
+        &m.batch_done_at,
+        &m.batch_samples,
+        m.accels.len(),
+        m.batch,
+        m.faults.stats.clone(),
+    );
     let rc_bytes = m
         .topo
         .rc_links()
         .iter()
         .map(|l| m.link_bytes[l.index()])
         .sum();
+    let result = SimResult {
+        samples_per_sec,
+        batch_done_at: m.batch_done_at.clone(),
+        events,
+        recomputes: m.recompute_count(),
+        link_bytes: m.link_bytes.clone(),
+        rc_bytes,
+        faults,
+        tenancy: None,
+    };
+    Ok((result, m.tracer))
+}
 
-    let mut stats = m.faults.stats.clone();
+/// The measured window needs a closed warm-up generation to start from and
+/// at least one generation after it.
+pub(crate) fn check_window(cfg: &SimConfig) {
+    assert!(cfg.warmup_batches >= 1, "need at least one warmup batch");
+    assert!(cfg.batches > cfg.warmup_batches, "need batches after warmup");
+}
+
+/// Steady-state throughput and closed fault accounting over the measured
+/// window — the one closer behind solo, lane and cluster results.
+///
+/// `batch_done_at[g]` is when generation `g` closed and `batch_samples[g]`
+/// the samples it synchronized (summed over partitions); `n_accels` is the
+/// initial accelerator complement across all of them. Returns the effective
+/// samples/s and `faults` with permanent losses' NaN downtime resolved to
+/// the end of the run, and nominal throughput and goodput filled in.
+pub(crate) fn steady_state(
+    cfg: &SimConfig,
+    batch_done_at: &[SimTime],
+    batch_samples: &[u64],
+    n_accels: usize,
+    batch: u64,
+    mut faults: FaultStats,
+) -> (f64, FaultStats) {
+    let warm = cfg.warmup_batches as usize;
+    let first = batch_done_at[warm - 1];
+    let last = *batch_done_at.last().expect("batches completed");
+    let batches_measured = (cfg.batches - cfg.warmup_batches) as f64;
+    let window = (last - first).as_secs_f64();
+    // Samples actually synchronized in the measured window (with dropouts,
+    // later generations contribute fewer samples than the first).
+    let samples: u64 = batch_samples[warm..].iter().sum();
+    let effective = samples as f64 / window;
     // Permanent losses were logged with NaN downtime; they lasted from
     // injection to the end of the run.
     let end = last.as_secs_f64();
-    for d in &mut stats.downtime {
+    for d in &mut faults.downtime {
         if d.secs.is_nan() {
             d.secs = (end - d.at_secs).max(0.0);
         }
@@ -1760,25 +1825,14 @@ pub(crate) fn try_simulate_traced_deadline<T: ForkTracer + Send>(
     // Nominal: what the initial device complement would have synchronized
     // over the same window. Goodput: achieved throughput discounted by the
     // fraction of prepared/computed work that was thrown away.
-    stats.nominal_samples_per_sec = batches_measured * n0 * m.batch as f64 / window;
-    let useful: u64 = m.batch_samples.iter().sum();
-    stats.goodput_samples_per_sec = if stats.wasted_samples == 0 {
+    faults.nominal_samples_per_sec = batches_measured * n_accels as f64 * batch as f64 / window;
+    let useful: u64 = batch_samples.iter().sum();
+    faults.goodput_samples_per_sec = if faults.wasted_samples == 0 {
         effective
     } else {
-        effective * useful as f64 / (useful + stats.wasted_samples) as f64
+        effective * useful as f64 / (useful + faults.wasted_samples) as f64
     };
-
-    let result = SimResult {
-        samples_per_sec: effective,
-        batch_done_at: m.batch_done_at.clone(),
-        events,
-        recomputes: m.flows.recomputes() + m.eth.as_ref().map_or(0, |e| e.flows.recomputes()),
-        link_bytes: m.link_bytes.clone(),
-        rc_bytes,
-        faults: stats,
-        tenancy: None,
-    };
-    Ok((attach(result), m.tracer))
+    (effective, faults)
 }
 
 /// Diagnostic entry for benchmarks: if `(server, plan)` is eligible for the
@@ -1803,16 +1857,9 @@ pub fn intra_server_run_stats(
     plan: &FaultPlan,
 ) -> Option<(usize, trainbox_sim::par::RunStats)> {
     let part = crate::intraserver::LanePartition::of(server, plan)?;
-    let (_, _, stats) = crate::intraserver::simulate_lanes_traced_deadline(
-        server,
-        workload,
-        cfg,
-        plan,
-        &part,
-        NoopTracer,
-        None,
-    )
-    .unwrap_or_else(|e| panic!("lane-partitioned run failed: {e}"));
+    let (_, _, stats) =
+        crate::barrier::simulate_lanes(server, workload, cfg, plan, &part, NoopTracer, None)
+            .unwrap_or_else(|e| panic!("lane-partitioned run failed: {e}"));
     Some((part.lanes, stats))
 }
 

@@ -44,14 +44,11 @@ use crate::faults::FaultStats;
 use crate::pipeline::{
     fault_domain, try_simulate_traced_deadline, DesFailure, SimConfig, SimResult,
 };
-use crate::scaleout::{
-    simulate_cluster_traced_deadline, ClusterResult, ClusterSpec, ClusterThroughput,
-    CLUSTER_TRACK_STRIDE,
-};
+use crate::scaleout::{ClusterResult, ClusterSpec, ClusterThroughput};
 use serde::{Deserialize, Serialize};
 use trainbox_collective::RingModel;
 use trainbox_nn::Workload;
-use trainbox_sim::{merge_lp_records, ForkTracer, NoopTracer, RingTracer, TraceSummary, Tracer};
+use trainbox_sim::{ForkTracer, NoopTracer, RingTracer, TraceSummary};
 
 /// The server half of a request: which design, at what scale, with which
 /// overrides. Mirrors [`ServerConfig`]'s builder knobs as plain data.
@@ -564,8 +561,8 @@ impl SimRequest {
         if let Some(cluster) = &self.cluster {
             cluster.validate().map_err(SimError::InvalidCluster)?;
         }
-        let (outcome, trace) = match (self.sim, &self.cluster) {
-            (SimMode::Analytic, _) => {
+        let (outcome, trace) = match self.sim {
+            SimMode::Analytic => {
                 if self.faults.as_ref().is_some_and(|p| !p.is_empty()) {
                     return Err(SimError::FaultsRequireDes);
                 }
@@ -575,57 +572,16 @@ impl SimRequest {
                 };
                 (outcome, None)
             }
-            (SimMode::Des(cfg), Some(cluster)) => {
-                let cluster = *cluster;
-                if self.trace {
-                    let (result, tracers) = self.checked_cluster_des(
-                        &server,
-                        &cfg,
-                        &cluster,
-                        |_| RingTracer::new(RingTracer::DEFAULT_CAPACITY),
-                        deadline,
-                    )?;
-                    // Per-server record streams merge deterministically:
-                    // sort by (time, server), server lanes offset by the
-                    // track stride. The summary therefore does not depend
-                    // on how many workers advanced the servers.
-                    let dropped = tracers.iter().map(RingTracer::dropped).sum();
-                    let records = merge_lp_records(
-                        tracers
-                            .into_iter()
-                            .map(|t| t.records().cloned().collect())
-                            .collect(),
-                        CLUSTER_TRACK_STRIDE,
-                    );
-                    let summary = TraceSummary::from_records(&records, dropped);
-                    (SimOutcome::Cluster(result), Some(summary))
-                } else {
-                    let (result, _) = self.checked_cluster_des(
-                        &server,
-                        &cfg,
-                        &cluster,
-                        |_| NoopTracer,
-                        deadline,
-                    )?;
-                    (SimOutcome::Cluster(result), None)
-                }
+            SimMode::Des(cfg) if self.trace => {
+                // Partitioned runs merge their per-LP streams in LP-index
+                // order, so the summary does not depend on how many workers
+                // advanced them.
+                let tracer = RingTracer::new(RingTracer::DEFAULT_CAPACITY);
+                let (outcome, tracer) = self.des_outcome(&server, &cfg, tracer, deadline)?;
+                let records: Vec<_> = tracer.records().cloned().collect();
+                (outcome, Some(TraceSummary::from_records(&records, tracer.dropped())))
             }
-            (SimMode::Des(cfg), None) => {
-                if self.trace {
-                    let (result, tracer) = self.checked_des(
-                        &server,
-                        &cfg,
-                        RingTracer::new(RingTracer::DEFAULT_CAPACITY),
-                        deadline,
-                    )?;
-                    let records: Vec<_> = tracer.records().cloned().collect();
-                    let summary = TraceSummary::from_records(&records, tracer.dropped());
-                    (SimOutcome::Des(result), Some(summary))
-                } else {
-                    let (result, _) = self.checked_des(&server, &cfg, NoopTracer, deadline)?;
-                    (SimOutcome::Des(result), None)
-                }
-            }
+            SimMode::Des(cfg) => (self.des_outcome(&server, &cfg, NoopTracer, deadline)?.0, None),
         };
         Ok(SimResponse {
             config_hash: self.hash_hex(),
@@ -674,37 +630,36 @@ impl SimRequest {
             .map_err(|failure| self.des_error(failure))
     }
 
-    /// Cluster analogue of [`Self::checked_des`]: validate, then run every
-    /// server as a logical process under the parallel runner. The fault
-    /// plan is validated against one server's domain — it replays on
-    /// server 0 only.
-    fn checked_cluster_des<T: Tracer + Send>(
+    /// The DES outcome: [`Self::checked_des`] for one server, or every
+    /// server of the request's cluster as a logical process under the
+    /// parallel runner. A cluster's fault plan is validated against one
+    /// server's domain — it replays on server 0 only.
+    fn des_outcome<T: ForkTracer + Send>(
         &self,
         server: &Server,
         cfg: &SimConfig,
-        cluster: &ClusterSpec,
-        make_tracer: impl FnMut(usize) -> T,
+        tracer: T,
         deadline: Option<Instant>,
-    ) -> Result<(ClusterResult, Vec<T>), SimError> {
+    ) -> Result<(SimOutcome, T), SimError> {
+        let Some(cluster) = &self.cluster else {
+            let (result, tracer) = self.checked_des(server, cfg, tracer, deadline)?;
+            return Ok((SimOutcome::Des(result), tracer));
+        };
         let plan = self.validated_plan(server, cfg)?;
-        simulate_cluster_traced_deadline(
-            server,
-            self.workload.workload(),
-            cfg,
-            &plan,
-            cluster,
-            make_tracer,
-            deadline,
-        )
-        .map_err(|failure| self.des_error(failure))
+        let workload = self.workload.workload();
+        crate::barrier::simulate_cluster(server, workload, cfg, &plan, cluster, tracer, deadline)
+            .map(|(result, tracer)| (SimOutcome::Cluster(result), tracer))
+            .map_err(|failure| self.des_error(failure))
     }
 
-    /// The checks both DES paths share: at least one measured batch, and a
-    /// fault plan (empty when absent) that fits one `server`.
+    /// The checks both DES paths share: a warm-up batch to measure from, at
+    /// least one measured batch after it, and a fault plan (empty when
+    /// absent) that fits one `server`.
     fn validated_plan(&self, server: &Server, cfg: &SimConfig) -> Result<FaultPlan, SimError> {
-        if cfg.batches == 0 || cfg.batches <= cfg.warmup_batches {
+        if cfg.warmup_batches == 0 || cfg.batches <= cfg.warmup_batches {
             return Err(SimError::InvalidSim(format!(
-                "need at least one measured batch after warmup (batches = {}, warmup_batches = {})",
+                "need at least one warmup batch and one measured batch after it \
+                 (batches = {}, warmup_batches = {})",
                 cfg.batches, cfg.warmup_batches
             )));
         }
@@ -1154,6 +1109,19 @@ mod tests {
             SimConfig { batches: 4, warmup_batches: 4, ..SimConfig::default() },
         );
         assert!(matches!(warm.run().unwrap_err(), SimError::InvalidSim(_)));
+        // No warm-up generation leaves no start for the measured window, on
+        // the single-engine, lane-partitioned and cluster paths alike.
+        let cold = SimConfig { batches: 4, warmup_batches: 0, ..SimConfig::default() };
+        for req in [
+            SimRequest::des(ServerKind::TrainBox, 16, Workload::vgg19(), cold),
+            SimRequest::des(ServerKind::TrainBoxNoPool, 16, Workload::vgg19(), cold),
+            SimRequest::des(ServerKind::TrainBoxNoPool, 16, Workload::vgg19(), cold)
+                .with_cluster(ClusterSpec::rack_default(2)),
+        ] {
+            let err = req.run().unwrap_err();
+            assert!(matches!(err, SimError::InvalidSim(_)), "{err:?}");
+            assert_eq!(err.field(), "sim");
+        }
         warm.sim = SimMode::Des(SimConfig::default());
         warm.faults =
             Some(FaultPlan::empty().at(0.1, FaultKind::PrepCrash { dev: 999 }));

@@ -8,15 +8,11 @@
 //! single OS keeps the software simple. This module models (1) and (2).
 
 use crate::arch::Server;
-use crate::faults::{FaultPlan, FaultStats};
-use crate::pipeline::{DesFailure, Ev, PipelineModel, SimConfig};
+use crate::faults::FaultStats;
 use serde::{Deserialize, Serialize};
-use std::marker::PhantomData;
-use std::time::Instant;
 use trainbox_collective::{HierarchicalModel, RingModel};
 use trainbox_nn::Workload;
-use trainbox_sim::par::{self, Coordinator, WindowedLp};
-use trainbox_sim::{Engine, SimError, SimTime, Tracer};
+use trainbox_sim::SimTime;
 
 /// A scale-out cluster: `nodes` hosts of `accels_per_node` accelerators,
 /// NVLink-class fabric inside a node, NIC-grade links between nodes.
@@ -144,9 +140,10 @@ impl TcoModel {
     }
 }
 
-/// Track-lane stride between servers when merging cluster traces: server
-/// `i`'s lanes are offset by `i * CLUSTER_TRACK_STRIDE` so same-named lanes
-/// from different servers stay distinguishable in the Chrome export.
+/// Track-lane stride between logical processes when merging partitioned
+/// traces: server (or intra-server lane) `i`'s tracks are offset by
+/// `i * CLUSTER_TRACK_STRIDE` so same-named tracks from different processes
+/// stay distinguishable in the Chrome export.
 pub const CLUSTER_TRACK_STRIDE: u32 = 4096;
 
 /// A multi-rack TrainBox cluster for the DES: `servers` identical servers
@@ -338,243 +335,6 @@ pub struct ClusterResult {
     pub faults: FaultStats,
 }
 
-/// One barrier-parking partition as a logical process: a private engine plus
-/// its share of the global event budget and the shared wall-clock deadline.
-///
-/// Shared between the cluster runner (one LP per server) and the
-/// intra-server lane runner (`crate::intraserver`, one LP per lane) — both
-/// partitions park their model at `at_barrier` and resume on a coordinator
-/// grant.
-pub(crate) struct ClusterLp<T: Tracer> {
-    pub(crate) engine: Engine<PipelineModel<T>>,
-    pub(crate) max_events: u64,
-    pub(crate) deadline: Option<Instant>,
-}
-
-/// What a partition reports at a window boundary.
-pub(crate) enum LpOffer {
-    /// Local ring sync finished at `now`; parked at the global barrier.
-    Barrier(SimTime),
-    /// All generations closed.
-    Done,
-}
-
-impl<T: Tracer + Send> WindowedLp for ClusterLp<T> {
-    type Offer = LpOffer;
-    /// The coordinator's global release time (`None` for already-done LPs).
-    type Grant = Option<SimTime>;
-
-    fn advance(&mut self) -> Result<LpOffer, SimError> {
-        if self.engine.model().is_done() {
-            return Ok(LpOffer::Done);
-        }
-        let budget = self.max_events.saturating_sub(self.engine.events_processed());
-        let hit = self.engine.run_while_deadline(budget, self.deadline, |m| {
-            m.is_done() || m.at_barrier()
-        })?;
-        if !hit {
-            return Err(SimError::Stalled {
-                events: self.engine.events_processed(),
-                queued: self.engine.queued(),
-            });
-        }
-        if self.engine.model_mut().take_barrier() {
-            Ok(LpOffer::Barrier(self.engine.now()))
-        } else {
-            Ok(LpOffer::Done)
-        }
-    }
-
-    fn apply(&mut self, grant: Option<SimTime>) -> Result<(), SimError> {
-        if let Some(release) = grant {
-            self.engine.schedule_at(release, Ev::ClusterResume);
-        }
-        Ok(())
-    }
-
-    fn events_processed(&self) -> u64 {
-        self.engine.events_processed()
-    }
-}
-
-/// The global synchronization barrier: every generation closes at
-/// `max(local sync completion) + cross_sync` across all servers.
-struct BarrierCoord<T: Tracer> {
-    cross_sync: SimTime,
-    releases: Vec<SimTime>,
-    _lp: PhantomData<fn(T)>,
-}
-
-impl<T: Tracer + Send> Coordinator for BarrierCoord<T> {
-    type Lp = ClusterLp<T>;
-
-    fn exchange(
-        &mut self,
-        offers: Vec<LpOffer>,
-    ) -> Result<Option<Vec<Option<SimTime>>>, SimError> {
-        let latest = offers
-            .iter()
-            .filter_map(|o| match o {
-                LpOffer::Barrier(now) => Some(*now),
-                LpOffer::Done => None,
-            })
-            .max();
-        let Some(latest) = latest else {
-            return Ok(None); // every server closed its final generation
-        };
-        // Identical target batches keep the servers in generation lockstep,
-        // so a mixed Barrier/Done window would be a protocol bug; done LPs
-        // simply receive no grant.
-        let release = latest.saturating_add(self.cross_sync);
-        self.releases.push(release);
-        Ok(Some(
-            offers
-                .iter()
-                .map(|o| match o {
-                    LpOffer::Barrier(_) => Some(release),
-                    LpOffer::Done => None,
-                })
-                .collect(),
-        ))
-    }
-}
-
-pub(crate) fn merge_fault_stats(per_server: Vec<FaultStats>) -> FaultStats {
-    let mut merged = FaultStats::default();
-    for s in per_server {
-        merged.injected += s.injected;
-        merged.retries += s.retries;
-        merged.failed_requests += s.failed_requests;
-        merged.wasted_samples += s.wasted_samples;
-        merged.accels_lost += s.accels_lost;
-        merged.preps_lost += s.preps_lost;
-        merged.downtime.extend(s.downtime);
-    }
-    merged
-}
-
-/// Simulate a cluster of `cluster.servers` identical `server`s at full DES
-/// fidelity, with the cross-server synchronization handled by the
-/// conservative parallel runner ([`par::run_windows`]).
-///
-/// * Each server is one logical process; `cfg.parallel_workers` selects how
-///   many threads advance them (`0`/`1` = the sequential reference; results
-///   are byte-identical for any value).
-/// * The fault `plan` replays on **server 0 only** — a fault storm strikes
-///   specific hardware, not every rack identically — which also makes the
-///   load imbalance observable.
-/// * `make_tracer(i)` builds server `i`'s private tracer; sharing one tracer
-///   across logical processes would interleave records in thread order, so
-///   the per-server streams are kept separate and merged deterministically
-///   afterwards ([`trainbox_sim::trace::merge_lp_records`] with
-///   [`CLUSTER_TRACK_STRIDE`]).
-///
-/// # Errors
-///
-/// A [`DesFailure`] exactly like the solo path's: `DeadlineExceeded` when
-/// the shared wall-clock deadline expires (no panic, no deadlock — the
-/// window barrier is the only synchronization point), `Stalled` when a
-/// server exhausts the event budget.
-///
-/// # Panics
-///
-/// Under the conditions of [`crate::pipeline::try_simulate_traced_deadline`]
-/// (invalid config or fault plan), or if `cluster` fails
-/// [`ClusterSpec::validate`].
-pub(crate) fn simulate_cluster_traced_deadline<T: Tracer + Send>(
-    server: &Server,
-    workload: &Workload,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-    cluster: &ClusterSpec,
-    mut make_tracer: impl FnMut(usize) -> T,
-    deadline: Option<Instant>,
-) -> Result<(ClusterResult, Vec<T>), DesFailure> {
-    assert!(cfg.batches > cfg.warmup_batches, "need batches after warmup");
-    if let Err(e) = cluster.validate() {
-        panic!("invalid cluster spec: {e}");
-    }
-    let cross_secs = cluster.cross_sync_secs(workload.model_bytes());
-    let empty_plan = FaultPlan::empty();
-    let mut lps: Vec<ClusterLp<T>> = (0..cluster.servers)
-        .map(|i| {
-            let lp_plan = if i == 0 { plan } else { &empty_plan };
-            let mut model =
-                PipelineModel::new(server, workload, cfg, lp_plan, make_tracer(i));
-            model.set_cluster_hold();
-            let mut engine = Engine::new(model);
-            engine.schedule_at(SimTime::ZERO, Ev::Start);
-            ClusterLp { engine, max_events: cfg.max_events, deadline }
-        })
-        .collect();
-    let mut coord = BarrierCoord::<T> {
-        cross_sync: SimTime::from_secs_f64(cross_secs),
-        releases: Vec::new(),
-        _lp: PhantomData,
-    };
-    let stats = match par::run_windows(&mut coord, &mut lps, cfg.parallel_workers) {
-        Ok(stats) => stats,
-        Err(error) => {
-            let events = lps.iter().map(|lp| lp.engine.events_processed()).sum();
-            let partial = merge_fault_stats(
-                lps.iter().map(|lp| lp.engine.model().fault_stats().clone()).collect(),
-            );
-            return Err(DesFailure { error, events, partial_faults: partial });
-        }
-    };
-
-    let releases = coord.releases;
-    debug_assert_eq!(releases.len() as u64, cfg.batches, "one release per generation");
-    let warm = cfg.warmup_batches as usize;
-    let first = releases[warm - 1];
-    let last = *releases.last().expect("generations completed");
-    let window = (last - first).as_secs_f64();
-    let batches_measured = (cfg.batches - cfg.warmup_batches) as f64;
-
-    let models: Vec<PipelineModel<T>> =
-        lps.into_iter().map(|lp| lp.engine.into_model()).collect();
-    let samples: u64 = models
-        .iter()
-        .flat_map(|m| m.batch_samples()[warm..].iter())
-        .sum();
-    let effective = samples as f64 / window;
-    let useful: u64 = models.iter().flat_map(|m| m.batch_samples().iter()).sum();
-    let recomputes: u64 = models.iter().map(PipelineModel::recompute_count).sum();
-    let n0: f64 = models.iter().map(|m| m.n_accels() as f64).sum();
-    let batch = models[0].batch_size();
-
-    let mut faults =
-        merge_fault_stats(models.iter().map(|m| m.fault_stats().clone()).collect());
-    let end = last.as_secs_f64();
-    for d in &mut faults.downtime {
-        if d.secs.is_nan() {
-            d.secs = (end - d.at_secs).max(0.0);
-        }
-    }
-    faults.nominal_samples_per_sec = batches_measured * n0 * batch as f64 / window;
-    faults.goodput_samples_per_sec = if faults.wasted_samples == 0 {
-        effective
-    } else {
-        effective * useful as f64 / (useful + faults.wasted_samples) as f64
-    };
-
-    let result = ClusterResult {
-        samples_per_sec: effective,
-        batch_done_at: releases,
-        events: stats.total_events(),
-        recomputes,
-        windows: stats.windows,
-        cross_sync_secs: cross_secs,
-        servers: cluster.servers,
-        imbalance: par::imbalance(&stats.lp_events),
-        work_span_speedup_4: par::work_span_speedup(&stats.window_events, 4),
-        server_events: stats.lp_events,
-        faults,
-    };
-    let tracers = models.into_iter().map(PipelineModel::into_tracer).collect();
-    Ok((result, tracers))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,131 +421,6 @@ mod tests {
         spec.servers = 2;
         spec.tor.link_bytes_per_sec = f64::NAN;
         assert!(spec.validate().unwrap_err().contains("tor"));
-    }
-
-    fn quick_cfg(workers: usize) -> SimConfig {
-        SimConfig {
-            chunk_samples: 128,
-            batches: 6,
-            warmup_batches: 2,
-            prefetch_batches: 1,
-            max_events: 5_000_000,
-            parallel_workers: workers,
-        }
-    }
-
-    #[test]
-    fn cluster_des_is_worker_count_invariant() {
-        use crate::faults::FaultKind;
-        use trainbox_sim::NoopTracer;
-        let server = crate::arch::ServerConfig::new(ServerKind::TrainBoxNoPool, 4)
-            .batch_size(64)
-            .build();
-        let w = Workload::rnn_s();
-        let spec = ClusterSpec::rack_default(3);
-        let plan = FaultPlan::empty()
-            .at(1e-4, FaultKind::PrepSlowdown { dev: 0, factor: 0.5, secs: 0.05 })
-            .at(2e-4, FaultKind::AccelDropout { acc: 1 });
-        let reference = simulate_cluster_traced_deadline(
-            &server,
-            &w,
-            &quick_cfg(0),
-            &plan,
-            &spec,
-            |_| NoopTracer,
-            None,
-        )
-        .expect("sequential reference")
-        .0;
-        for workers in [1usize, 2, 3, 8] {
-            let got = simulate_cluster_traced_deadline(
-                &server,
-                &w,
-                &quick_cfg(workers),
-                &plan,
-                &spec,
-                |_| NoopTracer,
-                None,
-            )
-            .expect("parallel run")
-            .0;
-            assert_eq!(got, reference, "workers={workers} diverged");
-        }
-        assert_eq!(reference.servers, 3);
-        assert_eq!(reference.batch_done_at.len(), 6);
-        assert_eq!(reference.server_events.len(), 3);
-        // The storm replays on server 0 only, so it carries more events.
-        assert!(reference.imbalance >= 1.0);
-        assert!(reference.faults.injected > 0);
-    }
-
-    #[test]
-    fn one_server_cluster_matches_the_solo_des() {
-        use crate::pipeline::try_simulate_traced_deadline;
-        use trainbox_sim::NoopTracer;
-        let server = crate::arch::ServerConfig::new(ServerKind::TrainBoxNoPool, 4)
-            .batch_size(64)
-            .build();
-        let w = Workload::rnn_s();
-        let cfg = quick_cfg(2);
-        let solo = try_simulate_traced_deadline(
-            &server,
-            &w,
-            &cfg,
-            &FaultPlan::empty(),
-            NoopTracer,
-            None,
-        )
-        .expect("solo run")
-        .0;
-        let cluster = simulate_cluster_traced_deadline(
-            &server,
-            &w,
-            &cfg,
-            &FaultPlan::empty(),
-            &ClusterSpec::rack_default(1),
-            |_| NoopTracer,
-            None,
-        )
-        .expect("cluster run")
-        .0;
-        // A 1-server cluster pays no cross-server phase: the barrier releases
-        // at the local sync time, so throughput matches the solo engine.
-        assert_eq!(cluster.cross_sync_secs, 0.0);
-        assert!(
-            (cluster.samples_per_sec - solo.samples_per_sec).abs()
-                < 1e-9 * solo.samples_per_sec,
-            "cluster {} vs solo {}",
-            cluster.samples_per_sec,
-            solo.samples_per_sec
-        );
-    }
-
-    #[test]
-    fn expired_deadline_fails_cleanly_at_any_worker_count() {
-        use trainbox_sim::NoopTracer;
-        let server = crate::arch::ServerConfig::new(ServerKind::TrainBoxNoPool, 4)
-            .batch_size(64)
-            .build();
-        let w = Workload::rnn_s();
-        let expired = Some(Instant::now() - std::time::Duration::from_secs(1));
-        for workers in [0usize, 4] {
-            let err = simulate_cluster_traced_deadline(
-                &server,
-                &w,
-                &quick_cfg(workers),
-                &FaultPlan::empty(),
-                &ClusterSpec::rack_default(2),
-                |_| NoopTracer,
-                expired,
-            )
-            .expect_err("deadline must trip");
-            assert!(
-                matches!(err.error, SimError::DeadlineExceeded { .. }),
-                "workers={workers}: {:?}",
-                err.error
-            );
-        }
     }
 
     #[test]

@@ -61,15 +61,12 @@ pub mod time;
 pub mod trace;
 
 pub use hash::{FxHashMap, FxHashSet};
-pub use par::{
-    imbalance, run_windows, run_windows_with, work_span_speedup, Coordinator, RunStats,
-    WindowPolicy, WindowedLp,
-};
+pub use par::{imbalance, run_windows, work_span_speedup, Coordinator, RunStats, WindowedLp};
 pub use queue::FifoServer;
 pub use stats::{Counter, Gauge, Histogram, TimeWeighted};
 pub use time::SimTime;
 pub use trace::{
-    chrome_trace_json, merge_lp_records, Component, ForkTracer, NoopTracer, RingTracer,
+    chrome_trace_json, Component, ForkTracer, NoopTracer, RingTracer,
     TraceRecord, TraceSummary, Tracer,
 };
 

@@ -140,35 +140,12 @@ pub fn work_span_speedup(window_events: &[Vec<u64>], workers: usize) -> f64 {
     }
 }
 
-/// Per-window scheduling knobs for [`run_windows_with`].
-///
-/// Fine-grained partitions (e.g. intra-server lanes) produce far more, far
-/// cheaper windows than the cluster barrier: their lookahead is one ring
-/// sync, not a cross-server phase. Spawning scoped threads for a window of a
-/// few hundred events costs more than the events themselves, so the policy
-/// lets the runner fall back to the sequential path for cheap windows —
-/// decided from the *previous* window's total event count, which is itself
-/// deterministic and worker-invariant, so the fast path never perturbs
-/// results.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WindowPolicy {
-    /// Advance a window sequentially (even with `workers >= 2`) when the
-    /// previous window processed fewer than this many events in total.
-    /// `0` disables the fast path (the [`run_windows`] behavior); the first
-    /// window of a run always takes the parallel path.
-    pub sequential_below: u64,
-}
-
-impl WindowPolicy {
-    /// Default threshold for fine-grained partitions: windows cheaper than
-    /// this are dominated by thread spawn/join, not simulation work.
-    pub const CHEAP_WINDOW_EVENTS: u64 = 2048;
-
-    /// Policy for short-lookahead partitions: cheap windows run inline.
-    pub fn fine_grained() -> Self {
-        WindowPolicy { sequential_below: Self::CHEAP_WINDOW_EVENTS }
-    }
-}
+/// Windows cheaper than this many events (in total, over all LPs) cost less
+/// than spawning and joining scoped threads, so [`run_windows`] advances the
+/// *next* window inline. Fine-grained partitions (intra-server lanes, one
+/// ring sync of lookahead) live below it; cluster windows hold tens of
+/// thousands of events and stay on the threaded path.
+const CHEAP_WINDOW_EVENTS: u64 = 2048;
 
 /// Run `lps` to completion under `coord`'s window protocol.
 ///
@@ -179,24 +156,18 @@ impl WindowPolicy {
 /// observes the exact same sequence either way, and results are
 /// byte-identical by construction.
 ///
+/// A window whose predecessor processed fewer than [`CHEAP_WINDOW_EVENTS`]
+/// runs inline even with `workers >= 2` (the first window always takes the
+/// threaded path). That decision reads only the previous window's event
+/// count, itself worker-invariant, so it moves work between threads without
+/// ever changing results.
+///
 /// Errors are deterministic modulo wall-clock deadline cancellation: the
 /// error of the smallest-index failing LP in the failing window propagates.
 pub fn run_windows<C: Coordinator>(
     coord: &mut C,
     lps: &mut [C::Lp],
     workers: usize,
-) -> Result<RunStats, SimError> {
-    run_windows_with(coord, lps, workers, WindowPolicy::default())
-}
-
-/// [`run_windows`] with an explicit [`WindowPolicy`] (cheap-window fast
-/// path). Results are byte-identical for any `workers` and any policy; the
-/// policy only moves work between the calling thread and scoped workers.
-pub fn run_windows_with<C: Coordinator>(
-    coord: &mut C,
-    lps: &mut [C::Lp],
-    workers: usize,
-    policy: WindowPolicy,
 ) -> Result<RunStats, SimError> {
     let n = lps.len();
     let mut stats =
@@ -208,7 +179,7 @@ pub fn run_windows_with<C: Coordinator>(
     let mut prev_window_events = u64::MAX;
     loop {
         let before: Vec<u64> = lps.iter().map(|lp| lp.events_processed()).collect();
-        let cheap = prev_window_events < policy.sequential_below;
+        let cheap = prev_window_events < CHEAP_WINDOW_EVENTS;
         let advanced = if workers <= 1 || n == 1 || cheap {
             advance_sequential(lps)
         } else {
@@ -313,8 +284,11 @@ fn advance_parallel<L: WindowedLp>(
 mod tests {
     use super::*;
 
+    use std::thread::{self, ThreadId};
+
     /// Toy LP: counts down `steps` barriers, doing `cost` fake events per
-    /// window; blocks at each barrier reporting its local "time".
+    /// window; blocks at each barrier reporting its local "time". Records,
+    /// per `advance`, whether it ran on the thread that called the runner.
     struct ToyLp {
         id: u64,
         steps: u32,
@@ -323,6 +297,8 @@ mod tests {
         clock: u64,
         fail_at_step: Option<u32>,
         done_steps: u32,
+        caller: ThreadId,
+        inline: Vec<bool>,
     }
 
     impl WindowedLp for ToyLp {
@@ -330,6 +306,7 @@ mod tests {
         type Grant = u64; // global resume time
 
         fn advance(&mut self) -> Result<Self::Offer, SimError> {
+            self.inline.push(thread::current().id() == self.caller);
             if self.done_steps >= self.steps {
                 return Ok(None);
             }
@@ -380,70 +357,65 @@ mod tests {
         }
     }
 
-    fn toys(n: usize, steps: u32) -> Vec<ToyLp> {
+    /// `n` toys whose windows cost `base + i` events each (LP `i`).
+    fn toys(n: usize, steps: u32, base: u64) -> Vec<ToyLp> {
         (0..n)
             .map(|i| ToyLp {
                 id: i as u64,
                 steps,
-                cost: 10 + i as u64,
+                cost: base + i as u64,
                 events: 0,
                 clock: 0,
                 fail_at_step: None,
                 done_steps: 0,
+                caller: thread::current().id(),
+                inline: Vec::new(),
             })
             .collect()
     }
 
     #[test]
     fn parallel_matches_sequential_reference_exactly() {
-        let mut reference: Option<(Vec<u64>, RunStats, Vec<u64>)> = None;
-        for workers in [0usize, 1, 2, 3, 7, 16] {
-            let mut lps = toys(9, 5);
-            let mut coord = MaxBarrier { releases: Vec::new() };
-            let stats = run_windows(&mut coord, &mut lps, workers).expect("run ok");
-            let clocks: Vec<u64> = lps.iter().map(|l| l.clock).collect();
-            match &reference {
-                None => reference = Some((coord.releases, stats, clocks)),
-                Some((rel, st, cl)) => {
-                    assert_eq!(&coord.releases, rel, "workers={workers}");
-                    assert_eq!(&stats, st, "workers={workers}");
-                    assert_eq!(&clocks, cl, "workers={workers}");
+        // One toy set whose windows fall below the cheap-window threshold
+        // (9 LPs x ~14 events) and one above it (9 LPs x ~1000 events):
+        // after the threaded first window, the first runs inline and the
+        // second stays threaded. Either way every worker count must agree
+        // with the sequential reference bit for bit.
+        for (base, cheap) in [(10u64, true), (1000, false)] {
+            let window_events: u64 = (0..9).map(|i| base + i).sum();
+            assert_eq!(window_events < CHEAP_WINDOW_EVENTS, cheap);
+            let mut reference: Option<(Vec<u64>, RunStats, Vec<u64>)> = None;
+            for workers in [0usize, 1, 2, 3, 7, 16] {
+                let mut lps = toys(9, 5, base);
+                let mut coord = MaxBarrier { releases: Vec::new() };
+                let stats = run_windows(&mut coord, &mut lps, workers).expect("run ok");
+                for lp in &lps {
+                    // 5 barrier windows + the all-done window.
+                    let threaded = workers >= 2;
+                    let mut expected = vec![!threaded || cheap; 6];
+                    expected[0] = !threaded;
+                    assert_eq!(lp.inline, expected, "base={base} workers={workers}");
+                }
+                let clocks: Vec<u64> = lps.iter().map(|l| l.clock).collect();
+                match &reference {
+                    None => reference = Some((coord.releases, stats, clocks)),
+                    Some((rel, st, cl)) => {
+                        assert_eq!(&coord.releases, rel, "base={base} workers={workers}");
+                        assert_eq!(&stats, st, "base={base} workers={workers}");
+                        assert_eq!(&clocks, cl, "base={base} workers={workers}");
+                    }
                 }
             }
-        }
-        let (_, stats, _) = reference.unwrap();
-        assert_eq!(stats.windows, 6, "5 barrier windows + 1 all-done window");
-        assert_eq!(stats.total_events(), (10..19).sum::<u64>() * 5);
-    }
-
-    #[test]
-    fn window_policy_only_moves_work_never_changes_results() {
-        // Every (workers, threshold) combination must agree with the
-        // sequential reference bit-for-bit: the cheap-window fast path only
-        // decides *where* a window runs.
-        let mut lps = toys(9, 5);
-        let mut coord = MaxBarrier { releases: Vec::new() };
-        let stats = run_windows(&mut coord, &mut lps, 0).expect("reference ok");
-        let clocks: Vec<u64> = lps.iter().map(|l| l.clock).collect();
-        for workers in [2usize, 4, 16] {
-            for threshold in [0u64, 1, 200, u64::MAX] {
-                let mut lps = toys(9, 5);
-                let mut coord2 = MaxBarrier { releases: Vec::new() };
-                let policy = WindowPolicy { sequential_below: threshold };
-                let st = run_windows_with(&mut coord2, &mut lps, workers, policy)
-                    .expect("policy run ok");
-                let cl: Vec<u64> = lps.iter().map(|l| l.clock).collect();
-                assert_eq!(coord2.releases, coord.releases, "w={workers} t={threshold}");
-                assert_eq!(st, stats, "w={workers} t={threshold}");
-                assert_eq!(cl, clocks, "w={workers} t={threshold}");
-            }
+            let (_, stats, _) = reference.unwrap();
+            assert_eq!(stats.windows, 6, "5 barrier windows + 1 all-done window");
+            assert_eq!(stats.total_events(), window_events * 5);
         }
     }
 
     #[test]
     fn error_propagates_smallest_failing_index_for_any_worker_count() {
         for workers in [0usize, 2, 5] {
-            let mut lps = toys(6, 4);
+            let mut lps = toys(6, 4, 10);
             lps[4].fail_at_step = Some(2);
             lps[1].fail_at_step = Some(2);
             let mut coord = MaxBarrier { releases: Vec::new() };

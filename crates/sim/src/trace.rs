@@ -181,7 +181,8 @@ pub trait ForkTracer: Tracer + Sized {
     /// interleaved by [`merge_lp_records`]: LP `i`'s tracks are offset by
     /// `i * track_stride` and the merged sequence is sorted by
     /// `(time, lp, position)` — deterministic regardless of how many
-    /// workers produced the streams.
+    /// workers produced the streams. Any record bound applies per LP: the
+    /// merge keeps everything the parts retained.
     fn absorb(&mut self, parts: Vec<Self>, track_stride: u32);
 }
 
@@ -356,7 +357,11 @@ impl ForkTracer for RingTracer {
                 p.into_records()
             })
             .collect();
-        for record in merge_lp_records(streams, track_stride) {
+        let merged = merge_lp_records(streams, track_stride);
+        // Each fork bounded its own LP's stream; the merge itself evicts
+        // nothing, however many LPs there are.
+        self.ring.capacity = self.ring.capacity.max(self.ring.len() + merged.len());
+        for record in merged {
             self.ring.push(record);
         }
         // Evictions inside the per-LP rings stay observable after the merge.
@@ -868,6 +873,26 @@ mod tests {
         }
         // Deterministic: merging again yields the identical stream.
         assert_eq!(merged, merge_lp_records(vec![lp0, lp1], 100));
+    }
+
+    #[test]
+    fn absorb_keeps_what_every_fork_retained() {
+        // Forks inherit the parent's bound, which then applies per LP: three
+        // forks of a 4-record ring hold 4 + 4 + 2 records between them,
+        // more than the parent's bound, and the merge keeps all ten while
+        // the 2 + 1 evicted inside the forks stay counted.
+        let mut parent = RingTracer::new(4);
+        let mut parts: Vec<RingTracer> = (0..3).map(|_| parent.fork()).collect();
+        for (lp, n) in [6u64, 5, 2].into_iter().enumerate() {
+            for i in 0..n {
+                parts[lp].instant(Component::Pipeline, "tick", 0, t(i));
+            }
+        }
+        parent.absorb(parts, 10);
+        assert_eq!(parent.len(), 10);
+        assert_eq!(parent.dropped(), 3);
+        let records: Vec<TraceRecord> = parent.records().cloned().collect();
+        assert!(records.windows(2).all(|w| w[0].at() <= w[1].at()), "merged by time");
     }
 
     #[test]
