@@ -1,8 +1,9 @@
 //! Shared plumbing for the figure/table regeneration binaries.
 //!
-//! Every binary in `src/bin/` regenerates one table or figure of the paper:
-//! it prints the same rows/series the paper reports and, when `--json` or
-//! `TRAINBOX_RESULTS_DIR` is set, also dumps a machine-readable copy for
+//! Every binary in `src/bin/` regenerates one table or figure of the paper
+//! (or, for `bench_counters`, the simulator core's exact work counters): it
+//! prints the same rows/series the paper reports and, when
+//! `TRAINBOX_RESULTS_DIR` is set, also writes a machine-readable copy for
 //! EXPERIMENTS.md tooling.
 
 use serde::Serialize;
@@ -34,8 +35,9 @@ pub fn results_dir() -> Option<PathBuf> {
 }
 
 /// Serialize `value` to `<results_dir>/<name>.json` when a results dir is
-/// configured. Errors are reported but non-fatal — the printed table is the
-/// primary artifact.
+/// configured. A failed write exits with status 1: `scripts/reproduce.sh`
+/// and CI diff the written files against `results/`, so a binary that wrote
+/// nothing must not report success.
 pub fn emit_json<T: Serialize>(name: &str, value: &T) {
     let Some(dir) = results_dir() else {
         return;
@@ -51,7 +53,10 @@ pub fn emit_json<T: Serialize>(name: &str, value: &T) {
     };
     match run() {
         Ok(()) => eprintln!("(wrote {})", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        Err(e) => {
+            eprintln!("error: could not write {}: {e}", path.display());
+            std::process::exit(1);
+        }
     }
 }
 
@@ -100,6 +105,13 @@ fn parse_jobs(s: &str) -> usize {
     }
 }
 
+/// Unlike jobs, 0 is legal here: it names the sequential reference.
+fn parse_sim_workers(s: &str) -> usize {
+    s.parse().unwrap_or_else(|_| {
+        usage_exit(&format!("invalid sim worker count {s:?} (want an integer >= 0)"))
+    })
+}
+
 /// Parse the standard figure-binary command line, returning the requested
 /// sweep parallelism for [`run_sweep`].
 ///
@@ -107,19 +119,20 @@ fn parse_jobs(s: &str) -> usize {
 /// `TRAINBOX_JOBS` env var, with the flag taking precedence),
 /// `--trace PATH` / `--trace=PATH` (record a structured trace of a
 /// representative DES run and write it as Chrome trace-event JSON to `PATH`;
-/// retrieve with [`trace_out`]), and `--print-jobs`, which prints `jobs=N`
-/// and exits 0 — `scripts/reproduce.sh` probes it so a binary that silently
-/// ignores `-j` fails the run instead of quietly degrading to sequential.
-/// Unknown arguments exit with status 2.
+/// retrieve with [`trace_out`]), `--sim-workers N` / `--sim-workers=N`
+/// (also via `TRAINBOX_SIM_WORKERS`; retrieve with [`sim_workers`]), and
+/// `--print-jobs`, which prints `jobs=N` and exits 0 — `scripts/reproduce.sh`
+/// probes it so a binary that silently ignores `-j` fails the run instead of
+/// quietly degrading to sequential. Unknown arguments and malformed values,
+/// from flags and env vars alike, exit with status 2.
 pub fn bench_cli() -> usize {
     let mut jobs: usize = std::env::var("TRAINBOX_JOBS")
         .ok()
         .map(|v| parse_jobs(&v))
         .unwrap_or(1);
-    // Unlike jobs, 0 is legal here: it names the sequential reference.
     let mut sim_workers: usize = std::env::var("TRAINBOX_SIM_WORKERS")
         .ok()
-        .and_then(|v| v.parse().ok())
+        .map(|v| parse_sim_workers(&v))
         .unwrap_or(0);
     let mut trace: Option<PathBuf> = None;
     let mut print_jobs = false;
@@ -142,9 +155,7 @@ pub fn bench_cli() -> usize {
                 let v = args
                     .next()
                     .unwrap_or_else(|| usage_exit("missing value after --sim-workers"));
-                sim_workers = v.parse().unwrap_or_else(|_| {
-                    usage_exit(&format!("invalid --sim-workers {v:?} (want an integer)"))
-                });
+                sim_workers = parse_sim_workers(&v);
             }
             "--print-jobs" => print_jobs = true,
             s if s.starts_with("--jobs=") => jobs = parse_jobs(&s["--jobs=".len()..]),
@@ -152,10 +163,7 @@ pub fn bench_cli() -> usize {
                 trace = Some(PathBuf::from(&s["--trace=".len()..]));
             }
             s if s.starts_with("--sim-workers=") => {
-                let v = &s["--sim-workers=".len()..];
-                sim_workers = v.parse().unwrap_or_else(|_| {
-                    usage_exit(&format!("invalid --sim-workers {v:?} (want an integer)"))
-                });
+                sim_workers = parse_sim_workers(&s["--sim-workers=".len()..]);
             }
             s if s.starts_with("-j") => jobs = parse_jobs(&s[2..]),
             other => usage_exit(&format!("unknown argument {other:?}")),

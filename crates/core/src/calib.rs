@@ -333,129 +333,6 @@ pub fn batch_efficiency(batch: u64, table_batch: u64) -> f64 {
     (b / (b + k)) / (full / (full + k))
 }
 
-/// One measured point on a preparation scaling curve.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalingPoint {
-    /// Worker threads used for this measurement.
-    pub workers: usize,
-    /// Measured batch throughput at that worker count.
-    pub samples_per_sec: f64,
-}
-
-/// A measured multi-core scaling curve for the software data-preparation
-/// path, produced by [`measure_prep_scaling`].
-///
-/// The paper's baseline argument rests on software preparation scaling
-/// *linearly enough* with cores that its 48-core host numbers extrapolate
-/// (§III-B1 profiles per-core cost and multiplies out). Every constant in
-/// this module that divides by [`DGX2`]'s 48 cores implicitly assumes
-/// parallel efficiency ≈ 1. This curve records what the efficiency actually
-/// is for the real kernels in `trainbox-dataprep`, so the extrapolation
-/// carries an empirical footnote instead of an assumption.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingCurve {
-    /// `std::thread::available_parallelism()` on the measuring host. Points
-    /// with `workers` beyond this are oversubscribed and cannot show real
-    /// speedup — an honesty marker for single-core CI hosts.
-    pub host_parallelism: usize,
-    /// Measurements, in ascending worker order. The first point is the
-    /// single-worker anchor.
-    pub points: Vec<ScalingPoint>,
-}
-
-impl ScalingCurve {
-    /// Parallel efficiency at `workers`: `throughput(w) / (w ×
-    /// throughput(1))`. `None` when either point was not measured.
-    pub fn efficiency(&self, workers: usize) -> Option<f64> {
-        let base = self.points.iter().find(|p| p.workers == 1)?.samples_per_sec;
-        let at = self.points.iter().find(|p| p.workers == workers)?.samples_per_sec;
-        if base > 0.0 && workers > 0 {
-            Some(at / (workers as f64 * base))
-        } else {
-            None
-        }
-    }
-
-    /// Least-squares Amdahl serial fraction `s` over the measured points
-    /// within the host's real parallelism: fits `speedup(w) = 1/(s +
-    /// (1-s)/w)` by solving each point for `s` and averaging. `None` when
-    /// only the single-worker anchor is usable.
-    pub fn amdahl_serial_fraction(&self) -> Option<f64> {
-        let base = self.points.iter().find(|p| p.workers == 1)?.samples_per_sec;
-        if base <= 0.0 {
-            return None;
-        }
-        let mut acc = 0.0;
-        let mut n = 0usize;
-        for p in &self.points {
-            if p.workers <= 1 || p.workers > self.host_parallelism || p.samples_per_sec <= 0.0 {
-                continue;
-            }
-            let speedup = p.samples_per_sec / base;
-            let w = p.workers as f64;
-            // speedup = 1 / (s + (1-s)/w)  ⇒  s = (w/speedup - 1) / (w - 1)
-            let s = (w / speedup - 1.0) / (w - 1.0);
-            acc += s.clamp(0.0, 1.0);
-            n += 1;
-        }
-        if n == 0 {
-            None
-        } else {
-            Some(acc / n as f64)
-        }
-    }
-
-    /// The empirical footnote to the §III-B1 extrapolation: projected
-    /// parallel efficiency at the paper's 48-core host under the fitted
-    /// Amdahl model, or 1.0 when no multi-core point could be measured
-    /// (single-core host — the assumption stays an assumption).
-    pub fn projected_efficiency_at(&self, cores: usize) -> f64 {
-        let Some(s) = self.amdahl_serial_fraction() else {
-            return 1.0;
-        };
-        let w = cores as f64;
-        let speedup = 1.0 / (s + (1.0 - s) / w);
-        speedup / w
-    }
-}
-
-/// Measure the image-preparation scaling curve with the real kernels: run
-/// `batch` synthetic JPEG samples through the standard Fig 17 image
-/// pipeline on [`trainbox_dataprep::executor::BatchExecutor`] at each
-/// worker count, keeping the best of `reps` repetitions per point (minimum
-/// wall-clock ≈ true cost under scheduler noise).
-pub fn measure_prep_scaling(worker_counts: &[usize], batch: usize, reps: usize) -> ScalingCurve {
-    use trainbox_dataprep::executor::{BatchExecutor, ExecutorConfig};
-    use trainbox_dataprep::pipeline::{DataItem, PrepPipeline};
-
-    let host_parallelism =
-        std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-    let pipeline = PrepPipeline::standard_image();
-    let samples: Vec<DataItem> = (0..batch)
-        .map(|i| {
-            let img = trainbox_dataprep::synth::synthetic_image(256, 256, 0xCA11B + i as u64);
-            DataItem::EncodedImage(trainbox_dataprep::jpeg::encode(&img, 90))
-        })
-        .collect();
-
-    let mut points = Vec::with_capacity(worker_counts.len());
-    for &workers in worker_counts {
-        let ex = BatchExecutor::new(ExecutorConfig { workers, queue_depth: 8 });
-        let mut best = 0.0f64;
-        for _ in 0..reps.max(1) {
-            let (_, report) = ex
-                .run_timed(&pipeline, samples.clone(), 0xBEEF)
-                // invariant: the inputs are JPEGs produced by our own encoder
-                // at fixed quality, so the standard image pipeline decodes
-                // them by construction; only a bug in jpeg/pipeline can fail.
-                .expect("synthetic samples must prepare cleanly");
-            best = best.max(report.samples_per_sec());
-        }
-        points.push(ScalingPoint { workers, samples_per_sec: best });
-    }
-    ScalingCurve { host_parallelism, points }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -550,52 +427,6 @@ mod tests {
         assert!(batch_efficiency(2048, 8192) < batch_efficiency(4096, 8192));
         // Larger-than-table batches are allowed and slightly exceed 1.
         assert!(batch_efficiency(16384, 8192) > 1.0);
-    }
-
-    #[test]
-    fn scaling_curve_efficiency_and_amdahl_fit() {
-        // A synthetic curve obeying Amdahl with s = 0.1 exactly.
-        let s = 0.1f64;
-        let base = 500.0;
-        let points = [1usize, 2, 4]
-            .iter()
-            .map(|&w| ScalingPoint {
-                workers: w,
-                samples_per_sec: base / (s + (1.0 - s) / w as f64),
-            })
-            .collect();
-        let curve = ScalingCurve { host_parallelism: 8, points };
-        assert!((curve.efficiency(1).unwrap() - 1.0).abs() < 1e-12);
-        let e4 = curve.efficiency(4).unwrap();
-        assert!(e4 < 1.0 && e4 > 0.7, "e4={e4}");
-        let fit = curve.amdahl_serial_fraction().unwrap();
-        assert!((fit - s).abs() < 1e-9, "fit={fit}");
-        // Projection at 48 cores under s=0.1 is ~17.5% efficiency.
-        let p48 = curve.projected_efficiency_at(48);
-        assert!((p48 - (1.0 / (s + 0.9 / 48.0)) / 48.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scaling_curve_single_point_projects_unity() {
-        let curve = ScalingCurve {
-            host_parallelism: 1,
-            points: vec![ScalingPoint { workers: 1, samples_per_sec: 400.0 }],
-        };
-        assert!(curve.amdahl_serial_fraction().is_none());
-        assert_eq!(curve.projected_efficiency_at(48), 1.0);
-        assert!(curve.efficiency(2).is_none());
-    }
-
-    #[test]
-    fn measured_scaling_curve_is_sane() {
-        // Tiny batch: this is a smoke test of the measurement path, not a
-        // benchmark; the perf-trajectory numbers come from bench_prep.
-        let curve = measure_prep_scaling(&[1, 2], 4, 1);
-        assert!(curve.host_parallelism >= 1);
-        assert_eq!(curve.points.len(), 2);
-        for p in &curve.points {
-            assert!(p.samples_per_sec > 0.0, "workers={} must make progress", p.workers);
-        }
     }
 
     #[test]

@@ -194,7 +194,7 @@ pub struct SimResult {
     /// Events processed.
     pub events: u64,
     /// Max-min rate recomputations performed across both flow simulators —
-    /// the simulator-core cost metric `bench_sim` tracks.
+    /// a simulator-core work counter that `bench_counters` records.
     pub recomputes: u64,
     /// Total bytes carried by each directed PCIe link over the whole run,
     /// indexed like the topology's links.
@@ -1839,7 +1839,7 @@ pub(crate) fn steady_state(
 /// intra-server lane partition, run the simulation once lane-partitioned and
 /// return `(lanes, RunStats)` — the window runner's per-LP and per-window
 /// event accounting, which feeds the deterministic load-imbalance and
-/// work-span figures `bench_sim` reports. `None` when the configuration
+/// work-span figures `bench_counters` and the benchmark report. `None` when the configuration
 /// falls back to the single-engine path (in which case there is no
 /// partition to account for).
 ///

@@ -580,8 +580,8 @@ impl FlowSim {
         &self.net
     }
 
-    /// Number of rate recomputations performed so far — the simulator-core
-    /// cost metric `bench_sim` tracks.
+    /// Number of rate recomputations performed so far — a simulator-core
+    /// work counter (`results/bench_counters.json` records it per scenario).
     pub fn recomputes(&self) -> u64 {
         self.recomputes
     }

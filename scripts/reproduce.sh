@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Regenerate every table and figure of the paper, plus the ablations.
+# Regenerate every table and figure of the paper, plus the ablations and
+# the simulator core's exact work-counter ledger (bench_counters).
 #
 # Usage: scripts/reproduce.sh [-j N] [results_dir]
 #   -j N   run each figure binary's internal sweep on up to N worker
@@ -7,10 +8,10 @@
 #
 # All binaries are built once up front; the loop then invokes the compiled
 # artifacts directly, so per-figure cost is pure simulation time instead of
-# 22 cargo invocations each re-checking the workspace. Parallelism lives
-# inside each binary (deterministic ordered sweeps), not at the shell
-# level, so figures always print in order and results stay byte-identical
-# at any -j.
+# one cargo invocation per binary, each re-checking the workspace.
+# Parallelism lives inside each binary (deterministic ordered sweeps), not
+# at the shell level, so figures always print in order and results stay
+# byte-identical at any -j.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,7 +30,7 @@ bins=(table01 fig02b fig03 fig05 fig08 fig09 fig10 fig11 table02 table03
       fig19 fig20 fig21 fig21_cluster fig22
       ablation_ring ablation_boxes ablation_nextgen ablation_prepnet
       ablation_prefetch batch_lr scale_up_vs_out ablation_faults
-      ablation_sync)
+      ablation_sync bench_counters)
 
 cargo build --release -q -p trainbox-bench "${bins[@]/#/--bin=}"
 
@@ -54,4 +55,4 @@ for b in "${bins[@]}"; do
 done
 elapsed_ms=$(( ($(date +%s%N) - start_ns) / 1000000 ))
 echo
-echo "regenerated ${#bins[@]} figures into $TRAINBOX_RESULTS_DIR in ${elapsed_ms} ms (jobs=$jobs)"
+echo "regenerated $(( ${#bins[@]} - 1 )) figures and the counter ledger into $TRAINBOX_RESULTS_DIR in ${elapsed_ms} ms (jobs=$jobs)"
