@@ -1,36 +1,32 @@
 //! Figure 20 — TrainBox's effectiveness vs batch size (ResNet-50, 256
 //! accelerators), normalized to the baseline at each batch size.
-//!
-//! A thin client of the serving tier: the whole batch-size axis is asked
-//! as one `POST /sweep` per design against an in-process `trainbox-serve`,
-//! proving the sweep API answers the paper's question byte-identically to
-//! the direct-linked path it replaced.
 
-use trainbox_bench::{analytic_samples_per_sec, compare, emit_json, figure_main, SweepClient};
+use trainbox_bench::{compare, emit_json, figure_main};
+use trainbox_core::arch::ServerKind;
+use trainbox_core::request::SimRequest;
+use trainbox_nn::Workload;
 
-const BATCHES: [u64; 6] = [8, 32, 128, 512, 2048, 8192];
-
-/// The full batch axis for one design, answered by a single sweep.
-fn samples_per_sec(client: &SweepClient, kind: &str) -> Vec<f64> {
-    let body = format!(
-        r#"{{"template": {{"server": {{"kind": "{kind}", "n_accels": 256}},
-                           "workload": "Resnet-50"}},
-            "grid": {{"batch_size": {BATCHES:?}}}}}"#
-    );
-    client.sweep(&body).iter().map(analytic_samples_per_sec).collect()
+/// One analytic what-if through the canonical request API — the exact
+/// question (and code path) `trainbox-serve` answers over HTTP.
+fn samples_per_sec(kind: ServerKind, batch: u64) -> f64 {
+    let mut req = SimRequest::analytic(kind, 256, Workload::resnet50());
+    req.server.batch_size = Some(batch);
+    req.run()
+        .unwrap_or_else(|e| panic!("invalid server configuration: {e}"))
+        .outcome
+        .samples_per_sec()
 }
 
 fn main() {
     // Sequential body: runs too quickly to benefit from the sweep-runner.
     figure_main("Figure 20", "TrainBox vs baseline across batch sizes (ResNet-50)", |_jobs| {
-        let client = SweepClient::start();
         println!("{:>8} {:>14} {:>14} {:>10}", "batch", "baseline", "trainbox", "speedup");
-        let base = samples_per_sec(&client, "Baseline");
-        let tb = samples_per_sec(&client, "TrainBox");
         let mut series = Vec::new();
-        for (i, &batch) in BATCHES.iter().enumerate() {
-            println!("{batch:>8} {:>14.0} {:>14.0} {:>9.1}x", base[i], tb[i], tb[i] / base[i]);
-            series.push((batch, tb[i] / base[i]));
+        for batch in [8u64, 32, 128, 512, 2048, 8192] {
+            let base = samples_per_sec(ServerKind::Baseline, batch);
+            let tb = samples_per_sec(ServerKind::TrainBox, batch);
+            println!("{batch:>8} {base:>14.0} {tb:>14.0} {:>9.1}x", tb / base);
+            series.push((batch, tb / base));
         }
         compare(
             "speedup at the largest batch (paper: ~60x on its axis)",
@@ -38,6 +34,5 @@ fn main() {
             series.last().unwrap().1,
         );
         emit_json("fig20", &series);
-        client.shutdown();
     });
 }

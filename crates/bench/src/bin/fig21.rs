@@ -1,31 +1,10 @@
 //! Figure 21 — scalability test for Inception-v4 and TF-SR across
 //! preparation designs: Baseline (CPU), B+Acc (GPU), B+Acc (FPGA),
 //! TrainBox without prep-pool, TrainBox.
-//!
-//! A thin client of the serving tier: each design's accelerator axis is
-//! one `POST /sweep` against an in-process `trainbox-serve`, replacing the
-//! direct `throughput_of` calls with the HTTP question they are equal to.
 
-use trainbox_bench::{
-    analytic_samples_per_sec, compare, emit_json, figure_main, SweepClient, ACCEL_SWEEP,
-};
-use trainbox_core::arch::ServerKind;
+use trainbox_bench::{compare, emit_json, figure_main, ACCEL_SWEEP};
+use trainbox_core::arch::{throughput_of, ServerKind};
 use trainbox_nn::Workload;
-
-/// The accelerator-count axis for one (design, workload), via one sweep.
-fn scalability(client: &SweepClient, kind: ServerKind, w: &Workload) -> Vec<f64> {
-    let body = format!(
-        r#"{{"template": {{"server": {{"kind": "{kind:?}", "n_accels": 1}},
-                           "workload": "{}"}},
-            "grid": {{"n_accels": {ACCEL_SWEEP:?}}}}}"#,
-        w.name
-    );
-    client
-        .sweep(&body)
-        .iter()
-        .map(|resp| analytic_samples_per_sec(resp) / w.accel_samples_per_sec)
-        .collect()
-}
 
 fn main() {
     // Sequential body: runs too quickly to benefit from the sweep-runner.
@@ -33,7 +12,6 @@ fn main() {
         "Figure 21",
         "Scalability for Inception-v4 and TF-SR (normalized to 1 accelerator)",
         |_jobs| {
-            let client = SweepClient::start();
             let designs = [
                 ServerKind::Baseline,
                 ServerKind::AccGpu,
@@ -42,38 +20,45 @@ fn main() {
                 ServerKind::TrainBox,
             ];
             let mut dump = Vec::new();
-            let mut saturation = Vec::new();
             for w in [Workload::inception_v4(), Workload::transformer_sr()] {
-                let series: Vec<Vec<f64>> =
-                    designs.iter().map(|&d| scalability(&client, d, &w)).collect();
                 println!("\n({})", w.name);
                 print!("{:<8}", "n");
                 for d in designs {
                     print!(" {:>22}", d.label());
                 }
                 println!();
-                for (ni, n) in ACCEL_SWEEP.into_iter().enumerate() {
+                for n in ACCEL_SWEEP {
                     print!("{n:<8}");
-                    for (di, d) in designs.into_iter().enumerate() {
-                        let v = series[di][ni];
+                    for d in designs {
+                        let v = throughput_of(d, n, &w).samples_per_sec / w.accel_samples_per_sec;
                         print!(" {v:>22.1}");
                         dump.push((w.name.clone(), d.label(), n, v));
                     }
                     println!();
                 }
-                // (baseline at 256, TrainBox at 256) for the compare lines.
-                saturation.push((series[0][ACCEL_SWEEP.len() - 1], series[4][ACCEL_SWEEP.len() - 1]));
             }
+            let inc = Workload::inception_v4();
+            let sr = Workload::transformer_sr();
             println!();
             compare(
                 "Inception-v4 baseline saturation (paper: 18.3 accelerators)",
                 18.3,
-                saturation[0].0,
+                throughput_of(ServerKind::Baseline, 256, &inc).samples_per_sec
+                    / inc.accel_samples_per_sec,
             );
-            compare("TF-SR baseline saturation (paper: 4.4 accelerators)", 4.4, saturation[1].0);
-            compare("TF-SR TrainBox at 256 (paper: reaches ~256)", 256.0, saturation[1].1);
+            compare(
+                "TF-SR baseline saturation (paper: 4.4 accelerators)",
+                4.4,
+                throughput_of(ServerKind::Baseline, 256, &sr).samples_per_sec
+                    / sr.accel_samples_per_sec,
+            );
+            compare(
+                "TF-SR TrainBox at 256 (paper: reaches ~256)",
+                256.0,
+                throughput_of(ServerKind::TrainBox, 256, &sr).samples_per_sec
+                    / sr.accel_samples_per_sec,
+            );
             emit_json("fig21", &dump);
-            client.shutdown();
         },
     );
 }

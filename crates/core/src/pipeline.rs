@@ -295,22 +295,25 @@ impl Chunk {
     }
 }
 
-/// Ethernet prep-pool state for the DES.
+/// Ethernet prep-pool state for the DES (its flows run on the Ethernet
+/// [`FlowPlane`]).
 struct EthPool {
     net: PrepPoolNet,
-    flows: FlowSim,
-    /// Outstanding completion check, cancelled when superseded.
-    check: Option<ArmedCheck>,
-    cont: FxHashMap<FlowId, u64>,
-    /// Start instant of each in-flight Ethernet flow; populated only while a
-    /// real tracer is attached (span endpoints for the trace layer).
-    started: FxHashMap<FlowId, SimTime>,
     pool_servers: Vec<FifoServer>,
     pool_service: SimTime,
     /// Offload every `period`-th chunk per in-box FPGA (0 = never).
     period: u64,
     counters: Vec<u64>,
     rr_pool: usize,
+}
+
+/// A bandwidth-shared network chunk data moves over.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Plane {
+    /// The server's PCIe tree.
+    Pcie,
+    /// The Ethernet star joining the in-box FPGAs to the prep pool.
+    Eth,
 }
 
 /// A keyed completion-check event and the completion it was armed for.
@@ -323,20 +326,79 @@ struct ArmedCheck {
     flow: FlowId,
 }
 
-impl ArmedCheck {
-    /// Supersede `check` (lazily cancelling its event) with one armed for
-    /// `flows`' earliest completion under the current rate set, if any.
-    fn rearm(check: &mut Option<Self>, flows: &FlowSim, ev: Ev, sched: &mut Scheduler<Ev>) {
-        if let Some(old) = check.take() {
+/// One flow plane of the DES: the fluid flow simulator of a [`Plane`], its
+/// armed completion check, and the chunk each in-flight flow carries. The
+/// two planes' [`FlowSim`]s have independent flow-id spaces, so each keeps
+/// its own maps.
+struct FlowPlane {
+    plane: Plane,
+    sim: FlowSim,
+    /// Outstanding completion check, cancelled when superseded.
+    check: Option<ArmedCheck>,
+    cont: FxHashMap<FlowId, u64>,
+    /// Start instant of each in-flight flow; populated only while a real
+    /// tracer is attached (span endpoints for the trace layer).
+    started: FxHashMap<FlowId, SimTime>,
+}
+
+impl FlowPlane {
+    fn new(plane: Plane, net: FlowNet, traced: bool) -> Self {
+        let mut sim = FlowSim::new(net);
+        sim.set_trace(traced);
+        FlowPlane {
+            plane,
+            sim,
+            check: None,
+            cont: FxHashMap::default(),
+            started: FxHashMap::default(),
+        }
+    }
+
+    /// Start a flow of `bytes` carrying chunk `cont`, then re-arm.
+    fn add(
+        &mut self,
+        now: SimTime,
+        spec: FlowSpec,
+        bytes: f64,
+        cont: u64,
+        traced: bool,
+        sched: &mut Scheduler<Ev>,
+    ) {
+        let fid = self.sim.add_flow(now, spec, bytes.max(1.0));
+        if traced {
+            self.started.insert(fid, now);
+        }
+        self.cont.insert(fid, cont);
+        self.rearm(sched);
+    }
+
+    /// Re-arm the earliest flow completion under the current rate set. The
+    /// previous check (if still pending) is superseded: lazily cancelled so
+    /// the engine drops it unfired instead of delivering a stale event.
+    fn rearm(&mut self, sched: &mut Scheduler<Ev>) {
+        if let Some(old) = self.check.take() {
             sched.cancel(old.key);
         }
-        if let Some((at, flow)) = flows.next_completion() {
-            *check = Some(ArmedCheck {
-                key: sched.schedule_keyed_at(at, ev),
+        if let Some((at, flow)) = self.sim.next_completion() {
+            self.check = Some(ArmedCheck {
+                key: sched.schedule_keyed_at(at, Ev::FlowCheck(self.plane)),
                 at,
                 flow,
             });
         }
+    }
+
+    /// Complete the flow the fired check was armed for, returning the chunk
+    /// it carried and (when `traced`) its start instant. Only the latest
+    /// check can fire: superseded ones were cancelled in [`Self::rearm`] and
+    /// dropped by the engine.
+    fn complete(&mut self, traced: bool) -> Option<(u64, Option<SimTime>)> {
+        let ArmedCheck { at, flow, .. } = self.check.take()?;
+        debug_assert_eq!(self.sim.next_completion(), Some((at, flow)));
+        self.sim.complete(at.max(self.sim.now()), flow);
+        let cont = self.cont.remove(&flow).expect("every flow has a continuation");
+        let started = if traced { self.started.remove(&flow) } else { None };
+        Some((cont, started))
     }
 }
 
@@ -360,11 +422,9 @@ pub(crate) enum Ev {
     Start,
     /// An SSD finished reading a chunk.
     SsdDone(u64),
-    /// Re-examine the flow network (keyed; superseded checks are lazily
+    /// Re-examine a flow plane (keyed; superseded checks are lazily
     /// cancelled and never fire).
-    FlowCheck,
-    /// Re-examine the Ethernet prep network.
-    EthFlowCheck,
+    FlowCheck(Plane),
     /// A prep-pool FPGA finished a chunk.
     PoolPrepDone(u64),
     /// A preparation device finished a chunk (generation-stamped;
@@ -473,14 +533,13 @@ pub(crate) struct PipelineModel<T: Tracer> {
     t_comp: SimTime,
     t_sync: SimTime,
 
-    flows: FlowSim,
-    /// Outstanding completion check, cancelled when superseded.
-    flow_check: Option<ArmedCheck>,
-    flow_cont: FxHashMap<FlowId, u64>,
+    pcie: FlowPlane,
     link_bytes: Vec<f64>,
 
-    /// Ethernet prep network (TrainBox with pool): flow sim over the star
-    /// topology, pool FPGA queues, and the offload cadence.
+    /// Ethernet prep network (TrainBox with pool): its flows over the star
+    /// topology, then the pool FPGA queues and the offload cadence. Without
+    /// a pool the plane has no links and is never armed.
+    ethernet: FlowPlane,
     eth: Option<EthPool>,
 
     ssds: Vec<FifoServer>,
@@ -519,10 +578,6 @@ pub(crate) struct PipelineModel<T: Tracer> {
     /// `enabled()` (a constant `false`) and monomorphizes to nothing, so the
     /// untraced simulation is bit-identical to the pre-trace code.
     tracer: T,
-    /// Start instant of each in-flight PCIe flow (span endpoints; populated
-    /// only while the tracer is enabled). Kept separate from the Ethernet
-    /// pool's map because the two [`FlowSim`]s have independent id spaces.
-    flow_started: FxHashMap<FlowId, SimTime>,
 }
 
 /// Trace span name for a transfer leg, keyed by the stage the chunk was in
@@ -577,8 +632,7 @@ impl<T: Tracer> PipelineModel<T> {
 
         let n_links = topo.topo.link_count();
         let traced = tracer.enabled();
-        let mut flows = FlowSim::new(FlowNet::from_topology(&topo.topo));
-        flows.set_trace(traced);
+        let pcie = FlowPlane::new(Plane::Pcie, FlowNet::from_topology(&topo.topo), traced);
         // TrainBox-with-pool: set up the Ethernet network and the offload
         // cadence from the initializer's deficit analysis.
         let eth = if kind == ServerKind::TrainBox {
@@ -597,17 +651,11 @@ impl<T: Tracer> PipelineModel<T> {
                 // every period-th chunk to the pool.
                 let frac = ((demand - local) / demand).clamp(0.0, 1.0);
                 let period = (1.0 / frac).round().max(1.0) as u64;
-                let mut eth_flows = FlowSim::new(FlowNet::from_topology(&net.topo));
-                eth_flows.set_trace(traced);
                 Some(EthPool {
-                    flows: eth_flows,
                     pool_servers: net.pool_nics.iter().map(|_| FifoServer::new(1)).collect(),
                     pool_service: SimTime::from_secs_f64(cfg.chunk_samples as f64 / f),
                     period,
                     counters: vec![0; net.box_nics.len()],
-                    check: None,
-                    cont: FxHashMap::default(),
-                    started: FxHashMap::default(),
                     rr_pool: 0,
                     net: net.clone(),
                 })
@@ -615,6 +663,11 @@ impl<T: Tracer> PipelineModel<T> {
         } else {
             None
         };
+        let eth_net = match &eth {
+            Some(pool) => FlowNet::from_topology(&pool.net.topo),
+            None => FlowNet::from_capacities(Vec::new()),
+        };
+        let ethernet = FlowPlane::new(Plane::Eth, eth_net, traced);
         let ssds: Vec<FifoServer> = topo.ssds.iter().map(|_| FifoServer::new(1)).collect();
         let (preps, prep_service): (Vec<FifoServer>, SimTime) = match kind {
             ServerKind::Baseline => {
@@ -650,7 +703,7 @@ impl<T: Tracer> PipelineModel<T> {
             panic!("invalid fault plan: {e}");
         }
         let nominal_caps: Vec<f64> = (0..n_links)
-            .map(|i| flows.net().capacity(LinkId::from_index(i)))
+            .map(|i| pcie.sim.net().capacity(LinkId::from_index(i)))
             .collect();
         let faults = FaultRuntime::new(plan, n, preps.len(), nominal_caps);
 
@@ -665,9 +718,8 @@ impl<T: Tracer> PipelineModel<T> {
             t_comp,
             t_sync,
             link_bytes: vec![0.0; n_links],
-            flows,
-            flow_check: None,
-            flow_cont: FxHashMap::default(),
+            pcie,
+            ethernet,
             eth,
             ssds,
             preps,
@@ -688,7 +740,6 @@ impl<T: Tracer> PipelineModel<T> {
             model_bytes: workload.model_bytes(),
             faults,
             tracer,
-            flow_started: FxHashMap::default(),
         }
     }
 
@@ -759,9 +810,16 @@ impl<T: Tracer> PipelineModel<T> {
         self.batch
     }
 
+    fn plane(&mut self, plane: Plane) -> &mut FlowPlane {
+        match plane {
+            Plane::Pcie => &mut self.pcie,
+            Plane::Eth => &mut self.ethernet,
+        }
+    }
+
     /// Max-min recomputations across both flow simulators.
     pub(crate) fn recompute_count(&self) -> u64 {
-        self.flows.recomputes() + self.eth.as_ref().map_or(0, |e| e.flows.recomputes())
+        self.pcie.sim.recomputes() + self.ethernet.sim.recomputes()
     }
 
     /// Fault-layer statistics observed so far.
@@ -781,22 +839,14 @@ impl<T: Tracer> PipelineModel<T> {
     /// Called once per handled event (and once at the end of a run) while
     /// the tracer is enabled; a no-op drain otherwise.
     fn drain_flow_trace(&mut self) {
-        for ev in self.flows.take_trace() {
-            self.tracer
-                .counter(Component::Flow, "pcie_active_flows", ev.at, ev.active as f64);
-            self.tracer
-                .counter(Component::Flow, "pcie_min_rate", ev.at, ev.min_rate);
-            self.tracer
-                .counter(Component::Flow, "pcie_max_rate", ev.at, ev.max_rate);
-        }
-        if let Some(eth) = self.eth.as_mut() {
-            for ev in eth.flows.take_trace() {
-                self.tracer
-                    .counter(Component::Flow, "eth_active_flows", ev.at, ev.active as f64);
-                self.tracer
-                    .counter(Component::Flow, "eth_min_rate", ev.at, ev.min_rate);
-                self.tracer
-                    .counter(Component::Flow, "eth_max_rate", ev.at, ev.max_rate);
+        for (plane, [active, min_rate, max_rate]) in [
+            (&mut self.pcie, ["pcie_active_flows", "pcie_min_rate", "pcie_max_rate"]),
+            (&mut self.ethernet, ["eth_active_flows", "eth_min_rate", "eth_max_rate"]),
+        ] {
+            for ev in plane.sim.take_trace() {
+                self.tracer.counter(Component::Flow, active, ev.at, ev.active as f64);
+                self.tracer.counter(Component::Flow, min_rate, ev.at, ev.min_rate);
+                self.tracer.counter(Component::Flow, max_rate, ev.at, ev.max_rate);
             }
         }
     }
@@ -910,44 +960,7 @@ impl<T: Tracer> PipelineModel<T> {
         } else {
             FlowSpec::new(route)
         };
-        let fid = self.flows.add_flow(now, spec, bytes.max(1.0));
-        if self.tracer.enabled() {
-            self.flow_started.insert(fid, now);
-        }
-        self.flow_cont.insert(fid, cont);
-        self.bump_flows(sched);
-    }
-
-    /// Re-arm the earliest flow completion under the current rate set. The
-    /// previous check (if still pending) is superseded: lazily cancelled so
-    /// the engine drops it unfired instead of delivering a stale event.
-    fn bump_flows(&mut self, sched: &mut Scheduler<Ev>) {
-        ArmedCheck::rearm(&mut self.flow_check, &self.flows, Ev::FlowCheck, sched);
-    }
-
-    fn bump_eth(&mut self, sched: &mut Scheduler<Ev>) {
-        let eth = self.eth.as_mut().expect("ethernet pool active");
-        ArmedCheck::rearm(&mut eth.check, &eth.flows, Ev::EthFlowCheck, sched);
-    }
-
-    fn add_eth_flow(
-        &mut self,
-        now: SimTime,
-        from: trainbox_pcie::NodeId,
-        to: trainbox_pcie::NodeId,
-        bytes: f64,
-        cont: u64,
-        sched: &mut Scheduler<Ev>,
-    ) {
-        let traced = self.tracer.enabled();
-        let eth = self.eth.as_mut().expect("ethernet pool active");
-        let route = eth.net.topo.route(from, to);
-        let fid = eth.flows.add_flow(now, FlowSpec::new(route), bytes.max(1.0));
-        if traced {
-            eth.started.insert(fid, now);
-        }
-        eth.cont.insert(fid, cont);
-        self.bump_eth(sched);
+        self.pcie.add(now, spec, bytes, cont, self.tracer.enabled(), sched);
     }
 
     fn queue_prep(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
@@ -958,19 +971,19 @@ impl<T: Tracer> PipelineModel<T> {
             let dev = chunk.prep_dev;
             eth.counters[dev] += 1;
             if eth.period > 0 && eth.counters[dev] % eth.period == 0 {
-                let from = eth.net.box_nics[dev];
                 let pool_idx = eth.rr_pool % eth.pool_servers.len();
                 eth.rr_pool += 1;
-                let to = eth.net.pool_nics[pool_idx];
-                // Stash the chosen pool device in the chunk's ssd field? No —
-                // keep a dedicated map: encode pool index via counters order
-                // is fragile; instead store in chunk.pool_dev.
-                self.chunks.get_mut(&id).expect("chunk exists").stage = Stage::EthToPool;
-                self.chunks.get_mut(&id).expect("chunk exists").pool_dev = pool_idx;
+                let route = eth.net.topo.route(eth.net.box_nics[dev], eth.net.pool_nics[pool_idx]);
+                // The chunk carries its pool device for the pool's service
+                // queue and the return leg.
+                let c = self.chunks.get_mut(&id).expect("chunk exists");
+                c.stage = Stage::EthToPool;
+                c.pool_dev = pool_idx;
                 let bytes = chunk.samples as f64 * self.sizes.stored;
                 // Offloaded chunks never touch the local prep queue.
                 self.faults.prep_outstanding[dev] = self.faults.prep_outstanding[dev].saturating_sub(1);
-                self.add_eth_flow(now, from, to, bytes, id, sched);
+                let spec = FlowSpec::new(route);
+                self.ethernet.add(now, spec, bytes, id, self.tracer.enabled(), sched);
                 return;
             }
         }
@@ -1129,12 +1142,12 @@ impl<T: Tracer> PipelineModel<T> {
 
     fn on_pool_prep_done(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
         let chunk = self.chunks[&id];
-        let eth = self.eth.as_ref().expect("ethernet pool active");
-        let from = eth.net.pool_nics[chunk.pool_dev];
-        let to = eth.net.box_nics[chunk.prep_dev];
+        let net = &self.eth.as_ref().expect("ethernet pool active").net;
+        let route = net.topo.route(net.pool_nics[chunk.pool_dev], net.box_nics[chunk.prep_dev]);
         let tensor = chunk.samples as f64 * self.sizes.tensor;
         self.chunks.get_mut(&id).expect("chunk exists").stage = Stage::EthFromPool;
-        self.add_eth_flow(now, from, to, tensor, id, sched);
+        let spec = FlowSpec::new(route);
+        self.ethernet.add(now, spec, tensor, id, self.tracer.enabled(), sched);
     }
 
     fn on_ssd_done(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
@@ -1182,7 +1195,7 @@ impl<T: Tracer> PipelineModel<T> {
                 unreachable!("flows never complete while queued on a device")
             }
             Stage::EthToPool | Stage::EthFromPool => {
-                unreachable!("ethernet legs complete through EthFlowCheck")
+                unreachable!("ethernet legs complete on the Ethernet plane")
             }
         }
     }
@@ -1466,8 +1479,8 @@ impl<T: Tracer> PipelineModel<T> {
             }
             FaultKind::LinkDegrade { link, fraction, secs } => {
                 let cap = self.faults.nominal_caps[link] * fraction;
-                self.flows.set_capacity(now, LinkId::from_index(link), cap);
-                self.bump_flows(sched);
+                self.pcie.sim.set_capacity(now, LinkId::from_index(link), cap);
+                self.pcie.rearm(sched);
                 sched.schedule_in(now, SimTime::from_secs_f64(secs), Ev::FaultRecover(i));
                 downtime(secs, &mut self.faults.stats);
             }
@@ -1518,8 +1531,8 @@ impl<T: Tracer> PipelineModel<T> {
             }
             FaultKind::LinkDegrade { link, .. } => {
                 let cap = self.faults.nominal_caps[link];
-                self.flows.set_capacity(now, LinkId::from_index(link), cap);
-                self.bump_flows(sched);
+                self.pcie.sim.set_capacity(now, LinkId::from_index(link), cap);
+                self.pcie.rearm(sched);
             }
             other => unreachable!("no recovery scheduled for {other:?}"),
         }
@@ -1541,52 +1554,23 @@ impl<T: Tracer> Model for PipelineModel<T> {
                 }
             }
             Ev::SsdDone(id) => self.on_ssd_done(now, id, sched),
-            Ev::FlowCheck => {
-                // Only the latest check can fire: superseded ones were
-                // cancelled in bump_flows and dropped by the engine.
-                let Some(ArmedCheck { at, flow: fid, .. }) = self.flow_check.take() else {
-                    return;
-                };
-                debug_assert_eq!(self.flows.next_completion(), Some((at, fid)));
-                self.flows.complete(at.max(self.flows.now()), fid);
-                let cont = self
-                    .flow_cont
-                    .remove(&fid)
-                    .expect("every flow has a continuation");
-                if self.tracer.enabled() {
-                    if let Some(start) = self.flow_started.remove(&fid) {
-                        let (name, track) = self
-                            .chunks
-                            .get(&cont)
-                            .map(|c| (xfer_name(c.stage), c.acc as u32))
-                            .unwrap_or(("xfer", 0));
-                        self.tracer.span(Component::Flow, name, track, start, now);
-                    }
+            Ev::FlowCheck(plane) => {
+                let traced = self.tracer.enabled();
+                let Some((cont, started)) = self.plane(plane).complete(traced) else { return };
+                if let Some(start) = started {
+                    let (name, track) = match (self.chunks.get(&cont), plane) {
+                        (Some(c), Plane::Pcie) => (xfer_name(c.stage), c.acc as u32),
+                        (Some(c), Plane::Eth) => (xfer_name(c.stage), c.pool_dev as u32),
+                        (None, Plane::Pcie) => ("xfer", 0),
+                        (None, Plane::Eth) => ("eth", 0),
+                    };
+                    self.tracer.span(Component::Flow, name, track, start, now);
                 }
-                self.on_flow_done(now, cont, sched);
-                self.bump_flows(sched);
-            }
-            Ev::EthFlowCheck => {
-                let Some(eth) = self.eth.as_mut() else { return };
-                let Some(ArmedCheck { at, flow: fid, .. }) = eth.check.take() else {
-                    return;
-                };
-                debug_assert_eq!(eth.flows.next_completion(), Some((at, fid)));
-                eth.flows.complete(at.max(eth.flows.now()), fid);
-                let cont = eth.cont.remove(&fid).expect("eth continuation registered");
-                let started = eth.started.remove(&fid);
-                if self.tracer.enabled() {
-                    if let Some(start) = started {
-                        let (name, track) = self
-                            .chunks
-                            .get(&cont)
-                            .map(|c| (xfer_name(c.stage), c.pool_dev as u32))
-                            .unwrap_or(("eth", 0));
-                        self.tracer.span(Component::Flow, name, track, start, now);
-                    }
+                match plane {
+                    Plane::Pcie => self.on_flow_done(now, cont, sched),
+                    Plane::Eth => self.on_eth_flow_done(now, cont, sched),
                 }
-                self.on_eth_flow_done(now, cont, sched);
-                self.bump_eth(sched);
+                self.plane(plane).rearm(sched);
             }
             Ev::PoolPrepDone(id) => self.on_pool_prep_done(now, id, sched),
             Ev::PrepDone(id, generation) => self.on_prep_done(now, id, generation, sched),
@@ -2024,6 +2008,18 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// TF-SR on a 16-accelerator TrainBox: prep-bound without the pool.
+    fn pool_cfg() -> SimConfig {
+        SimConfig {
+            chunk_samples: 64,
+            batches: 8,
+            warmup_batches: 4,
+            prefetch_batches: 1,
+            max_events: 5_000_000,
+            parallel_workers: 0,
+        }
+    }
+
     #[test]
     fn tracing_observes_without_perturbing() {
         use trainbox_sim::{Component, RingTracer, TraceRecord};
@@ -2059,6 +2055,24 @@ mod tests {
         assert!(records.iter().any(|r| r.name() == "allreduce"));
         assert!(records.iter().any(|r| r.name() == "ring_step"));
         assert!(records.iter().any(|r| r.name() == "pcie_active_flows"));
+
+        // A pooled TrainBox also moves chunks over the Ethernet plane.
+        let w = Workload::transformer_sr();
+        let pooled = ServerConfig::new(ServerKind::TrainBox, 16).pool_fpgas(8).build();
+        let plain = run(&pooled, &w, &pool_cfg(), &FaultPlan::empty());
+        let tracer = RingTracer::new(1 << 20);
+        let (traced, tracer) =
+            try_simulate_traced_deadline(&pooled, &w, &pool_cfg(), &FaultPlan::empty(), tracer, None)
+                .expect("traced pooled run completes");
+        assert_eq!(plain, traced);
+        let records = tracer.into_records();
+        for name in ["eth:to_pool", "eth:from_pool", "pool_prep"] {
+            assert!(
+                records.iter().any(|r| r.name() == name && matches!(r, TraceRecord::Span { .. })),
+                "no {name} span"
+            );
+        }
+        assert!(records.iter().any(|r| r.name() == "eth_active_flows"));
     }
 
     #[test]
@@ -2151,14 +2165,7 @@ mod tests {
         // the pool; with pool FPGAs the DES throughput rises toward the
         // accelerator side.
         let w = Workload::transformer_sr();
-        let cfg = SimConfig {
-            chunk_samples: 64,
-            batches: 8,
-            warmup_batches: 4,
-            prefetch_batches: 1,
-            max_events: 5_000_000,
-            parallel_workers: 0,
-        };
+        let cfg = pool_cfg();
         let no_pool = ServerConfig::new(ServerKind::TrainBoxNoPool, 16).build();
         let without = run(&no_pool, &w, &cfg, &FaultPlan::empty()).samples_per_sec;
         let with_pool = ServerConfig::new(ServerKind::TrainBox, 16)

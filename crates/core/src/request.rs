@@ -516,8 +516,7 @@ impl SimRequest {
     pub fn from_json_str(text: &str) -> Result<Self, SimError> {
         let value = trainbox_sim::json::parse(text)
             .map_err(|e| SimError::Parse(e.to_string()))?;
-        let bridged = sim_value_to_serde(&value);
-        Deserialize::from_json(&bridged).map_err(|e| SimError::Parse(e.to_string()))
+        Deserialize::from_json(&value).map_err(|e| SimError::Parse(e.to_string()))
     }
 
     /// The canonical serialization: every field present, declaration order,
@@ -713,10 +712,10 @@ pub fn workload_catalog_json() -> String {
             ])
         })
         .collect();
-    serde_json::to_string(&RawJson(Json::Object(vec![(
+    serde_json::to_string(&Json::Object(vec![(
         "workloads".to_string(),
         Json::Array(entries),
-    )])))
+    )]))
     .expect("catalog serialization is infallible")
 }
 
@@ -811,16 +810,6 @@ pub struct SweepRequest {
     pub grid: SweepGrid,
 }
 
-/// A raw [`serde::json::Json`] value made serializable (the vendored serde
-/// has no blanket impl for its own value type).
-struct RawJson(serde::json::Json);
-
-impl Serialize for RawJson {
-    fn to_json(&self) -> serde::json::Json {
-        self.0.clone()
-    }
-}
-
 impl SweepRequest {
     /// Hard ceiling on expanded points, independent of any serving-layer
     /// cap: a grid beyond this is a typo or an attack, not an experiment.
@@ -831,8 +820,7 @@ impl SweepRequest {
     pub fn from_json_str(text: &str) -> Result<Self, SimError> {
         let value = trainbox_sim::json::parse(text)
             .map_err(|e| SimError::Parse(e.to_string()))?;
-        let bridged = sim_value_to_serde(&value);
-        let obj = bridged
+        let obj = value
             .as_object()
             .ok_or_else(|| SimError::Parse("sweep request must be an object".to_string()))?;
         let mut template = None;
@@ -960,7 +948,7 @@ impl SweepRequest {
                             };
                             params.push(("faults".to_string(), rendered));
                         }
-                        let params = serde_json::to_string(&RawJson(Json::Object(params)))
+                        let params = serde_json::to_string(&Json::Object(params))
                             .expect("params serialization is infallible");
                         points.push(SweepPoint { index: points.len(), request, params });
                     }
@@ -969,36 +957,6 @@ impl SweepRequest {
         }
         }
         points
-    }
-}
-
-/// Bridge the strict [`trainbox_sim::json`] parse tree into the vendored
-/// serde data model. The parser keeps every number as `f64`; integral
-/// values in `u64`/`i64` range come back as integer flavors so integer
-/// fields deserialize exactly.
-pub fn sim_value_to_serde(v: &trainbox_sim::json::Value) -> serde::json::Json {
-    use trainbox_sim::json::Value;
-    match v {
-        Value::Null => serde::json::Json::Null,
-        Value::Bool(b) => serde::json::Json::Bool(*b),
-        Value::Number(x) => {
-            if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) {
-                if *x >= 0.0 {
-                    serde::json::Json::U64(*x as u64)
-                } else {
-                    serde::json::Json::I64(*x as i64)
-                }
-            } else {
-                serde::json::Json::F64(*x)
-            }
-        }
-        Value::String(s) => serde::json::Json::Str(s.clone()),
-        Value::Array(items) => {
-            serde::json::Json::Array(items.iter().map(sim_value_to_serde).collect())
-        }
-        Value::Object(fields) => serde::json::Json::Object(
-            fields.iter().map(|(k, v)| (k.clone(), sim_value_to_serde(v))).collect(),
-        ),
     }
 }
 
@@ -1044,6 +1002,29 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.canonical_json(), b.canonical_json());
         assert_eq!(a.canonical_hash(), b.canonical_hash());
+    }
+
+    #[test]
+    fn integer_literals_survive_canonicalization_digit_for_digit() {
+        let des = |max_events: &str| {
+            SimRequest::from_json_str(&format!(
+                r#"{{"server": {{"kind": "TrainBox", "n_accels": 16}}, "workload": "Resnet-50",
+                    "sim": {{"Des": {{"max_events": {max_events}}}}}}}"#
+            ))
+            .unwrap_or_else(|e| panic!("max_events {max_events}: {e}"))
+        };
+        // Past 2^53 an f64 cannot hold these, yet the cache key must name
+        // the question the client asked.
+        for literal in ["9007199254740993", "18446744073709551615"] {
+            let canonical = des(literal).canonical_json();
+            let field = format!(r#""max_events":{literal}"#);
+            assert!(canonical.contains(&field), "{literal} canonicalized as {canonical}");
+        }
+        // Integral values spelled with an exponent or fraction still count.
+        for spelling in ["2e7", "20000000.0"] {
+            let SimMode::Des(cfg) = des(spelling).sim else { panic!("a DES request") };
+            assert_eq!(cfg.max_events, 20_000_000, "{spelling}");
+        }
     }
 
     #[test]

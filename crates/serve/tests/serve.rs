@@ -1,6 +1,6 @@
 //! End-to-end tests against a live service on an ephemeral port: the
-//! acceptance scenario (the Figure-20 what-if answered over HTTP, with the
-//! repeat served from cache), field-level 400s, metrics, load shedding,
+//! acceptance scenario (the Figure-20 what-if answered over `/simulate` and,
+//! for the whole batch axis, over `/sweep`, with the repeat served from cache), field-level 400s, metrics, load shedding,
 //! and graceful shutdown.
 
 use std::io::{Read, Write};
@@ -57,15 +57,50 @@ fn samples_per_sec(addr: SocketAddr, kind: &str, batch: u64) -> f64 {
         .unwrap_or_else(|| panic!("no analytic samples_per_sec in {resp}"))
 }
 
+/// Figure 20's batch axis, as `results/fig20.json` lists it.
+const FIG20_BATCHES: [u64; 6] = [8, 32, 128, 512, 2048, 8192];
+
+/// The analytic `samples_per_sec` of one design over Figure 20's whole
+/// batch axis, asked as one `POST /sweep` and read back in grid order.
+fn sweep_samples_per_sec(addr: SocketAddr, kind: &str) -> Vec<f64> {
+    let body = format!(
+        r#"{{"template": {{"server": {{"kind": "{kind}", "n_accels": 256}},
+                           "workload": "Resnet-50"}},
+            "grid": {{"batch_size": {FIG20_BATCHES:?}}}}}"#
+    );
+    let (status, _, raw) = http(addr, "POST", "/sweep", &body);
+    assert_eq!(status, 200, "sweep failed: {raw}");
+    // De-chunk the NDJSON stream: hex size line, data, CRLF, until size 0.
+    let (mut rest, mut ndjson) = (raw.as_str(), String::new());
+    loop {
+        let (size, tail) = rest.split_once("\r\n").expect("chunk size line");
+        let size = usize::from_str_radix(size.trim(), 16).expect("hex chunk size");
+        if size == 0 {
+            break;
+        }
+        ndjson.push_str(&tail[..size]);
+        rest = &tail[size + 2..];
+    }
+    let lines: Vec<&str> = ndjson.lines().collect();
+    assert_eq!(lines.len(), FIG20_BATCHES.len() + 1, "points + summary: {ndjson}");
+    lines[..FIG20_BATCHES.len()]
+        .iter()
+        .map(|line| {
+            json(line)
+                .get("response")
+                .and_then(|r| r.get("outcome"))
+                .and_then(|o| o.get("Analytic"))
+                .and_then(|t| t.get("samples_per_sec"))
+                .and_then(|s| s.as_f64())
+                .unwrap_or_else(|| panic!("no analytic samples_per_sec in {line}"))
+        })
+        .collect()
+}
+
 #[test]
 fn answers_the_figure_20_what_if() {
     let (addr, handle) = start(ServeConfig::default());
 
-    // The service's answer to "TrainBox vs baseline at batch 8192" must
-    // reproduce the committed Figure 20 speedup exactly: same engine, same
-    // canonical code path as the figure binary.
-    let tb = samples_per_sec(addr, "TrainBox", 8192);
-    let base = samples_per_sec(addr, "Baseline", 8192);
     let fig20 = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../results/fig20.json"
@@ -76,16 +111,35 @@ fn answers_the_figure_20_what_if() {
         .as_array()
         .and_then(|rows| {
             rows.iter()
-                .map(|r| Some((r.idx(0)?.as_f64()?, r.idx(1)?.as_f64()?)))
+                .map(|r| {
+                    let r = r.as_array()?;
+                    Some((r.first()?.as_f64()?, r.get(1)?.as_f64()?))
+                })
                 .collect::<Option<Vec<_>>>()
         })
         .expect("fig20 rows");
+
+    // The service's answer to "TrainBox vs baseline at batch 8192" must
+    // reproduce the committed Figure 20 speedup exactly: same engine, same
+    // canonical code path as the figure binary.
+    let tb = samples_per_sec(addr, "TrainBox", 8192);
+    let base = samples_per_sec(addr, "Baseline", 8192);
     let (_, want) = expected.iter().find(|(b, _)| *b == 8192.0).expect("batch 8192 row");
     let got = tb / base;
     assert!(
         (got - want).abs() < 1e-9 * want,
         "served speedup {got} != committed {want}"
     );
+
+    // The whole batch axis through the sweep API, bit for bit.
+    let base = sweep_samples_per_sec(addr, "Baseline");
+    let tb = sweep_samples_per_sec(addr, "TrainBox");
+    assert_eq!(expected.len(), FIG20_BATCHES.len(), "fig20.json rows");
+    for (i, &(batch, want)) in expected.iter().enumerate() {
+        assert_eq!(batch, FIG20_BATCHES[i] as f64, "fig20.json's batch axis");
+        let got = tb[i] / base[i];
+        assert_eq!(got.to_bits(), want.to_bits(), "batch {batch}: swept {got} != committed {want}");
+    }
 
     handle.shutdown();
 }

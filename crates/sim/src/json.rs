@@ -1,89 +1,18 @@
-//! A minimal strict JSON parser.
+//! The strict JSON wire parser: a small recursive-descent reader for the
+//! full JSON grammar (no trailing commas, no comments; `\uXXXX` escapes and
+//! surrogate pairs) that builds the vendored serde's value tree directly, so
+//! requests deserialize from the tree it returns and exporter output (notably
+//! [`crate::trace::chrome_trace_json`]) reads back in tests and tooling.
+//! Objects are ordered `Vec`s of pairs; lookups are linear.
 //!
-//! The workspace's vendored `serde_json` is serialize-only, but validating
-//! exporter output (notably [`crate::trace::chrome_trace_json`]) needs a
-//! reader. This is a small recursive-descent parser for the full JSON
-//! grammar — strict (no trailing commas, no comments), with `\uXXXX` escape
-//! and surrogate-pair handling. It is meant for test assertions and smoke
-//! tooling, not high-volume ingestion: objects are ordered `Vec`s of pairs
-//! and lookups are linear.
+//! Integer literals (no fraction, no exponent) within `u64`/`i64` parse
+//! exactly to [`Value::U64`]/[`Value::I64`]. Every other number is read as
+//! `f64` and still takes an integer flavor when integral within ±2^53, so
+//! `2e7` and `20000000.0` fill an integer field.
 
 use std::fmt;
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number, as `f64`.
-    Number(f64),
-    /// A string.
-    String(String),
-    /// An array.
-    Array(Vec<Value>),
-    /// An object; key order is preserved, lookups are linear.
-    Object(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Member of an object by key (`None` for missing key or non-objects).
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Object(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Element of an array by index (`None` out of range or for non-arrays).
-    pub fn idx(&self, i: usize) -> Option<&Value> {
-        match self {
-            Value::Array(items) => items.get(i),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::String(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a bool.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The key/value pairs, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Object(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-}
+pub use serde::json::Json as Value;
 
 /// A parse failure: byte offset plus message.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -147,7 +76,7 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::String(self.string()?)),
+            Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.keyword("true", Value::Bool(true)),
             Some(b'f') => self.keyword("false", Value::Bool(false)),
             Some(b'n') => self.keyword("null", Value::Null),
@@ -307,6 +236,7 @@ impl<'a> Parser<'a> {
             }
             _ => return Err(self.err("invalid number")),
         }
+        let literal_integer = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
         if self.peek() == Some(b'.') {
             self.pos += 1;
             if !matches!(self.peek(), Some(b'0'..=b'9')) {
@@ -330,9 +260,25 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("number bytes are ASCII");
-        text.parse::<f64>()
-            .map(Value::Number)
-            .map_err(|_| self.err("number out of range"))
+        if literal_integer {
+            if let Ok(n) = text.parse::<u64>() {
+                return Ok(Value::U64(n));
+            }
+            if let Ok(n) = text.parse::<i64>() {
+                // `-0` is zero, like the `f64` path reads it.
+                return Ok(if n == 0 { Value::U64(0) } else { Value::I64(n) });
+            }
+        }
+        let x = text.parse::<f64>().map_err(|_| self.err("number out of range"))?;
+        Ok(if x.fract() == 0.0 && x.abs() <= 2f64.powi(53) {
+            if x >= 0.0 {
+                Value::U64(x as u64)
+            } else {
+                Value::I64(x as i64)
+            }
+        } else {
+            Value::F64(x)
+        })
     }
 }
 
@@ -345,15 +291,28 @@ mod tests {
         assert_eq!(parse("null").unwrap(), Value::Null);
         assert_eq!(parse(" true ").unwrap(), Value::Bool(true));
         assert_eq!(parse("false").unwrap(), Value::Bool(false));
-        assert_eq!(parse("-12.5e2").unwrap(), Value::Number(-1250.0));
-        assert_eq!(parse("\"hi\"").unwrap(), Value::String("hi".into()));
+        assert_eq!(parse("-12.5e2").unwrap(), Value::I64(-1250));
+        assert_eq!(parse("0.25").unwrap(), Value::F64(0.25));
+        assert_eq!(parse("\"hi\"").unwrap(), Value::Str("hi".into()));
+        // Integer literals parse exactly.
+        assert_eq!(parse("9007199254740993").unwrap(), Value::U64(9_007_199_254_740_993));
+        assert_eq!(parse("18446744073709551615").unwrap(), Value::U64(u64::MAX));
+        assert_eq!(parse("-9223372036854775808").unwrap(), Value::I64(i64::MIN));
+        assert_eq!(parse("-0").unwrap(), Value::U64(0));
+        // Past both integer types, or spelled with a fraction or exponent:
+        // the f64 rule.
+        assert_eq!(parse("18446744073709551616").unwrap(), Value::F64(1.8446744073709552e19));
+        assert_eq!(parse("2e7").unwrap(), Value::U64(20_000_000));
+        assert_eq!(parse("-20000000.0").unwrap(), Value::I64(-20_000_000));
+        assert_eq!(parse("1e300").unwrap(), Value::F64(1e300));
     }
 
     #[test]
     fn parses_nested_structures() {
         let v = parse(r#"{"a":[1,2,{"b":null}],"c":{"d":true}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().idx(1).unwrap().as_f64(), Some(2.0));
-        assert_eq!(v.get("a").unwrap().idx(2).unwrap().get("b"), Some(&Value::Null));
+        let a = v.get("a").unwrap().as_array().unwrap();
+        assert_eq!(a[1].as_f64(), Some(2.0));
+        assert_eq!(a[2].get("b"), Some(&Value::Null));
         assert_eq!(v.get("c").unwrap().get("d").unwrap().as_bool(), Some(true));
         assert_eq!(v.as_object().unwrap().len(), 2);
     }

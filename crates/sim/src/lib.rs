@@ -76,7 +76,7 @@ use std::time::Instant;
 
 /// Why a simulation run could not complete normally.
 ///
-/// Returned by [`Engine::run`] / [`Engine::run_until`] / [`Engine::run_while`]
+/// Returned by [`Engine::run`] / [`Engine::run_while`]
 /// so that adversarial configurations (fault storms, enormous service times)
 /// surface as typed errors rather than aborting the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -242,24 +242,6 @@ impl<E> Scheduler<E> {
     }
 }
 
-/// Bounded ring buffer of recent event descriptions for debugging, built on
-/// the shared [`trace::Ring`]. The formatter is captured when tracing is
-/// enabled, which is where the `Debug` requirement on the event type lives.
-struct DebugTrace<E> {
-    ring: trace::Ring<(SimTime, String)>,
-    formatter: fn(&E) -> String,
-}
-
-impl<E> DebugTrace<E> {
-    fn record(&mut self, at: SimTime, event: &E) {
-        self.ring.push((at, (self.formatter)(event)));
-    }
-
-    fn entries(&self) -> Vec<(SimTime, String)> {
-        self.ring.iter().cloned().collect()
-    }
-}
-
 /// An entry in the event queue. Ordered by `(time, seq)`: earlier time first,
 /// then FIFO among same-time events.
 struct QueueEntry<E> {
@@ -295,7 +277,6 @@ pub struct Engine<M: Model> {
     seq: u64,
     events_processed: u64,
     queue: BinaryHeap<Reverse<QueueEntry<M::Event>>>,
-    trace: Option<DebugTrace<M::Event>>,
     /// Latched when any relative schedule overflowed `SimTime::MAX`; run
     /// methods report it as [`SimError::TimeOverflow`].
     overflowed: bool,
@@ -334,7 +315,6 @@ impl<M: Model> Engine<M> {
             seq: 0,
             events_processed: 0,
             queue: BinaryHeap::new(),
-            trace: None,
             overflowed: false,
             live: FxHashSet::default(),
             next_key: 0,
@@ -342,24 +322,6 @@ impl<M: Model> Engine<M> {
             stale_dropped: 0,
             ops_scratch: Vec::new(),
         }
-    }
-
-    /// Enable event tracing with a bounded ring buffer of `capacity`
-    /// entries (the most recent events win). Requires the event type to be
-    /// `Debug`; entries record `(time, format!("{event:?}"))`.
-    pub fn enable_trace(&mut self, capacity: usize)
-    where
-        M::Event: std::fmt::Debug,
-    {
-        self.trace = Some(DebugTrace {
-            ring: trace::Ring::new(capacity),
-            formatter: |e| format!("{e:?}"),
-        });
-    }
-
-    /// The trace buffer contents, oldest first (empty when tracing is off).
-    pub fn trace(&self) -> Vec<(SimTime, String)> {
-        self.trace.as_ref().map(DebugTrace::entries).unwrap_or_default()
     }
 
     /// Current simulated time.
@@ -523,10 +485,6 @@ impl<M: Model> Engine<M> {
         debug_assert!(entry.at >= self.now, "event queue yielded past event");
         self.now = entry.at;
         self.events_processed += 1;
-        if let Some(t) = self.trace.as_mut() {
-            // Trace strings are only built here, behind the enable check.
-            t.record(entry.at, &entry.event);
-        }
         let mut sched = Scheduler {
             ops: std::mem::take(&mut self.ops_scratch),
             next_key: self.next_key,
@@ -570,38 +528,6 @@ impl<M: Model> Engine<M> {
         }
         self.check_overflow()?;
         Ok(())
-    }
-
-    /// Run until the queue is empty or the clock passes `deadline`.
-    ///
-    /// Events at exactly `deadline` are processed; the first event strictly
-    /// after `deadline` is left queued and the clock is advanced to
-    /// `deadline`. Returns the number of events processed by this call.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TimeOverflow`] on scheduling overflow; see
-    /// [`Engine::run`].
-    pub fn run_until(&mut self, deadline: SimTime) -> Result<u64, SimError> {
-        let start = self.events_processed;
-        loop {
-            self.check_overflow()?;
-            self.purge_stale_front();
-            match self.queue.peek() {
-                None => break,
-                Some(Reverse(entry)) if entry.at > deadline => {
-                    self.now = deadline.max(self.now);
-                    break;
-                }
-                Some(_) => {
-                    self.step();
-                }
-            }
-        }
-        if self.queue.is_empty() && self.now < deadline {
-            self.now = deadline;
-        }
-        Ok(self.events_processed - start)
     }
 
     /// Run until `predicate(model)` becomes true after handling some event, the
@@ -763,27 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_stops_at_deadline() {
-        let mut e = engine();
-        for i in 0..10 {
-            e.schedule_at(SimTime::from_nanos(i * 10), i as u32);
-        }
-        let n = e.run_until(SimTime::from_nanos(45)).unwrap();
-        assert_eq!(n, 5); // events at 0,10,20,30,40
-        assert_eq!(e.now(), SimTime::from_nanos(45));
-        assert_eq!(e.queued(), 5);
-        e.run().unwrap();
-        assert_eq!(e.model().log.len(), 10);
-    }
-
-    #[test]
-    fn run_until_advances_clock_when_queue_empty() {
-        let mut e = engine();
-        e.run_until(SimTime::from_micros(7)).unwrap();
-        assert_eq!(e.now(), SimTime::from_micros(7));
-    }
-
-    #[test]
     fn run_while_predicate() {
         let mut e = engine();
         for i in 0..10 {
@@ -795,24 +700,6 @@ mod tests {
         let hit = e.run_while(2, |m| m.log.len() == 100).unwrap();
         assert!(!hit);
         assert_eq!(e.model().log.len(), 6);
-    }
-
-    #[test]
-    fn trace_records_recent_events() {
-        let mut e = engine();
-        e.enable_trace(3);
-        for i in 0..6 {
-            e.schedule_at(SimTime::from_nanos(i), i as u32);
-        }
-        e.run().unwrap();
-        let trace = e.trace();
-        assert_eq!(trace.len(), 3, "ring buffer keeps the most recent");
-        assert_eq!(trace[0].1, "3");
-        assert_eq!(trace[2].1, "5");
-        assert_eq!(trace[2].0, SimTime::from_nanos(5));
-        // Disabled by default.
-        let e2 = engine();
-        assert!(e2.trace().is_empty());
     }
 
     #[test]
@@ -850,22 +737,6 @@ mod tests {
         assert_eq!(e.model().log.len(), 1);
         assert!(!e.cancel(k));
         assert_eq!(e.stale_in_queue(), 0);
-    }
-
-    #[test]
-    fn run_until_skips_stale_front_without_overshooting() {
-        let mut e = engine();
-        let k = e.schedule_keyed_at(SimTime::from_nanos(10), 1);
-        e.schedule_at(SimTime::from_nanos(50), 2);
-        e.cancel(k);
-        // The stale entry at t=10 must not cause the live t=50 event to fire
-        // "instead of it" before the deadline.
-        let n = e.run_until(SimTime::from_nanos(30)).unwrap();
-        assert_eq!(n, 0);
-        assert_eq!(e.now(), SimTime::from_nanos(30));
-        assert!(e.model().log.is_empty());
-        e.run().unwrap();
-        assert_eq!(e.model().log, vec![(SimTime::from_nanos(50), 2)]);
     }
 
     #[test]
@@ -920,13 +791,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_and_run_while_report_overflow() {
-        let mut e = Engine::new(OverflowModel);
-        e.schedule_at(SimTime::from_nanos(1), 0);
-        assert!(matches!(
-            e.run_until(SimTime::from_secs(1)),
-            Err(SimError::TimeOverflow { .. })
-        ));
+    fn run_while_reports_overflow() {
         let mut e = Engine::new(OverflowModel);
         e.schedule_at(SimTime::from_nanos(1), 0);
         assert!(matches!(

@@ -800,7 +800,7 @@ mod tests {
         let v = crate::json::parse(&json).expect("valid JSON");
         let name = v
             .get("traceEvents")
-            .and_then(|e| e.idx(1))
+            .and_then(|e| e.as_array()?.get(1))
             .and_then(|e| e.get("name"))
             .and_then(|n| n.as_str());
         assert_eq!(name, Some("weird\"name\\"));
