@@ -15,7 +15,6 @@ use trainbox_collective::{AllToAllModel, PsModel, RingModel, SyncModel};
 use trainbox_nn::{SyncPattern, Workload};
 use trainbox_pcie::boxes::{
     PrepPoolNet, ServerBuilder, ServerTopology, ACCS_PER_TRAIN_BOX, PREPS_PER_TRAIN_BOX,
-    SSDS_PER_TRAIN_BOX,
 };
 use trainbox_pcie::Generation;
 
@@ -70,6 +69,15 @@ impl ServerKind {
             ServerKind::AccFpga | ServerKind::AccGpu => Datapath::HostStagedAccel,
             ServerKind::AccFpgaP2p | ServerKind::AccFpgaP2pGen4 => Datapath::P2pAccel,
             ServerKind::TrainBoxNoPool | ServerKind::TrainBox => Datapath::Clustered,
+        }
+    }
+
+    /// Samples/s one of this design's prep accelerators sustains: a GPU's on
+    /// the GPU arm, an FPGA's everywhere else.
+    pub(crate) fn prep_accel_rate(self, profile: &PrepProfile) -> f64 {
+        match self {
+            ServerKind::AccGpu => profile.gpu_samples_per_sec,
+            _ => profile.fpga_samples_per_sec,
         }
     }
 
@@ -455,27 +463,14 @@ impl Server {
             ));
         }
 
-        match self.kind() {
-            ServerKind::Baseline => {
-                let ssd_rate =
-                    self.topology.ssds.len() as f64 * SSD_READ_BYTES_PER_SEC / sizes.stored;
-                ceilings.push((Bottleneck::Ssd, ssd_rate));
-            }
-            ServerKind::AccFpga | ServerKind::AccFpgaP2p | ServerKind::AccFpgaP2pGen4 => {
-                let per = profile.fpga_samples_per_sec;
+        match self.kind().datapath() {
+            // The baseline prepares on the host CPUs, bound above.
+            Datapath::HostCpu => {}
+            Datapath::HostStagedAccel | Datapath::P2pAccel => {
+                let per = self.kind().prep_accel_rate(&profile);
                 ceilings.push((Bottleneck::PrepAccel, self.n_prep_accels() as f64 * per));
-                let ssd_rate =
-                    self.topology.ssds.len() as f64 * SSD_READ_BYTES_PER_SEC / sizes.stored;
-                ceilings.push((Bottleneck::Ssd, ssd_rate));
             }
-            ServerKind::AccGpu => {
-                let per = profile.gpu_samples_per_sec;
-                ceilings.push((Bottleneck::PrepAccel, self.n_prep_accels() as f64 * per));
-                let ssd_rate =
-                    self.topology.ssds.len() as f64 * SSD_READ_BYTES_PER_SEC / sizes.stored;
-                ceilings.push((Bottleneck::Ssd, ssd_rate));
-            }
-            ServerKind::TrainBoxNoPool | ServerKind::TrainBox => {
+            Datapath::Clustered => {
                 let boxes = n.div_ceil(ACCS_PER_TRAIN_BOX) as f64;
                 let f = profile.fpga_samples_per_sec;
                 let in_box = PREPS_PER_TRAIN_BOX as f64 * f;
@@ -489,12 +484,12 @@ impl Server {
                 let boost = eth_cap.min(pool);
                 let prep_rate = boxes * (in_box + boost);
                 ceilings.push((Bottleneck::PrepAccel, prep_rate));
-                // In-box SSDs must feed both local and offloaded samples.
-                let ssd_rate =
-                    boxes * SSDS_PER_TRAIN_BOX as f64 * SSD_READ_BYTES_PER_SEC / sizes.stored;
-                ceilings.push((Bottleneck::Ssd, ssd_rate));
             }
         }
+        // Every design reads from its SSDs; in train boxes they feed both
+        // local and offloaded samples.
+        let ssd_rate = self.topology.ssds.len() as f64 * SSD_READ_BYTES_PER_SEC / sizes.stored;
+        ceilings.push((Bottleneck::Ssd, ssd_rate));
         ceilings
     }
 

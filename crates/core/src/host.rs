@@ -27,6 +27,38 @@ pub enum Datapath {
     Clustered,
 }
 
+/// An endpoint of a datapath transfer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Site {
+    /// The SSD the chunk is read from.
+    Ssd,
+    /// Host memory, behind the root complex.
+    Host,
+    /// The device that prepares the chunk.
+    Prep,
+    /// The accelerator that trains on the chunk.
+    Accel,
+}
+
+/// One transfer of a chunk, `(from, to)`.
+pub(crate) type Leg = (Site, Site);
+
+impl Datapath {
+    /// The transfers a chunk takes on this datapath, before and after its
+    /// preparation (§IV, Figs 13–15). Pre-legs carry the stored sample,
+    /// post-legs the prepared tensor.
+    pub(crate) fn legs(self) -> (&'static [Leg], &'static [Leg]) {
+        use Site::*;
+        match self {
+            Datapath::HostCpu => (&[(Ssd, Host)], &[(Host, Accel)]),
+            Datapath::HostStagedAccel => {
+                (&[(Ssd, Host), (Host, Prep)], &[(Prep, Host), (Host, Accel)])
+            }
+            Datapath::P2pAccel | Datapath::Clustered => (&[(Ssd, Prep)], &[(Prep, Accel)]),
+        }
+    }
+}
+
 /// Per-sample usage of one host resource, by operation class (the legend of
 /// Figures 11 and 22: SSD read / formatting / augmentation / data load /
 /// data copy / others).

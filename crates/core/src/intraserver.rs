@@ -6,9 +6,10 @@
 //! [`PipelineModel`](crate::pipeline::PipelineModel) along the seams the
 //! TrainBox topology already draws: a **lane** is half a train box — four
 //! accelerators plus the SSD and preparation FPGA nominally assigned to them
-//! (`assign_devices_nominal` maps accelerator `a` to SSD/prep `a / 4`).
-//! Each lane's refill traffic rides its own leaf-switch links, so the flow
-//! domains are disjoint (checked, not assumed — see
+//! ([`lane_devices`] maps accelerator `a` to SSD/prep `a / 4`, for the DES
+//! and the partition alike). Each lane's refill traffic — the clustered
+//! datapath's legs between those devices — rides its own leaf-switch links,
+//! so the flow domains are disjoint (checked, not assumed — see
 //! [`LanePartition::of`]) and a lane's private [`FlowSim`] computes the same
 //! max-min rates the global allocator would, bit for bit.
 //!
@@ -24,10 +25,18 @@
 
 use crate::arch::{Server, ServerKind};
 use crate::faults::{FaultKind, FaultPlan, FaultStats};
+use crate::pipeline::site_node;
 
 /// Accelerators per lane: half a train box (4 accelerators share one SSD
-/// and one prep FPGA under `assign_devices_nominal`).
+/// and one prep FPGA under [`lane_devices`]).
 pub(crate) const ACCELS_PER_LANE: usize = 4;
+
+/// The SSD and prep FPGA a clustered server nominally assigns accelerator
+/// `acc`: its lane's, the pair on the accelerator's leaf switch.
+pub(crate) fn lane_devices(acc: usize) -> (usize, usize) {
+    let lane = acc / ACCELS_PER_LANE;
+    (lane, lane)
+}
 
 /// A validated lane partition of one server: which lane owns each directed
 /// PCIe link, derived from the nominal refill routes.
@@ -39,7 +48,7 @@ pub(crate) const ACCELS_PER_LANE: usize = 4;
 pub(crate) struct LanePartition {
     /// Number of lanes (`n_accels / ACCELS_PER_LANE`, at least 2).
     pub(crate) lanes: usize,
-    /// `link_owner[i]` = the lane whose nominal routes traverse directed
+    /// `link_owner[i]` = the lane whose nominal legs traverse directed
     /// link `i`, `None` for links no lane touches (e.g. root-complex
     /// uplinks the clustered design never crosses).
     link_owner: Vec<Option<usize>>,
@@ -55,7 +64,7 @@ impl LanePartition {
     ///   star; staged designs funnel everything through host memory.
     /// * Device counts must match the nominal assignment (one SSD and one
     ///   prep per 4 accelerators) and yield at least 2 lanes.
-    /// * The lanes' nominal routes must be pairwise link-disjoint —
+    /// * The lanes' nominal legs must be pairwise link-disjoint —
     ///   verified against the actual topology, so an exotic geometry simply
     ///   falls back to the single-engine path.
     /// * Every fault in `plan` must be lane-local. Prep crashes and
@@ -75,16 +84,19 @@ impl LanePartition {
         if lanes < 2 || topo.ssds.len() != lanes || topo.preps.len() != lanes {
             return None;
         }
+        let (pre, post) = server.kind().datapath().legs();
         let mut link_owner: Vec<Option<usize>> = vec![None; topo.topo.link_count()];
-        for l in 0..lanes {
-            let mut lane_links = topo.topo.route(topo.ssds[l], topo.preps[l]);
-            for a in l * ACCELS_PER_LANE..(l + 1) * ACCELS_PER_LANE {
-                lane_links.extend(topo.topo.route(topo.preps[l], topo.accs[a]));
-            }
-            for link in lane_links {
-                match link_owner[link.index()] {
-                    Some(owner) if owner != l => return None, // shared link
-                    _ => link_owner[link.index()] = Some(l),
+        for acc in 0..n {
+            let lane = acc / ACCELS_PER_LANE;
+            let (ssd, prep) = lane_devices(acc);
+            for &(from, to) in pre.iter().chain(post) {
+                let from = site_node(topo, from, ssd, prep, acc);
+                let to = site_node(topo, to, ssd, prep, acc);
+                for link in topo.topo.route(from, to) {
+                    match link_owner[link.index()] {
+                        Some(owner) if owner != lane => return None, // shared link
+                        _ => link_owner[link.index()] = Some(lane),
+                    }
                 }
             }
         }

@@ -14,9 +14,10 @@
 //! event count; each accelerator may prefetch up to two batches ahead, the
 //! overlap discipline of §II-B.
 
-use crate::arch::{Server, ServerKind};
+use crate::arch::Server;
 use crate::calib::{SampleSizes, DGX2, SSD_READ_BYTES_PER_SEC};
 use crate::faults::{FaultDomain, FaultDowntime, FaultKind, FaultPlan, FaultStats, RetryPolicy};
+use crate::host::{Datapath, Leg, Site};
 use crate::profile::PrepProfile;
 use trainbox_collective::SyncModel;
 use trainbox_nn::Workload;
@@ -247,23 +248,20 @@ impl SimResult {
 /// Where a chunk currently is in the datapath.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Stage {
-    /// In flight from its SSD toward the preparation site (via host memory
-    /// on staged designs, direct P2P otherwise).
-    ToPrep,
-    /// In flight host → prep accelerator (staged designs, second leg).
-    HostToPrep,
+    /// Read from its SSD, or in flight over the PCIe tree, on leg `k` of
+    /// the server's datapath ([`Datapath::legs`]: pre-legs first, then
+    /// post-legs). A `u8` keeps `Chunk` at 56 bytes; a `usize` grows it to
+    /// 64, which measurably raises the peak memory of large lane and
+    /// cluster runs.
+    Leg(u8),
     /// Queued/processing on the preparation device.
     Prep,
-    /// In flight prep accelerator → host (staged designs, return leg).
-    PrepToHost,
     /// In flight over Ethernet toward a prep-pool FPGA (TrainBox offload).
     EthToPool,
     /// Queued/processing on a prep-pool FPGA.
     PoolPrep,
     /// Prepared tensor returning over Ethernet to the in-box FPGA.
     EthFromPool,
-    /// In flight toward its accelerator (final leg).
-    ToAccel,
     /// Waiting out a retry backoff after a transiently failed prep request.
     PrepRetryWait,
 }
@@ -523,7 +521,7 @@ impl FaultRuntime {
 }
 
 pub(crate) struct PipelineModel<T: Tracer> {
-    kind: ServerKind,
+    path: Datapath,
     topo: ServerTopology,
     sizes: SampleSizes,
     chunk: u64,
@@ -580,17 +578,20 @@ pub(crate) struct PipelineModel<T: Tracer> {
     tracer: T,
 }
 
-/// Trace span name for a transfer leg, keyed by the stage the chunk was in
-/// when its flow completed.
-fn xfer_name(stage: Stage) -> &'static str {
-    match stage {
-        Stage::ToPrep => "xfer:to_prep",
-        Stage::HostToPrep => "xfer:host_to_prep",
-        Stage::PrepToHost => "xfer:prep_to_host",
-        Stage::ToAccel => "xfer:to_accel",
-        Stage::EthToPool => "eth:to_pool",
-        Stage::EthFromPool => "eth:from_pool",
-        _ => "xfer",
+/// The PCIe node `site` stands for on the route of a chunk read from SSD
+/// `ssd`, prepared on device `prep` and delivered to accelerator `acc`.
+pub(crate) fn site_node(
+    topo: &ServerTopology,
+    site: Site,
+    ssd: usize,
+    prep: usize,
+    acc: usize,
+) -> NodeId {
+    match site {
+        Site::Ssd => topo.ssds[ssd],
+        Site::Host => topo.topo.root(),
+        Site::Prep => topo.preps[prep],
+        Site::Accel => topo.accs[acc],
     }
 }
 
@@ -619,6 +620,7 @@ impl<T: Tracer> PipelineModel<T> {
         // prep profile blends the per-sample costs the same way.
         let workload = &crate::profile::effective_workload(workload);
         let kind = server.kind();
+        let path = kind.datapath();
         let topo = server.topology().clone();
         let profile = PrepProfile::of(workload);
         let sizes = profile.sizes;
@@ -633,13 +635,13 @@ impl<T: Tracer> PipelineModel<T> {
         let n_links = topo.topo.link_count();
         let traced = tracer.enabled();
         let pcie = FlowPlane::new(Plane::Pcie, FlowNet::from_topology(&topo.topo), traced);
-        // TrainBox-with-pool: set up the Ethernet network and the offload
-        // cadence from the initializer's deficit analysis.
-        let eth = if kind == ServerKind::TrainBox {
-            server.prep_pool().and_then(|net| {
-                if net.pool_nics.is_empty() {
-                    return None;
-                }
+        // TrainBox-with-pool (the only design whose prep network has pool
+        // FPGAs): set up the Ethernet network and the offload cadence from
+        // the initializer's deficit analysis.
+        let eth = server
+            .prep_pool()
+            .filter(|net| !net.pool_nics.is_empty())
+            .and_then(|net| {
                 let f = profile.fpga_samples_per_sec;
                 let plan = crate::initializer::plan(server, workload, net.pool_nics.len());
                 let demand = plan.required_prep_rate;
@@ -659,18 +661,15 @@ impl<T: Tracer> PipelineModel<T> {
                     rr_pool: 0,
                     net: net.clone(),
                 })
-            })
-        } else {
-            None
-        };
+            });
         let eth_net = match &eth {
             Some(pool) => FlowNet::from_topology(&pool.net.topo),
             None => FlowNet::from_capacities(Vec::new()),
         };
         let ethernet = FlowPlane::new(Plane::Eth, eth_net, traced);
         let ssds: Vec<FifoServer> = topo.ssds.iter().map(|_| FifoServer::new(1)).collect();
-        let (preps, prep_service): (Vec<FifoServer>, SimTime) = match kind {
-            ServerKind::Baseline => {
+        let (preps, prep_service): (Vec<FifoServer>, SimTime) = match path {
+            Datapath::HostCpu => {
                 // One fluid CPU pool: each chunk occupies one of the 48
                 // core-slots for `chunk x per-sample-core-time`.
                 let per = profile.cpu_secs_per_sample;
@@ -679,15 +678,8 @@ impl<T: Tracer> PipelineModel<T> {
                     SimTime::from_secs_f64(cfg.chunk_samples as f64 * per),
                 )
             }
-            ServerKind::AccGpu => {
-                let per = profile.gpu_samples_per_sec;
-                (
-                    topo.preps.iter().map(|_| FifoServer::new(1)).collect(),
-                    SimTime::from_secs_f64(cfg.chunk_samples as f64 / per),
-                )
-            }
-            _ => {
-                let per = profile.fpga_samples_per_sec;
+            Datapath::HostStagedAccel | Datapath::P2pAccel | Datapath::Clustered => {
+                let per = kind.prep_accel_rate(&profile);
                 (
                     topo.preps.iter().map(|_| FifoServer::new(1)).collect(),
                     SimTime::from_secs_f64(cfg.chunk_samples as f64 / per),
@@ -708,7 +700,7 @@ impl<T: Tracer> PipelineModel<T> {
         let faults = FaultRuntime::new(plan, n, preps.len(), nominal_caps);
 
         PipelineModel {
-            kind,
+            path,
             topo,
             sizes,
             chunk: cfg.chunk_samples,
@@ -864,21 +856,14 @@ impl<T: Tracer> PipelineModel<T> {
     }
 
     fn assign_devices_nominal(&mut self, acc: usize) -> (usize, usize) {
-        match self.kind {
-            ServerKind::TrainBox | ServerKind::TrainBoxNoPool => {
-                // Everything local to the accelerator's train box: 8 accs,
-                // 2 SSDs, 2 FPGAs per box; accelerator halves map to the
-                // FPGA sharing their leaf switch.
-                let bx = acc / 8;
-                let half = (acc / 4) % 2;
-                (bx * 2 + half, bx * 2 + half)
-            }
-            ServerKind::Baseline => {
+        match self.path {
+            Datapath::Clustered => crate::intraserver::lane_devices(acc),
+            Datapath::HostCpu => {
                 let ssd = self.rr_ssd % self.ssds.len();
                 self.rr_ssd += 1;
                 (ssd, 0)
             }
-            _ => {
+            Datapath::HostStagedAccel | Datapath::P2pAccel => {
                 let ssd = self.rr_ssd % self.ssds.len();
                 self.rr_ssd += 1;
                 let prep = self.rr_prep % self.preps.len();
@@ -910,7 +895,7 @@ impl<T: Tracer> PipelineModel<T> {
                 Chunk {
                     acc,
                     samples,
-                    stage: Stage::ToPrep,
+                    stage: Stage::Leg(0),
                     prep_dev,
                     ssd,
                     pool_dev: 0,
@@ -1006,7 +991,7 @@ impl<T: Tracer> PipelineModel<T> {
             let c = self.chunks.get_mut(&id).expect("chunk exists");
             c.prep_dev = new_dev;
             c.redispatch();
-            self.reroute_to_prep(now, id, dev, new_dev, sched);
+            self.reroute_to_prep(now, id, dev, sched);
             return;
         }
         if now < self.faults.prep_flaky_until[dev] {
@@ -1025,7 +1010,7 @@ impl<T: Tracer> PipelineModel<T> {
             } else {
                 // Retries exhausted: the read is wasted; fetch a fresh copy.
                 c.attempt = 0;
-                c.stage = Stage::ToPrep;
+                c.stage = Stage::Leg(0);
                 self.faults.stats.failed_requests += 1;
                 self.faults.stats.wasted_samples += chunk.samples;
                 let read = SimTime::from_secs_f64(
@@ -1054,35 +1039,24 @@ impl<T: Tracer> PipelineModel<T> {
         sched.schedule_at(done, Ev::PrepDone(id, generation));
     }
 
-    /// Model the data movement that re-dispatching a chunk from a crashed
-    /// prep device requires: staged designs re-send the copy held in host
-    /// memory, P2P/clustered designs move it device-to-device.
+    /// Model the data movement that re-dispatching a chunk from crashed
+    /// device `old_dev` to its new `prep_dev` requires: repeat the
+    /// datapath's last pre-leg, re-sending the copy held in host memory
+    /// when that leg starts there (staged designs) and moving it from the
+    /// dead device otherwise (P2P/clustered designs).
     fn reroute_to_prep(
         &mut self,
         now: SimTime,
         id: u64,
         old_dev: usize,
-        new_dev: usize,
         sched: &mut Scheduler<Ev>,
     ) {
-        let chunk = self.chunks[&id];
-        let stored = chunk.samples as f64 * self.sizes.stored;
-        match self.kind {
-            ServerKind::Baseline => {
-                unreachable!("the baseline's single CPU pool cannot crash and survive")
-            }
-            ServerKind::AccFpga | ServerKind::AccGpu => {
-                self.chunks.get_mut(&id).expect("chunk exists").stage = Stage::HostToPrep;
-                let dst = self.topo.preps[new_dev];
-                self.add_flow(now, self.topo.topo.root(), dst, stored, id, sched);
-            }
-            _ => {
-                self.chunks.get_mut(&id).expect("chunk exists").stage = Stage::ToPrep;
-                let from = self.topo.preps[old_dev];
-                let to = self.topo.preps[new_dev];
-                self.add_flow(now, from, to, stored, id, sched);
-            }
-        }
+        let k = self.n_pre_legs() - 1;
+        let from = match self.leg(k).0 {
+            Site::Host => self.topo.topo.root(),
+            _ => self.topo.preps[old_dev],
+        };
+        self.send(now, id, k, from, sched);
     }
 
     /// A retry backoff elapsed: re-pick the best target and dispatch again.
@@ -1128,14 +1102,8 @@ impl<T: Tracer> PipelineModel<T> {
                 }
                 sched.schedule_at(done, Ev::PoolPrepDone(id));
             }
-            Stage::EthFromPool => {
-                // Back at the in-box FPGA: final P2P hop to the accelerator.
-                let tensor = chunk.samples as f64 * self.sizes.tensor;
-                let prep_node = self.topo.preps[chunk.prep_dev];
-                let acc_node = self.topo.accs[chunk.acc];
-                self.chunks.get_mut(&id).expect("chunk exists").stage = Stage::ToAccel;
-                self.add_flow(now, prep_node, acc_node, tensor, id, sched);
-            }
+            // Back at the in-box FPGA: on to the post-prep legs.
+            Stage::EthFromPool => self.start_leg(now, id, self.n_pre_legs(), sched),
             other => unreachable!("unexpected ethernet completion in {other:?}"),
         }
     }
@@ -1150,53 +1118,71 @@ impl<T: Tracer> PipelineModel<T> {
         self.ethernet.add(now, spec, tensor, id, self.tracer.enabled(), sched);
     }
 
-    fn on_ssd_done(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
-        let chunk = self.chunks[&id];
-        let ssd_node = self.topo.ssds[chunk.ssd];
-        let stored = chunk.samples as f64 * self.sizes.stored;
-        match self.kind {
-            // Staged designs: SSD -> host memory first.
-            ServerKind::Baseline | ServerKind::AccFpga | ServerKind::AccGpu => {
-                self.add_flow(now, ssd_node, self.topo.topo.root(), stored, id, sched);
-            }
-            // P2P / clustered: SSD -> prep accelerator directly.
-            _ => {
-                let dst = self.topo.preps[chunk.prep_dev];
-                self.add_flow(now, ssd_node, dst, stored, id, sched);
-            }
+    /// Legs before preparation; leg `n_pre_legs()` is the first after it.
+    fn n_pre_legs(&self) -> usize {
+        self.path.legs().0.len()
+    }
+
+    /// Leg `k` of the datapath, counting the pre-legs first.
+    fn leg(&self, k: usize) -> Leg {
+        let (pre, post) = self.path.legs();
+        pre.get(k).copied().unwrap_or_else(|| post[k - pre.len()])
+    }
+
+    /// Trace span name of a transfer, keyed by the stage the chunk was in
+    /// when its flow completed. A leg's name follows from its sites, so a
+    /// crash re-dispatch traces under the name of the leg it repeats.
+    fn xfer_name(&self, stage: Stage) -> &'static str {
+        match stage {
+            Stage::Leg(k) => match self.leg(k.into()) {
+                (Site::Ssd, _) => "xfer:to_prep",
+                (Site::Host, Site::Prep) => "xfer:host_to_prep",
+                (Site::Prep, Site::Host) => "xfer:prep_to_host",
+                (_, Site::Accel) => "xfer:to_accel",
+                _ => "xfer",
+            },
+            Stage::EthToPool => "eth:to_pool",
+            Stage::EthFromPool => "eth:from_pool",
+            _ => "xfer",
         }
     }
 
+    /// Start chunk `id` on leg `k` from the leg's own source.
+    fn start_leg(&mut self, now: SimTime, id: u64, k: usize, sched: &mut Scheduler<Ev>) {
+        let c = self.chunks[&id];
+        let from = site_node(&self.topo, self.leg(k).0, c.ssd, c.prep_dev, c.acc);
+        self.send(now, id, k, from, sched);
+    }
+
+    /// Move chunk `id` over leg `k`, leaving from node `from`: the stored
+    /// sample before preparation, the prepared tensor after.
+    fn send(&mut self, now: SimTime, id: u64, k: usize, from: NodeId, sched: &mut Scheduler<Ev>) {
+        let c = self.chunks.get_mut(&id).expect("chunk exists");
+        c.stage = Stage::Leg(k as u8);
+        let c = *c;
+        let per_sample = if k < self.n_pre_legs() {
+            self.sizes.stored
+        } else {
+            self.sizes.tensor
+        };
+        let to = site_node(&self.topo, self.leg(k).1, c.ssd, c.prep_dev, c.acc);
+        self.add_flow(now, from, to, c.samples as f64 * per_sample, id, sched);
+    }
+
+    /// A PCIe leg completed: start the next one, hand the chunk to its prep
+    /// device after the last pre-leg, or deliver it after the last post-leg.
     fn on_flow_done(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
-        let chunk = self.chunks[&id];
-        match chunk.stage {
-            Stage::ToPrep => match self.kind {
-                ServerKind::AccFpga | ServerKind::AccGpu => {
-                    // Second leg: host -> prep accelerator.
-                    let dst = self.topo.preps[chunk.prep_dev];
-                    let bytes = chunk.samples as f64 * self.sizes.stored;
-                    self.chunks.get_mut(&id).expect("chunk exists").stage = Stage::HostToPrep;
-                    self.add_flow(now, self.topo.topo.root(), dst, bytes, id, sched);
-                }
-                // Baseline preps on the host itself; P2P/clustered arrive at
-                // the prep device directly.
-                _ => self.queue_prep(now, id, sched),
-            },
-            Stage::HostToPrep => self.queue_prep(now, id, sched),
-            Stage::PrepToHost => {
-                // Final leg: host -> accelerator.
-                let tensor = chunk.samples as f64 * self.sizes.tensor;
-                let acc_node = self.topo.accs[chunk.acc];
-                self.chunks.get_mut(&id).expect("chunk exists").stage = Stage::ToAccel;
-                self.add_flow(now, self.topo.topo.root(), acc_node, tensor, id, sched);
-            }
-            Stage::ToAccel => self.deliver(now, id, sched),
-            Stage::Prep | Stage::PoolPrep | Stage::PrepRetryWait => {
-                unreachable!("flows never complete while queued on a device")
-            }
-            Stage::EthToPool | Stage::EthFromPool => {
-                unreachable!("ethernet legs complete on the Ethernet plane")
-            }
+        let Stage::Leg(k) = self.chunks[&id].stage else {
+            unreachable!("PCIe flows carry chunks on datapath legs")
+        };
+        let k = usize::from(k);
+        let (pre, post) = self.path.legs();
+        if k + 1 == pre.len() {
+            self.queue_prep(now, id, sched);
+        } else if k + 1 == pre.len() + post.len() {
+            self.deliver(now, id, sched);
+        } else {
+            self.start_leg(now, id, k + 1, sched);
         }
     }
 
@@ -1215,27 +1201,7 @@ impl<T: Tracer> PipelineModel<T> {
         }
         self.faults.prep_outstanding[chunk.prep_dev] =
             self.faults.prep_outstanding[chunk.prep_dev].saturating_sub(1);
-        let tensor = chunk.samples as f64 * self.sizes.tensor;
-        let acc_node = self.topo.accs[chunk.acc];
-        match self.kind {
-            ServerKind::Baseline => {
-                // Prepared in host memory; ship host -> accelerator.
-                self.chunks.get_mut(&id).expect("chunk exists").stage = Stage::ToAccel;
-                self.add_flow(now, self.topo.topo.root(), acc_node, tensor, id, sched);
-            }
-            ServerKind::AccFpga | ServerKind::AccGpu => {
-                // Staged: prep -> host, then host -> acc.
-                let prep_node = self.topo.preps[chunk.prep_dev];
-                self.chunks.get_mut(&id).expect("chunk exists").stage = Stage::PrepToHost;
-                self.add_flow(now, prep_node, self.topo.topo.root(), tensor, id, sched);
-            }
-            _ => {
-                // P2P / clustered: prep -> accelerator directly.
-                let prep_node = self.topo.preps[chunk.prep_dev];
-                self.chunks.get_mut(&id).expect("chunk exists").stage = Stage::ToAccel;
-                self.add_flow(now, prep_node, acc_node, tensor, id, sched);
-            }
-        }
+        self.start_leg(now, id, self.n_pre_legs(), sched);
     }
 
     fn deliver(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
@@ -1463,7 +1429,7 @@ impl<T: Tracer> PipelineModel<T> {
                     let c = self.chunks.get_mut(&id).expect("chunk exists");
                     c.prep_dev = new_dev;
                     c.redispatch(); // stale the old completion
-                    self.reroute_to_prep(now, id, dev, new_dev, sched);
+                    self.reroute_to_prep(now, id, dev, sched);
                 }
                 // Chunks still in flight toward the dead device re-route when
                 // they arrive (dispatch_prep checks liveness); chunks waiting
@@ -1553,14 +1519,14 @@ impl<T: Tracer> Model for PipelineModel<T> {
                     self.refill(now, acc, sched);
                 }
             }
-            Ev::SsdDone(id) => self.on_ssd_done(now, id, sched),
+            Ev::SsdDone(id) => self.start_leg(now, id, 0, sched),
             Ev::FlowCheck(plane) => {
                 let traced = self.tracer.enabled();
                 let Some((cont, started)) = self.plane(plane).complete(traced) else { return };
                 if let Some(start) = started {
                     let (name, track) = match (self.chunks.get(&cont), plane) {
-                        (Some(c), Plane::Pcie) => (xfer_name(c.stage), c.acc as u32),
-                        (Some(c), Plane::Eth) => (xfer_name(c.stage), c.pool_dev as u32),
+                        (Some(c), Plane::Pcie) => (self.xfer_name(c.stage), c.acc as u32),
+                        (Some(c), Plane::Eth) => (self.xfer_name(c.stage), c.pool_dev as u32),
                         (None, Plane::Pcie) => ("xfer", 0),
                         (None, Plane::Eth) => ("eth", 0),
                     };
@@ -1598,9 +1564,9 @@ pub fn fault_domain(server: &Server) -> FaultDomain {
     let topo = server.topology();
     // The baseline preps on the host: one fluid CPU pool, not per-device
     // prep servers, so it exposes a single prep target.
-    let n_preps = match server.kind() {
-        ServerKind::Baseline => 1,
-        _ => topo.preps.len(),
+    let n_preps = match server.kind().datapath() {
+        Datapath::HostCpu => 1,
+        Datapath::HostStagedAccel | Datapath::P2pAccel | Datapath::Clustered => topo.preps.len(),
     };
     FaultDomain {
         n_ssds: topo.ssds.len(),
@@ -1850,7 +1816,7 @@ pub fn intra_server_run_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch::ServerConfig;
+    use crate::arch::{ServerConfig, ServerKind};
 
     /// Run the DES untraced and without a deadline, panicking on failure.
     fn run(server: &Server, workload: &Workload, cfg: &SimConfig, plan: &FaultPlan) -> SimResult {
@@ -2073,6 +2039,104 @@ mod tests {
             );
         }
         assert!(records.iter().any(|r| r.name() == "eth_active_flows"));
+    }
+
+    /// Trace one DES and count its flow spans by name.
+    fn flow_span_counts(
+        server: &Server,
+        w: &Workload,
+        cfg: &SimConfig,
+        plan: &FaultPlan,
+    ) -> Vec<(&'static str, usize)> {
+        use trainbox_sim::{Component, RingTracer, TraceRecord};
+        let (_, tracer) =
+            try_simulate_traced_deadline(server, w, cfg, plan, RingTracer::new(1 << 20), None)
+                .expect("traced run completes");
+        let mut counts = std::collections::BTreeMap::new();
+        for r in tracer.records() {
+            if r.component() == Component::Flow && matches!(r, TraceRecord::Span { .. }) {
+                *counts.entry(r.name()).or_insert(0) += 1;
+            }
+        }
+        counts.into_iter().collect()
+    }
+
+    #[test]
+    fn flow_spans_name_each_designs_legs() {
+        // Every chunk takes each leg of its design's datapath exactly once,
+        // and each leg traces under its own name.
+        let w = Workload::inception_v4();
+        let chunks = 8 * 8 * 256 / 128;
+        let staged = vec![
+            ("xfer:host_to_prep", chunks),
+            ("xfer:prep_to_host", chunks),
+            ("xfer:to_accel", chunks),
+            ("xfer:to_prep", chunks),
+        ];
+        let direct = vec![("xfer:to_accel", chunks), ("xfer:to_prep", chunks)];
+        for (kind, want) in [
+            (ServerKind::Baseline, &direct),
+            (ServerKind::AccFpga, &staged),
+            (ServerKind::AccGpu, &staged),
+            (ServerKind::AccFpgaP2p, &direct),
+            (ServerKind::TrainBoxNoPool, &direct),
+        ] {
+            let server = ServerConfig::new(kind, 8).batch_size(256).build();
+            let got = flow_span_counts(&server, &w, &quick_cfg(), &FaultPlan::empty());
+            assert_eq!(&got, want, "{kind:?}");
+        }
+        // The pooled TrainBox ships every third chunk of each FPGA through
+        // the pool and back over Ethernet; every chunk still crosses PCIe
+        // twice.
+        let w = Workload::transformer_sr();
+        let pooled = ServerConfig::new(ServerKind::TrainBox, 16)
+            .pool_fpgas(8)
+            .build();
+        let got = flow_span_counts(&pooled, &w, &pool_cfg(), &FaultPlan::empty());
+        assert_eq!(
+            got,
+            [
+                ("eth:from_pool", 340),
+                ("eth:to_pool", 340),
+                ("xfer:to_accel", 1024),
+                ("xfer:to_prep", 1024)
+            ]
+        );
+    }
+
+    #[test]
+    fn prep_crash_redispatch_traces_the_datapaths_last_pre_leg() {
+        // Staged designs re-send a stranded chunk from host memory; P2P
+        // designs move it from the dead device to a survivor. Either way the
+        // extra transfer traces under the name of the leg it repeats.
+        let w = Workload::transformer_sr();
+        let chunks = 16 * 8 * 512 / 128;
+        for (kind, want) in [
+            (
+                ServerKind::AccFpga,
+                vec![
+                    ("xfer:host_to_prep", chunks + 50),
+                    ("xfer:prep_to_host", chunks),
+                    ("xfer:to_accel", chunks),
+                    ("xfer:to_prep", chunks),
+                ],
+            ),
+            (
+                ServerKind::AccFpgaP2p,
+                vec![("xfer:to_accel", chunks), ("xfer:to_prep", chunks + 47)],
+            ),
+        ] {
+            let server = ServerConfig::new(kind, 16).build();
+            let healthy = run(&server, &w, &quick_cfg(), &FaultPlan::empty());
+            let horizon = healthy.batch_done_at.last().unwrap().as_secs_f64();
+            let mut plan = FaultPlan::empty();
+            for dev in 0..3 {
+                let at = horizon * (0.13 + 0.11 * dev as f64);
+                plan = plan.at(at, FaultKind::PrepCrash { dev });
+            }
+            let got = flow_span_counts(&server, &w, &quick_cfg(), &plan);
+            assert_eq!(got, want, "{kind:?}");
+        }
     }
 
     #[test]

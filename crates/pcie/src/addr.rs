@@ -241,7 +241,7 @@ mod tests {
     use crate::topology::EndpointKind;
 
     fn sample() -> (Topology, NodeId, NodeId, NodeId) {
-        let mut t = Topology::new(Bandwidth::gen3_x16());
+        let mut t = Topology::new();
         let sw1 = t.add_switch(t.root(), Bandwidth::gen3_x16());
         let ssd = t.add_endpoint(sw1, EndpointKind::Ssd, Bandwidth::gen3_x4());
         let sw2 = t.add_switch(sw1, Bandwidth::gen3_x16());

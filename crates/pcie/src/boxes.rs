@@ -201,7 +201,7 @@ struct Build<'a> {
 
 impl<'a> Build<'a> {
     fn new(cfg: &'a ServerBuilder) -> Self {
-        let topo = Topology::new(cfg.x16());
+        let topo = Topology::new();
         let root = topo.root();
         Build {
             cfg,
@@ -321,7 +321,7 @@ impl PrepPoolNet {
     /// accelerators.
     pub fn new(n_box_nics: usize, n_pool: usize) -> Self {
         let eth = Bandwidth::ethernet_100g();
-        let mut topo = Topology::new(eth);
+        let mut topo = Topology::new();
         let tor = topo.root();
         let box_nics = (0..n_box_nics)
             .map(|_| topo.add_endpoint(tor, EndpointKind::Nic, eth))

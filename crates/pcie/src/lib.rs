@@ -29,7 +29,7 @@
 //! use trainbox_pcie::bandwidth::Bandwidth;
 //! use trainbox_pcie::topology::{EndpointKind, Topology};
 //!
-//! let mut topo = Topology::new(Bandwidth::gen3_x16());
+//! let mut topo = Topology::new();
 //! let sw = topo.add_switch(topo.root(), Bandwidth::gen3_x16());
 //! let ssd = topo.add_endpoint(sw, EndpointKind::Ssd, Bandwidth::gen3_x4());
 //! let acc = topo.add_endpoint(sw, EndpointKind::NnAccel, Bandwidth::gen3_x16());

@@ -100,12 +100,16 @@ pub struct Topology {
     links: Vec<Link>,
 }
 
+impl Default for Topology {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl Topology {
-    /// Create a topology containing only the root complex.
-    ///
-    /// `_rc_bandwidth` documents the RC's own attach bandwidth for display
-    /// purposes; capacity limits are carried by the links hanging off the RC.
-    pub fn new(_rc_bandwidth: Bandwidth) -> Self {
+    /// Create a topology containing only the root complex. Capacity limits
+    /// are carried by the links hanging off it.
+    pub fn new() -> Self {
         Topology {
             nodes: vec![Node {
                 kind: NodeKind::RootComplex,
@@ -326,7 +330,7 @@ mod tests {
 
     /// RC -> sw1 -> {ssd, sw2 -> {acc1, acc2}}
     fn sample() -> (Topology, NodeId, NodeId, NodeId, NodeId, NodeId) {
-        let mut t = Topology::new(bw());
+        let mut t = Topology::new();
         let sw1 = t.add_switch(t.root(), bw());
         let ssd = t.add_endpoint(sw1, EndpointKind::Ssd, Bandwidth::gen3_x4());
         let sw2 = t.add_switch(sw1, bw());

@@ -514,30 +514,11 @@ pub(crate) fn answer(ctx: &Ctx, req: &SimRequest) -> Outcome {
         }
         Role::Leader => {
             // A panic inside the engine must not strand followers on an
-            // unfinished flight (or kill the worker); surface it as a 500.
-            let outcome = catch_unwind(AssertUnwindSafe(|| req.run()));
-            let (status, body) = match outcome {
-                Ok(Ok(resp)) => {
-                    let body = serde_json::to_string(&resp)
-                        .expect("response serialization is infallible");
-                    (200, Arc::new(body))
-                }
-                Ok(Err(e)) => {
-                    let status = if e.is_client_error() { 400 } else { 500 };
-                    (status, error_json(&e))
-                }
-                Err(_) => (
-                    500,
-                    Arc::new(
-                        "{\"error\":\"simulation panicked\",\"field\":\"sim\"}".to_string(),
-                    ),
-                ),
-            };
-            if status == 200 {
-                ctx.cache.insert(key, &canonical, Arc::clone(&body));
-            }
-            ctx.coalescer.complete(key, (status, Arc::clone(&body)));
-            (status, body, "miss", None)
+            // unfinished flight (or kill the worker): `run_guarded` turns it
+            // into a 500 that completes the flight like any other answer.
+            let outcome = run_uncoalesced(ctx, &req, key, &canonical);
+            ctx.coalescer.complete(key, (outcome.0, Arc::clone(&outcome.1)));
+            outcome
         }
     }
 }
@@ -572,68 +553,66 @@ fn simulate_deadlined(ctx: &Ctx, req: &SimRequest, key: u64, canonical: &str) ->
         Admission::Allow { probe } => probe,
     };
 
-    let outcome = catch_unwind(AssertUnwindSafe(|| req.run()));
-    match outcome {
-        Ok(Ok(resp)) => {
+    let (status, body, ran) = run_guarded(req);
+    match ran {
+        Ran::Answered => {
             ctx.breaker.on_success(probe);
-            let body = Arc::new(
-                serde_json::to_string(&resp).expect("response serialization is infallible"),
-            );
             // A timed run that finished in budget IS the untimed answer:
             // safe to cache under the deadline-free canonical key.
             ctx.cache.insert(key, canonical, Arc::clone(&body));
-            (200, body, "miss", None)
         }
-        Ok(Err(e @ SimError::DeadlineExceeded { .. })) => {
+        Ran::Failed(SimError::DeadlineExceeded { .. }) => {
             ctx.breaker.on_failure(probe);
             ctx.metrics.deadline_timeouts.fetch_add(1, Ordering::Relaxed);
             if degradable {
-                degrade(ctx, req, "deadline_exceeded")
-            } else {
-                // The error message carries the partial progress (events
-                // processed, faults observed so far).
-                (504, error_json(&e), "miss", None)
+                return degrade(ctx, req, "deadline_exceeded");
             }
+            // The error message carries the partial progress (events
+            // processed, faults observed so far).
+            return (504, body, "miss", None);
         }
-        Ok(Err(e)) => {
-            // Typed request errors complete promptly: the tier is healthy.
-            ctx.breaker.on_success(probe);
-            let status = if e.is_client_error() { 400 } else { 500 };
-            (status, error_json(&e), "miss", None)
-        }
-        Err(_) => {
-            ctx.breaker.on_failure(probe);
-            (
-                500,
-                Arc::new("{\"error\":\"simulation panicked\",\"field\":\"sim\"}".to_string()),
-                "miss",
-                None,
-            )
-        }
+        // Typed request errors complete promptly: the tier is healthy.
+        Ran::Failed(_) => ctx.breaker.on_success(probe),
+        Ran::Panicked => ctx.breaker.on_failure(probe),
     }
+    (status, body, "miss", None)
 }
 
 /// Run a request directly (no coalescing, no breaker), caching a 200.
 fn run_uncoalesced(ctx: &Ctx, req: &SimRequest, key: u64, canonical: &str) -> Outcome {
-    let outcome = catch_unwind(AssertUnwindSafe(|| req.run()));
-    match outcome {
+    let (status, body, _) = run_guarded(req);
+    if status == 200 {
+        ctx.cache.insert(key, canonical, Arc::clone(&body));
+    }
+    (status, body, "miss", None)
+}
+
+/// The body of a 500 for a simulation that panicked.
+const PANICKED_BODY: &str = "{\"error\":\"simulation panicked\",\"field\":\"sim\"}";
+
+/// How a guarded run ended, for callers whose policy depends on it.
+enum Ran {
+    /// A 200 with the response.
+    Answered,
+    /// A typed request error: 400 for the client's, 500 otherwise.
+    Failed(SimError),
+    /// The engine panicked: a 500 with [`PANICKED_BODY`].
+    Panicked,
+}
+
+/// Run `req` with a panic guard and map the outcome to a status and body.
+/// Caching, coalescing, breaker and degrade decisions stay with the caller.
+fn run_guarded(req: &SimRequest) -> (u16, Arc<String>, Ran) {
+    match catch_unwind(AssertUnwindSafe(|| req.run())) {
         Ok(Ok(resp)) => {
-            let body = Arc::new(
-                serde_json::to_string(&resp).expect("response serialization is infallible"),
-            );
-            ctx.cache.insert(key, canonical, Arc::clone(&body));
-            (200, body, "miss", None)
+            let body = serde_json::to_string(&resp).expect("response serialization is infallible");
+            (200, Arc::new(body), Ran::Answered)
         }
         Ok(Err(e)) => {
             let status = if e.is_client_error() { 400 } else { 500 };
-            (status, error_json(&e), "miss", None)
+            (status, error_json(&e), Ran::Failed(e))
         }
-        Err(_) => (
-            500,
-            Arc::new("{\"error\":\"simulation panicked\",\"field\":\"sim\"}".to_string()),
-            "miss",
-            None,
-        ),
+        Err(_) => (500, Arc::new(PANICKED_BODY.to_string()), Ran::Panicked),
     }
 }
 

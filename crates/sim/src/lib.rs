@@ -63,7 +63,7 @@ pub mod trace;
 pub use hash::{FxHashMap, FxHashSet};
 pub use par::{imbalance, run_windows, work_span_speedup, Coordinator, RunStats, WindowedLp};
 pub use queue::FifoServer;
-pub use stats::{Counter, Gauge, Histogram, TimeWeighted};
+pub use stats::{Gauge, Histogram};
 pub use time::SimTime;
 pub use trace::{
     chrome_trace_json, Component, ForkTracer, NoopTracer, RingTracer,
@@ -541,29 +541,19 @@ impl<M: Model> Engine<M> {
     pub fn run_while(
         &mut self,
         max_events: u64,
-        mut predicate: impl FnMut(&M) -> bool,
+        predicate: impl FnMut(&M) -> bool,
     ) -> Result<bool, SimError> {
-        for _ in 0..max_events {
-            let stepped = self.step();
-            self.check_overflow()?;
-            if !stepped {
-                return Ok(false);
-            }
-            if predicate(&self.model) {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        self.run_while_deadline(max_events, None, predicate)
     }
 
     /// [`Engine::run_while`] under an optional wall-clock deadline.
     ///
-    /// With `deadline: None` this *is* `run_while` — same code path, same
-    /// event order, same results. With a deadline, the clock is consulted
-    /// once every [`Self::DEADLINE_CHECK_INTERVAL`] events (amortizing the
-    /// `Instant::now` syscall to noise) and the run is cancelled
-    /// cooperatively once it expires. The model keeps whatever state it had
-    /// reached, so callers can report partial statistics.
+    /// One step loop serves both: with `deadline: None` the clock is never
+    /// read. With a deadline, the clock is consulted before the first event
+    /// and then once every [`Self::DEADLINE_CHECK_INTERVAL`] events
+    /// (amortizing the `Instant::now` syscall to noise), and the run is
+    /// cancelled cooperatively once it expires. The model keeps whatever
+    /// state it had reached, so callers can report partial statistics.
     ///
     /// # Errors
     ///
@@ -576,15 +566,14 @@ impl<M: Model> Engine<M> {
         deadline: Option<Instant>,
         mut predicate: impl FnMut(&M) -> bool,
     ) -> Result<bool, SimError> {
-        let Some(deadline) = deadline else {
-            return self.run_while(max_events, predicate);
+        let expired = |e: &Self, deadline: Instant| {
+            (Instant::now() >= deadline).then(|| SimError::DeadlineExceeded {
+                events: e.events_processed(),
+                queued: e.queued(),
+            })
         };
-        let deadline_err = |e: &Self| SimError::DeadlineExceeded {
-            events: e.events_processed(),
-            queued: e.queued(),
-        };
-        if Instant::now() >= deadline {
-            return Err(deadline_err(self));
+        if let Some(err) = deadline.and_then(|d| expired(self, d)) {
+            return Err(err);
         }
         let mut until_check = Self::DEADLINE_CHECK_INTERVAL;
         for _ in 0..max_events {
@@ -596,11 +585,13 @@ impl<M: Model> Engine<M> {
             if predicate(&self.model) {
                 return Ok(true);
             }
-            until_check -= 1;
-            if until_check == 0 {
-                until_check = Self::DEADLINE_CHECK_INTERVAL;
-                if Instant::now() >= deadline {
-                    return Err(deadline_err(self));
+            if let Some(d) = deadline {
+                until_check -= 1;
+                if until_check == 0 {
+                    until_check = Self::DEADLINE_CHECK_INTERVAL;
+                    if let Some(err) = expired(self, d) {
+                        return Err(err);
+                    }
                 }
             }
         }

@@ -1,145 +1,13 @@
 //! Statistics collection for simulation models.
 
-use crate::SimTime;
 use serde::{Deserialize, Serialize};
-
-/// A monotonically increasing event counter with a rate helper.
-///
-/// # Example
-///
-/// ```
-/// use trainbox_sim::{Counter, SimTime};
-///
-/// let mut samples = Counter::new("samples");
-/// samples.add(300);
-/// assert_eq!(samples.value(), 300);
-/// assert!((samples.rate(SimTime::from_secs(3)) - 100.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Counter {
-    name: String,
-    value: u64,
-}
-
-impl Counter {
-    /// Create a counter with a diagnostic name.
-    pub fn new(name: impl Into<String>) -> Self {
-        Counter { name: name.into(), value: 0 }
-    }
-
-    /// Diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Increment by one.
-    pub fn incr(&mut self) {
-        self.value += 1;
-    }
-
-    /// Increment by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.value += n;
-    }
-
-    /// Current count.
-    pub fn value(&self) -> u64 {
-        self.value
-    }
-
-    /// Events per second over the elapsed simulated time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elapsed` is zero.
-    pub fn rate(&self, elapsed: SimTime) -> f64 {
-        assert!(elapsed > SimTime::ZERO, "elapsed must be positive");
-        self.value as f64 / elapsed.as_secs_f64()
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal (e.g. queue depth,
-/// link utilization).
-///
-/// Call [`TimeWeighted::set`] whenever the signal changes; the integral of the
-/// signal over time is maintained exactly.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    name: String,
-    last_time: SimTime,
-    current: f64,
-    integral: f64,
-    peak: f64,
-}
-
-impl TimeWeighted {
-    /// Create a gauge starting at 0 at time 0.
-    pub fn new(name: impl Into<String>) -> Self {
-        TimeWeighted {
-            name: name.into(),
-            last_time: SimTime::ZERO,
-            current: 0.0,
-            integral: 0.0,
-            peak: 0.0,
-        }
-    }
-
-    /// Diagnostic name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Record that the signal takes value `v` from time `now` onward.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` precedes the previous update.
-    pub fn set(&mut self, now: SimTime, v: f64) {
-        assert!(now >= self.last_time, "TimeWeighted updates must be in time order");
-        self.integral += self.current * (now - self.last_time).as_secs_f64();
-        self.last_time = now;
-        self.current = v;
-        if v > self.peak {
-            self.peak = v;
-        }
-    }
-
-    /// Adjust the signal by `delta` at `now` (convenience for queue depths).
-    pub fn adjust(&mut self, now: SimTime, delta: f64) {
-        let v = self.current + delta;
-        self.set(now, v);
-    }
-
-    /// Current value of the signal.
-    pub fn current(&self) -> f64 {
-        self.current
-    }
-
-    /// Peak value observed.
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// Time-weighted mean over `[0, now]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `now` is zero or precedes the last update.
-    pub fn mean(&self, now: SimTime) -> f64 {
-        assert!(now > SimTime::ZERO, "mean requires positive horizon");
-        assert!(now >= self.last_time, "horizon precedes last update");
-        let integral = self.integral + self.current * (now - self.last_time).as_secs_f64();
-        integral / now.as_secs_f64()
-    }
-}
 
 /// A last-value-wins instantaneous metric (utilization fraction, queue depth
 /// at end of run, configured rate).
 ///
-/// Unlike [`Counter`] it can move in both directions, and unlike
-/// [`TimeWeighted`] it has no time axis — it simply remembers the most recent
-/// value along with the extremes seen, which is what summary exporters want
-/// for "final state" readouts.
+/// It moves in both directions and has no time axis: it remembers the most
+/// recent value along with the extremes seen, which is what summary
+/// exporters want for "final state" readouts.
 ///
 /// # Example
 ///
@@ -329,46 +197,6 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_counts_and_rates() {
-        let mut c = Counter::new("c");
-        c.incr();
-        c.add(9);
-        assert_eq!(c.value(), 10);
-        assert_eq!(c.name(), "c");
-        assert!((c.rate(SimTime::from_secs(2)) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_mean_integrates_exactly() {
-        let mut g = TimeWeighted::new("depth");
-        g.set(SimTime::ZERO, 2.0);
-        g.set(SimTime::from_secs(1), 4.0);
-        // mean over [0,2): (2*1 + 4*1)/2 = 3
-        assert!((g.mean(SimTime::from_secs(2)) - 3.0).abs() < 1e-12);
-        assert_eq!(g.peak(), 4.0);
-        assert_eq!(g.current(), 4.0);
-    }
-
-    #[test]
-    fn time_weighted_adjust_tracks_deltas() {
-        let mut g = TimeWeighted::new("q");
-        g.adjust(SimTime::ZERO, 1.0);
-        g.adjust(SimTime::from_secs(1), 1.0);
-        g.adjust(SimTime::from_secs(2), -2.0);
-        assert_eq!(g.current(), 0.0);
-        // integral = 1*1 + 2*1 = 3 over horizon 3
-        assert!((g.mean(SimTime::from_secs(3)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "time order")]
-    fn time_weighted_rejects_time_travel() {
-        let mut g = TimeWeighted::new("g");
-        g.set(SimTime::from_secs(2), 1.0);
-        g.set(SimTime::from_secs(1), 2.0);
-    }
 
     #[test]
     fn histogram_basic_stats() {

@@ -21,7 +21,7 @@ use trainbox::dataprep::audio::Waveform;
 /// endpoint placement.
 fn random_topology(seed: u64) -> Topology {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut topo = Topology::new(Bandwidth::gen3_x16());
+    let mut topo = Topology::new();
     let mut parents = vec![topo.root()];
     let kinds = [EndpointKind::Ssd, EndpointKind::NnAccel, EndpointKind::PrepAccel];
     for _ in 0..rng.gen_range(2..20) {
