@@ -1,11 +1,18 @@
 //! Audio formatting and augmentation: FFT → STFT → Mel spectrogram →
 //! SpecAugment masking → normalization.
 //!
+//! The STFT keeps power only (`|X[k]|²`, no phase) and takes each real
+//! `n_fft`-point frame through one `n_fft/2`-point complex FFT plus a split
+//! step (see [`stft`]).
+//!
 //! This is the audio path of the paper's data-preparation engine (Fig 17 and
 //! Table III: spectrogram, masking, norm, Mel filter bank). §II-A: *"For
 //! audio, we convert a stream of sound into a 'Mel spectrogram', which is the
 //! STFT-based feature set of frames in the stream."* The masking stage is the
 //! SpecAugment-style time/frequency masking the paper cites (\[35\]).
+
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -168,10 +175,10 @@ impl Complex {
 }
 
 /// A precomputed radix-2 FFT plan for one transform size: twiddle factors
-/// (`e^(∓2πik/n)` for `k < n/2`) and the bit-reversal permutation. Building a
-/// plan costs one trig call per twiddle; every subsequent transform is pure
-/// table lookups and butterflies — the layout of the paper's FPGA
-/// "Spectrogram" engine, which similarly bakes its twiddles into ROM.
+/// and the bit-reversal permutation. Building a plan costs one trig call per
+/// twiddle; every subsequent transform is pure table lookups and butterflies
+/// — the layout of the paper's FPGA "Spectrogram" engine, which similarly
+/// bakes its twiddles into ROM.
 ///
 /// Plans are cheap to share (`Arc`); [`fft`]/[`ifft`] keep a process-wide
 /// cache keyed by size so casual callers never rebuild tables.
@@ -181,9 +188,12 @@ pub struct FftPlan {
     /// Bit-reversed index of each position (identity-filtered swaps applied
     /// in order).
     bitrev: Vec<u32>,
-    /// Forward twiddles `e^(-2πik/n)`, `k < n/2`.
+    /// Forward twiddles laid out stage by stage: the butterflies of
+    /// half-length `h` read `e^(-2πik/2h)`, `k < h`, from `fwd[h - 1..2h - 1]`.
+    /// Every entry is a copy of `e^(-2πik/n)` for some `k < n/2`, so all
+    /// stages share one set of values.
     fwd: Vec<Complex>,
-    /// Inverse twiddles `e^(+2πik/n)`, `k < n/2`.
+    /// Inverse twiddles `e^(+2πik/2h)` in the same layout.
     inv: Vec<Complex>,
 }
 
@@ -207,16 +217,14 @@ impl FftPlan {
                 }
             })
             .collect();
-        let half = n / 2;
-        let mut fwd = Vec::with_capacity(half);
-        let mut inv = Vec::with_capacity(half);
-        for k in 0..half {
-            let ang = std::f32::consts::TAU * k as f32 / n as f32;
-            let (s, c) = ang.sin_cos();
-            fwd.push(Complex::new(c, -s));
-            inv.push(Complex::new(c, s));
-        }
-        Ok(FftPlan { n, bitrev, fwd, inv })
+        let (fwd, inv): (Vec<Complex>, Vec<Complex>) = (0..n / 2)
+            .map(|k| {
+                let ang = std::f32::consts::TAU * k as f32 / n as f32;
+                let (s, c) = ang.sin_cos();
+                (Complex::new(c, -s), Complex::new(c, s))
+            })
+            .unzip();
+        Ok(FftPlan { n, bitrev, fwd: by_stage(&fwd), inv: by_stage(&inv) })
     }
 
     /// Transform size.
@@ -265,34 +273,50 @@ impl FftPlan {
                 buf.swap(i, j);
             }
         }
-        // Butterflies; stage `len` uses every (n/len)-th table entry.
-        let mut len = 2;
-        while len <= n {
-            let stride = n / len;
-            let half = len / 2;
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let w = tw[k * stride];
-                    let u = buf[start + k];
-                    let v = buf[start + k + half].mul(w);
-                    buf[start + k] = u.add(v);
-                    buf[start + k + half] = u.sub(v);
+        // Butterflies, stage by stage. Every butterfly multiplies by its
+        // twiddle, `w = 1` included: skipping that multiply would flip the
+        // sign of some zero outputs and break bit-equality with the reference.
+        let mut h = 1;
+        while h < n {
+            let tw = &tw[h - 1..2 * h - 1];
+            for block in buf.chunks_exact_mut(2 * h) {
+                let (lo, hi) = block.split_at_mut(h);
+                for ((u, v), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    let a = *u;
+                    let t = v.mul(w);
+                    *u = a.add(t);
+                    *v = a.sub(t);
                 }
             }
-            len <<= 1;
+            h <<= 1;
         }
     }
 }
 
-fn plan_cache(n: usize) -> std::sync::Arc<FftPlan> {
-    use std::collections::HashMap;
-    use std::sync::{Arc, Mutex, OnceLock};
-    static CACHE: OnceLock<Mutex<HashMap<usize, Arc<FftPlan>>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
-    map.entry(n)
-        .or_insert_with(|| Arc::new(FftPlan::new(n).unwrap_or_else(|e| panic!("{e}"))))
-        .clone()
+/// Lay out the `n/2` twiddles `e^(∓2πik/n)` stage by stage: for each
+/// half-length `h = 1, 2, 4, …, n/2`, the `h` entries `table[k · n/2h]`.
+fn by_stage(table: &[Complex]) -> Vec<Complex> {
+    let half = table.len();
+    let mut out = Vec::with_capacity(2 * half);
+    let mut h = 1;
+    while h <= half {
+        out.extend(table.iter().step_by(half / h));
+        h <<= 1;
+    }
+    out
+}
+
+/// One process-wide table per key, built on first use.
+type Cache<T> = OnceLock<Mutex<HashMap<usize, Arc<T>>>>;
+
+fn cached<T>(cache: &Cache<T>, n: usize, build: impl FnOnce() -> T) -> Arc<T> {
+    let mut map = cache.get_or_init(Default::default).lock().unwrap_or_else(|e| e.into_inner());
+    map.entry(n).or_insert_with(|| Arc::new(build())).clone()
+}
+
+fn plan_cache(n: usize) -> Arc<FftPlan> {
+    static CACHE: Cache<FftPlan> = OnceLock::new();
+    cached(&CACHE, n, || FftPlan::new(n).unwrap_or_else(|e| panic!("{e}")))
 }
 
 /// In-place iterative radix-2 Cooley–Tukey FFT (precomputed-table plan,
@@ -324,11 +348,11 @@ pub fn fft_recursive_ref(input: &[Complex]) -> Vec<Complex> {
     assert!(n.is_power_of_two(), "FFT length must be a power of two, got {n}");
     let plan = plan_cache(n);
     let mut out = input.to_vec();
-    rec_fft(&mut out, &plan.fwd, n);
+    rec_fft(&mut out, &plan.fwd);
     out
 }
 
-fn rec_fft(buf: &mut [Complex], tw: &[Complex], full_n: usize) {
+fn rec_fft(buf: &mut [Complex], tw: &[Complex]) {
     let m = buf.len();
     if m <= 1 {
         return;
@@ -336,11 +360,11 @@ fn rec_fft(buf: &mut [Complex], tw: &[Complex], full_n: usize) {
     let half = m / 2;
     let mut even: Vec<Complex> = (0..half).map(|i| buf[2 * i]).collect();
     let mut odd: Vec<Complex> = (0..half).map(|i| buf[2 * i + 1]).collect();
-    rec_fft(&mut even, tw, full_n);
-    rec_fft(&mut odd, tw, full_n);
-    let stride = full_n / m;
+    rec_fft(&mut even, tw);
+    rec_fft(&mut odd, tw);
+    let stage = &tw[half - 1..m - 1];
     for k in 0..half {
-        let v = odd[k].mul(tw[k * stride]);
+        let v = odd[k].mul(stage[k]);
         buf[k] = even[k].add(v);
         buf[k + half] = even[k].sub(v);
     }
@@ -460,30 +484,72 @@ impl Spectrogram {
     }
 
     /// Per-bin zero-mean unit-variance normalization across frames (the
-    /// "Norm" engine of Table III).
+    /// "Norm" engine of Table III). Row-major passes; each bin's `f64` sums
+    /// still run over the frames in ascending order.
     pub fn normalized(&self) -> Spectrogram {
-        let mut out = self.clone();
-        for b in 0..self.bins {
-            let mut mean = 0.0f64;
-            for t in 0..self.frames {
-                mean += self.at(t, b) as f64;
-            }
-            mean /= self.frames.max(1) as f64;
-            let mut var = 0.0f64;
-            for t in 0..self.frames {
-                var += (self.at(t, b) as f64 - mean).powi(2);
-            }
-            var /= self.frames.max(1) as f64;
-            let std = var.sqrt().max(1e-8);
-            for t in 0..self.frames {
-                out.data[t * self.bins + b] = ((self.at(t, b) as f64 - mean) / std) as f32;
+        if self.bins == 0 {
+            return self.clone();
+        }
+        let count = self.frames.max(1) as f64;
+        let rows = || self.data.chunks_exact(self.bins);
+        let mut mean = vec![0.0f64; self.bins];
+        for row in rows() {
+            for (m, &v) in mean.iter_mut().zip(row) {
+                *m += v as f64;
             }
         }
-        out
+        mean.iter_mut().for_each(|m| *m /= count);
+        let mut std = vec![0.0f64; self.bins];
+        for row in rows() {
+            for ((s, &m), &v) in std.iter_mut().zip(&mean).zip(row) {
+                *s += (v as f64 - m).powi(2);
+            }
+        }
+        std.iter_mut().for_each(|s| *s = (*s / count).sqrt().max(1e-8));
+        let mut data = Vec::with_capacity(self.data.len());
+        for row in rows() {
+            for ((&v, &m), &s) in row.iter().zip(&mean).zip(&std) {
+                data.push(((v as f64 - m) / s) as f32);
+            }
+        }
+        Spectrogram::new(self.frames, self.bins, data)
     }
 }
 
-/// Hann-windowed power STFT: `frames × (n_fft/2 + 1)` power values.
+/// The tables [`stft`] needs for one `n_fft = n ≥ 2`, built once per size:
+/// the `n/2`-point plan, the Hann window and the split twiddles.
+struct StftPlan {
+    half: Arc<FftPlan>,
+    window: Vec<f32>,
+    /// `e^(-2πik/n)` for `k < n/2`.
+    split: Vec<Complex>,
+}
+
+fn hann(n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|i| 0.5 - 0.5 * (std::f32::consts::TAU * i as f32 / n as f32).cos())
+        .collect()
+}
+
+fn stft_plan(n: usize) -> Arc<StftPlan> {
+    static CACHE: Cache<StftPlan> = OnceLock::new();
+    cached(&CACHE, n, || StftPlan {
+        half: plan_cache(n / 2),
+        window: hann(n),
+        // The last stage of the `n`-point plan's table.
+        split: plan_cache(n).fwd[n / 2 - 1..].to_vec(),
+    })
+}
+
+/// Hann-windowed power STFT: `frames × (n_fft/2 + 1)` power values `|X[k]|²`
+/// (no phase).
+///
+/// The frames are real, so each `n`-point spectrum comes from one
+/// `n/2`-point complex FFT: the windowed frame is packed as
+/// `z[j] = x[2j] + i·x[2j+1]`, and a split step recovers
+/// `X[k] = E[k] + e^(-2πik/n)·O[k]` from the spectra `E`, `O` of the even and
+/// odd samples, which are the conjugate-symmetric and antisymmetric parts of
+/// `Z`. A clip shorter than `n_fft` gives one zero-padded frame.
 ///
 /// # Errors
 ///
@@ -497,27 +563,45 @@ pub fn stft(wave: &Waveform, cfg: StftConfig) -> Result<Spectrogram, AudioError>
         return Err(AudioError::ZeroHop);
     }
     let n = cfg.n_fft;
-    let bins = n / 2 + 1;
-    let window: Vec<f32> = (0..n)
-        .map(|i| 0.5 - 0.5 * (std::f32::consts::TAU * i as f32 / n as f32).cos())
-        .collect();
-    let nframes = cfg.frames(wave.samples().len());
-    let mut data = Vec::with_capacity(nframes * bins);
     let samples = wave.samples();
-    let plan = plan_cache(n);
-    let mut buf = vec![Complex::default(); n];
-    for f in 0..nframes {
+    let nframes = cfg.frames(samples.len());
+    if n == 1 {
+        // One bin, the windowed sample itself.
+        let w = hann(1)[0];
+        let data = samples.iter().step_by(cfg.hop).map(|&s| (s * w) * (s * w)).collect();
+        return Ok(Spectrogram::new(nframes, 1, data));
+    }
+    let m = n / 2;
+    let bins = m + 1;
+    let plan = stft_plan(n);
+    let (window, split) = (&plan.window[..], &plan.split[..]);
+    let mut z = vec![Complex::default(); m];
+    let mut data = vec![0.0f32; nframes * bins];
+    for (f, row) in data.chunks_exact_mut(bins).enumerate() {
         let start = f * cfg.hop;
-        let avail = samples.len().saturating_sub(start).min(n);
-        for ((b, &s), &w) in buf[..avail].iter_mut().zip(&samples[start..start + avail]).zip(&window[..avail]) {
-            *b = Complex::new(s * w, 0.0);
+        let frame = &samples[start..samples.len().min(start + n)];
+        if frame.len() == n {
+            let pairs = frame.chunks_exact(2).zip(window.chunks_exact(2));
+            for (zj, (x, w)) in z.iter_mut().zip(pairs) {
+                *zj = Complex::new(x[0] * w[0], x[1] * w[1]);
+            }
+        } else {
+            let at = |i: usize| frame.get(i).map_or(0.0, |&x| x * window[i]);
+            for (j, zj) in z.iter_mut().enumerate() {
+                *zj = Complex::new(at(2 * j), at(2 * j + 1));
+            }
         }
-        for b in buf[avail..].iter_mut() {
-            *b = Complex::default();
-        }
-        plan.forward(&mut buf);
-        for b in buf.iter().take(bins) {
-            data.push(b.norm_sq());
+        plan.half.forward(&mut z);
+        // k = 0 and k = n/2: E[0] = Re Z[0], O[0] = Im Z[0].
+        let z0 = z[0];
+        row[0] = (z0.re + z0.im) * (z0.re + z0.im);
+        row[m] = (z0.re - z0.im) * (z0.re - z0.im);
+        // 0 < k < n/2: pair Z[k] with Z[n/2 - k].
+        let pairs = z[1..].iter().zip(z[1..].iter().rev());
+        for ((p, (a, b)), &w) in row[1..m].iter_mut().zip(pairs).zip(&split[1..]) {
+            let even = Complex::new(0.5 * (a.re + b.re), 0.5 * (a.im - b.im));
+            let odd = Complex::new(0.5 * (a.im + b.im), 0.5 * (b.re - a.re));
+            *p = even.add(w.mul(odd)).norm_sq();
         }
     }
     Ok(Spectrogram::new(nframes, bins, data))
@@ -835,6 +919,46 @@ mod tests {
         assert!((peak as i32 - 32).abs() <= 1, "peak bin {peak}");
     }
 
+    /// The test-only oracle for [`stft`]: a full `n_fft`-point complex FFT
+    /// of each real, zero-imaginary frame, keeping bins `0..=n_fft/2`.
+    fn stft_complex_ref(wave: &Waveform, cfg: StftConfig) -> Spectrogram {
+        let n = cfg.n_fft;
+        let window = hann(n);
+        let samples = wave.samples();
+        let frames = cfg.frames(samples.len());
+        let mut data = Vec::new();
+        for f in 0..frames {
+            let at = |i: usize| samples.get(f * cfg.hop + i).map_or(0.0, |&x| x * window[i]);
+            let frame: Vec<Complex> = (0..n).map(|i| Complex::new(at(i), 0.0)).collect();
+            data.extend(fft_recursive_ref(&frame).iter().take(n / 2 + 1).map(|c| c.norm_sq()));
+        }
+        Spectrogram::new(frames, n / 2 + 1, data)
+    }
+
+    #[test]
+    fn stft_pins_dc_and_nyquist_bins() {
+        // Bins 0 and n/2 come from Z[0] alone. A constant frame puts all of
+        // its windowed sum in bin 0, an alternating one all of it in bin
+        // n/2 (for n = 2 the window [0, 1] leaves one sample, in both).
+        for n in [2usize, 4, 512] {
+            let sum = (n / 2) as f32;
+            let full = sum * sum;
+            let (dc, nyq): (f32, f32) = if n == 2 { (1.0, 1.0) } else { (full, 0.0) };
+            let cfg = StftConfig { n_fft: n, hop: n };
+            let constant = Waveform::new(vec![1.0; n], 16_000).unwrap();
+            let signs = (0..n).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect();
+            let alternating = Waveform::new(signs, 16_000).unwrap();
+            for (wave, want0, want_nyq) in [(constant, dc, nyq), (alternating, nyq, dc)] {
+                let s = stft(&wave, cfg).unwrap();
+                assert_eq!((s.frames(), s.bins()), (1, n / 2 + 1));
+                let tol = 1e-5 * full;
+                let (got0, got_nyq) = (s.at(0, 0), s.at(0, n / 2));
+                assert!((got0 - want0).abs() <= tol, "n={n} bin 0: {got0} vs {want0}");
+                assert!((got_nyq - want_nyq).abs() <= tol, "n={n} nyquist: {got_nyq} vs {want_nyq}");
+            }
+        }
+    }
+
     #[test]
     fn mel_scale_round_trips() {
         for hz in [0.0f32, 100.0, 440.0, 4000.0, 8000.0] {
@@ -893,6 +1017,45 @@ mod tests {
             let mean: f64 = (0..mel.frames()).map(|t| mel.at(t, b) as f64).sum::<f64>()
                 / mel.frames() as f64;
             assert!(mean.abs() < 1e-3, "bin {b} mean {mean}");
+        }
+    }
+
+    /// The per-bin reference [`Spectrogram::normalized`] must match bit for
+    /// bit: one bin at a time, frames in ascending order.
+    fn normalized_per_bin_ref(s: &Spectrogram) -> Spectrogram {
+        let mut out = s.clone();
+        for b in 0..s.bins() {
+            let mut mean = 0.0f64;
+            for t in 0..s.frames() {
+                mean += s.at(t, b) as f64;
+            }
+            mean /= s.frames().max(1) as f64;
+            let mut var = 0.0f64;
+            for t in 0..s.frames() {
+                var += (s.at(t, b) as f64 - mean).powi(2);
+            }
+            var /= s.frames().max(1) as f64;
+            let std = var.sqrt().max(1e-8);
+            for t in 0..s.frames() {
+                out.data[t * s.bins() + b] = ((s.at(t, b) as f64 - mean) / std) as f32;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn normalization_matches_per_bin_reference_bit_for_bit() {
+        let w = crate::synth::speech_like_waveform(1.0, 16_000, 9);
+        let mel = mel_spectrogram(&w, StftConfig::speech_default(), 40).unwrap();
+        let constant_bin = Spectrogram::new(3, 2, vec![1.0, 0.5, 1.0, -0.5, 1.0, 2.0]);
+        let (no_frames, no_bins) = (Spectrogram::new(0, 4, vec![]), Spectrogram::new(3, 0, vec![]));
+        for s in [mel, constant_bin, no_frames, no_bins] {
+            let got = s.normalized();
+            let want = normalized_per_bin_ref(&s);
+            assert_eq!((got.frames(), got.bins()), (want.frames(), want.bins()));
+            for (a, b) in got.data().iter().zip(want.data()) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
         }
     }
 
@@ -1002,8 +1165,20 @@ mod tests {
             let n = 1usize << log_n;
             let mut rng = StdRng::seed_from_u64(seed);
             use rand::Rng;
+            // Every third case is all signed zeros. A zero's sign reaches
+            // an output only when every term summed into that output is
+            // zero, so zeros scattered among nonzero inputs would not show
+            // a butterfly that skips its `w = 1` multiply; whole-zero inputs
+            // do.
+            let zero = |rng: &mut StdRng| if rng.gen::<bool>() { 0.0 } else { -0.0 };
             let orig: Vec<Complex> = (0..n)
-                .map(|_| Complex::new(rng.gen_range(-8.0..8.0), rng.gen_range(-8.0..8.0)))
+                .map(|_| {
+                    if seed % 3 == 0 {
+                        Complex::new(zero(&mut rng), zero(&mut rng))
+                    } else {
+                        Complex::new(rng.gen_range(-8.0..8.0), rng.gen_range(-8.0..8.0))
+                    }
+                })
                 .collect();
             let mut iterative = orig.clone();
             fft(&mut iterative);
@@ -1011,6 +1186,40 @@ mod tests {
             for (a, b) in iterative.iter().zip(&recursive) {
                 prop_assert_eq!(a.re.to_bits(), b.re.to_bits());
                 prop_assert_eq!(a.im.to_bits(), b.im.to_bits());
+            }
+        }
+
+        /// The real-input STFT against a full `n_fft`-point complex FFT of
+        /// every frame (`fft_recursive_ref`), for every size up to 1024,
+        /// every hop up to `n_fft` and clips shorter than one frame.
+        #[test]
+        fn stft_matches_complex_reference(
+            log_n in 0u32..11,
+            hop_pick in any::<usize>(),
+            len_pick in any::<usize>(),
+            amp in 1e-3f32..1e3,
+            seed in 0u64..1_000,
+        ) {
+            let n_fft = 1usize << log_n;
+            let hop = 1 + hop_pick % n_fft;
+            // Up to nine frames; lengths below `n_fft` give one padded frame.
+            let len = 1 + len_pick % (n_fft + 8 * hop);
+            let mut rng = StdRng::seed_from_u64(seed);
+            use rand::Rng;
+            let samples = (0..len).map(|_| amp * rng.gen_range(-1.0f32..1.0)).collect();
+            let wave = Waveform::new(samples, 16_000).unwrap();
+            let cfg = StftConfig { n_fft, hop };
+            let got = stft(&wave, cfg).unwrap();
+            let want = stft_complex_ref(&wave, cfg);
+            prop_assert_eq!((got.frames(), got.bins()), (want.frames(), want.bins()));
+            for (g, w) in got.data().chunks(got.bins()).zip(want.data().chunks(want.bins())) {
+                let peak = w.iter().fold(0.0f32, |a, &p| a.max(p));
+                for (k, (&g, &w)) in g.iter().zip(w).enumerate() {
+                    prop_assert!(
+                        (g - w).abs() <= 1e-5 * peak + 1e-12,
+                        "n_fft {} hop {} len {} bin {}: {} vs {}", n_fft, hop, len, k, g, w
+                    );
+                }
             }
         }
 
