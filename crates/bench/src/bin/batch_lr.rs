@@ -5,8 +5,8 @@
 
 use trainbox_bench::{emit_json, figure_main, run_sweep};
 use trainbox_nn::train::{
-    batch_scaling_points, prepare_scaling, reduce_batch_scaling, run_with_batch_prepared,
-    AugExperimentConfig,
+    batch_scaling_points, prepare_scaling, reduce_batch_scaling, run_distinct_points,
+    run_with_batch_prepared, AugExperimentConfig,
 };
 
 fn main() {
@@ -22,12 +22,15 @@ fn main() {
             // the sweep fans out across threads and folds back
             // deterministically. The test set, initial weights, and augmented
             // sample stream are identical at every point, so they are
-            // generated once and shared.
+            // generated once and shared, and a point the rate grid repeats
+            // runs once.
             let batches = [32usize, 128, 256];
             let points = batch_scaling_points(32, &batches, cfg.lr);
             let prep = prepare_scaling(&cfg);
-            let accs = run_sweep(jobs, points, |_, (batch, lr)| {
-                run_with_batch_prepared(&prep, batch, lr)
+            let accs = run_distinct_points(&points, |distinct| {
+                run_sweep(jobs, distinct, |_, (batch, lr)| {
+                    run_with_batch_prepared(&prep, batch, lr)
+                })
             });
             let rows = reduce_batch_scaling(32, &batches, cfg.lr, &accs);
             println!(

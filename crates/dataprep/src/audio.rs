@@ -617,6 +617,10 @@ pub fn mel_to_hz(mel: f32) -> f32 {
     700.0 * (10f32.powf(mel / 2595.0) - 1.0)
 }
 
+/// Frames per block in [`MelBank::apply`]: one accumulator per frame, 16
+/// `f32` lanes.
+const MEL_BLOCK: usize = 16;
+
 /// A triangular Mel filter bank mapping `n_fft/2+1` linear bins to `n_mels`
 /// Mel bins.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -696,22 +700,45 @@ impl MelBank {
     /// Apply to a power spectrogram, producing a log-Mel spectrogram
     /// (`frames × n_mels`, natural log with a small floor).
     ///
+    /// Works on blocks of 16 frames: the block is copied
+    /// bin-major, so each band's weighted sum runs over all the block's
+    /// frames at once, one accumulator per frame. Every output still adds
+    /// its products in ascending bin order starting from `-0.0`, as
+    /// `Iterator::sum::<f32>` over one frame does, so the result is the
+    /// per-frame loop's to the bit.
+    ///
     /// # Panics
     ///
     /// Panics if the spectrogram's bin count differs from this bank's.
     pub fn apply(&self, spec: &Spectrogram) -> Spectrogram {
         assert_eq!(spec.bins(), self.n_bins, "bin count mismatch");
-        let mut data = Vec::with_capacity(spec.frames() * self.n_mels);
-        for t in 0..spec.frames() {
-            let row = &spec.data()[t * self.n_bins..(t + 1) * self.n_bins];
+        let (n_bins, n_mels) = (self.n_bins, self.n_mels);
+        let mut data = vec![0.0f32; spec.frames() * n_mels];
+        // `cols[b][f]` = bin `b` of the block's frame `f`. Lanes past the end
+        // of a short last block hold stale bins and are never written out.
+        let mut cols = vec![[0.0f32; MEL_BLOCK]; n_bins];
+        let row_blocks = spec.data().chunks(MEL_BLOCK * n_bins);
+        for (rows, out) in row_blocks.zip(data.chunks_mut(MEL_BLOCK * n_mels)) {
+            for (f, row) in rows.chunks_exact(n_bins).enumerate() {
+                for (col, &p) in cols.iter_mut().zip(row) {
+                    col[f] = p;
+                }
+            }
             for (m, &(b0, b1)) in self.support.iter().enumerate() {
                 let (b0, b1) = (b0 as usize, b1 as usize);
-                let w = &self.weights[m * self.n_bins + b0..m * self.n_bins + b1];
-                let s: f32 = w.iter().zip(&row[b0..b1]).map(|(&w, &p)| w * p).sum();
-                data.push((s + 1e-10).ln());
+                let w = &self.weights[m * n_bins + b0..m * n_bins + b1];
+                let mut acc = [-0.0f32; MEL_BLOCK];
+                for (&w, col) in w.iter().zip(&cols[b0..b1]) {
+                    for (a, &p) in acc.iter_mut().zip(col) {
+                        *a += w * p;
+                    }
+                }
+                for (o, &s) in out[m..].iter_mut().step_by(n_mels).zip(&acc) {
+                    *o = (s + 1e-10).ln();
+                }
             }
         }
-        Spectrogram::new(spec.frames(), self.n_mels, data)
+        Spectrogram::new(spec.frames(), n_mels, data)
     }
 }
 
@@ -917,6 +944,37 @@ mod tests {
         let mid = s.frames() / 2;
         let peak = (0..s.bins()).max_by(|&a, &b| s.at(mid, a).partial_cmp(&s.at(mid, b)).unwrap()).unwrap();
         assert!((peak as i32 - 32).abs() <= 1, "peak bin {peak}");
+    }
+
+    /// The per-frame loop [`MelBank::apply`] replaced: one sequential
+    /// `Iterator::sum` per (frame, band).
+    fn mel_apply_ref(bank: &MelBank, spec: &Spectrogram) -> Spectrogram {
+        let n_bins = bank.n_bins;
+        let mut data = Vec::with_capacity(spec.frames() * bank.n_mels);
+        for row in spec.data().chunks_exact(n_bins) {
+            for (m, &(b0, b1)) in bank.support.iter().enumerate() {
+                let (b0, b1) = (b0 as usize, b1 as usize);
+                let w = &bank.weights[m * n_bins + b0..m * n_bins + b1];
+                let s: f32 = w.iter().zip(&row[b0..b1]).map(|(&w, &p)| w * p).sum();
+                data.push((s + 1e-10).ln());
+            }
+        }
+        Spectrogram::new(spec.frames(), bank.n_mels, data)
+    }
+
+    /// Shape and every value's bits, so NaN and `-0.0` compare exactly.
+    fn bits(s: &Spectrogram) -> (usize, usize, Vec<u32>) {
+        (s.frames(), s.bins(), s.data().iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn mel_apply_matches_per_frame_reference_on_speech() {
+        for seed in 0..3 {
+            let clip = crate::synth::librispeech_like_clip(seed);
+            let spec = stft(&clip, StftConfig::speech_default()).unwrap();
+            let bank = MelBank::new(40, spec.bins(), 16_000).unwrap();
+            assert_eq!(bits(&bank.apply(&spec)), bits(&mel_apply_ref(&bank, &spec)), "seed {seed}");
+        }
     }
 
     /// The test-only oracle for [`stft`]: a full `n_fft`-point complex FFT
@@ -1223,6 +1281,32 @@ mod tests {
             }
         }
 
+        /// The blocked Mel bank against the per-frame loop, bit for bit,
+        /// over random banks and frame counts (none, fewer than a block,
+        /// and non-multiples of it), with zero and huge bins mixed in.
+        #[test]
+        fn mel_apply_matches_per_frame_reference(
+            n_mels in 1usize..64,
+            extra_bins in 1usize..400,
+            rate in 1u32..50_000,
+            frames in 0usize..50,
+            seed in 0u64..1_000,
+        ) {
+            use rand::Rng;
+            let n_bins = n_mels + extra_bins;
+            let bank = MelBank::new(n_mels, n_bins, rate).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let data = (0..frames * n_bins)
+                .map(|_| match rng.gen_range(0u32..8) {
+                    0 => 0.0,
+                    1 => rng.gen_range(0.0f32..1e30),
+                    _ => rng.gen_range(0.0f32..10.0),
+                })
+                .collect();
+            let spec = Spectrogram::new(frames, n_bins, data);
+            prop_assert_eq!(bits(&bank.apply(&spec)), bits(&mel_apply_ref(&bank, &spec)));
+        }
+
         /// Satellite property: adversarial configurations reaching the audio
         /// path's public constructors and kernels are rejected as
         /// [`AudioError`] values — never as panics.
@@ -1240,7 +1324,12 @@ mod tests {
             let _ = MelBank::new(n_mels, n_fft, rate);
             if let Ok(w) = Waveform::new(vec![0.25; n_samples], rate) {
                 let cfg = StftConfig { n_fft, hop };
-                let _ = stft(&w, cfg);
+                if let Ok(spec) = stft(&w, cfg) {
+                    if let Ok(bank) = MelBank::new(n_mels, spec.bins(), rate) {
+                        let want = mel_apply_ref(&bank, &spec);
+                        prop_assert_eq!(bits(&bank.apply(&spec)), bits(&want));
+                    }
+                }
                 let _ = mel_spectrogram(&w, cfg, n_mels);
                 let _ = pre_emphasis(&w, alpha);
                 if let Ok(mel) = mel_spectrogram(&w, StftConfig::speech_default(), 8) {

@@ -133,25 +133,27 @@ impl Image {
     /// Add zero-mean Gaussian noise with standard deviation `sigma` (in
     /// 8-bit counts), clamping to `[0, 255]`. Ziggurat sampling
     /// (Marsaglia–Tsang) over the provided RNG: one random word, one table
-    /// compare, and one multiply per pixel on the fast path, against the
-    /// ln/sqrt/sincos per pair that Box–Muller pays.
+    /// compare, and one multiply per pair of bytes on the fast path, against
+    /// the ln/sqrt/sincos per pair that Box–Muller pays.
+    ///
+    /// Two passes per fixed stack chunk: a draw pass
+    /// ([`crate::ziggurat::fill_standard_normal`]) and an apply pass that
+    /// vectorizes. Byte `i` always gets normal `i` of the stream, so the
+    /// chunking changes neither the output nor the words drawn. A normal is
+    /// finite and so is `sigma`, so the sum fed to `round_to_u8` is never
+    /// NaN.
     pub fn gaussian_noise<R: Rng + ?Sized>(&self, sigma: f32, rng: &mut R) -> Image {
         assert!(sigma >= 0.0 && sigma.is_finite(), "sigma must be nonnegative");
-        let mut data = vec![0u8; self.data.len()];
+        // Even, so only the last chunk can hold an odd byte count.
+        const CHUNK: usize = 256;
+        let mut data = Vec::with_capacity(self.data.len());
         let mut rng = crate::ziggurat::BufferedRng::new(rng);
-        // `as u8` saturates, so `+ 0.5` + truncation rounds-and-clamps in
-        // one step — `f32::round` is not a single instruction on x86-64.
-        let mut out_pairs = data.chunks_exact_mut(2);
-        let src_pairs = self.data.chunks_exact(2);
-        let src_rem = src_pairs.remainder();
-        for (out, src) in (&mut out_pairs).zip(src_pairs) {
-            let (n0, n1) = crate::ziggurat::standard_normal_pair(&mut rng);
-            out[0] = (src[0] as f32 + n0 * sigma + 0.5) as u8;
-            out[1] = (src[1] as f32 + n1 * sigma + 0.5) as u8;
-        }
-        for (out, &b) in out_pairs.into_remainder().iter_mut().zip(src_rem) {
-            let n = crate::ziggurat::standard_normal(&mut rng);
-            *out = (b as f32 + n * sigma + 0.5) as u8;
+        let mut noise = [0.0f32; CHUNK];
+        for src in self.data.chunks(CHUNK) {
+            let noise = &mut noise[..src.len()];
+            crate::ziggurat::fill_standard_normal(&mut rng, noise);
+            let noisy = src.iter().zip(noise.iter()).map(|(&b, &n)| b as f32 + n * sigma + 0.5);
+            data.extend(noisy.map(round_to_u8));
         }
         Image::from_rgb(self.width, self.height, data)
     }
@@ -180,6 +182,22 @@ impl Image {
         }
         FloatImage { width: w, height: h, data }
     }
+}
+
+/// `x` truncated toward zero and clamped to `[0, 255]`: the saturating
+/// `x as u8` for every non-NaN `x`, so `round_to_u8(v + 0.5)` rounds `v`
+/// half up — `f32::round` is not a single instruction on x86-64.
+///
+/// Written as lane-wise float and integer ops so a loop over it
+/// vectorizes, which a saturating float-to-int cast does not: adding 2^23
+/// leaves the nearest integer to the clamped `y` in the low mantissa bits,
+/// and one is taken off when that rounded up.
+#[inline]
+fn round_to_u8(x: f32) -> u8 {
+    const TWO_23: f32 = 8_388_608.0;
+    let y = x.clamp(0.0, 255.0);
+    let m = y + TWO_23;
+    (m.to_bits() as u8) - u8::from(m - TWO_23 > y)
 }
 
 /// An `f32` image in planar CHW layout, values nominally in `[0, 1]` —
@@ -356,7 +374,7 @@ pub fn resize_bilinear(src: &Image, new_w: usize, new_h: usize) -> Image {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn gradient(w: usize, h: usize) -> Image {
         let mut img = Image::filled(w, h, [0, 0, 0]);
@@ -419,6 +437,64 @@ mod tests {
         assert_ne!(noisy, img);
         let mean: f64 = noisy.data().iter().map(|&b| b as f64).sum::<f64>() / noisy.data().len() as f64;
         assert!((mean - 128.0).abs() < 1.0, "noise should be zero-mean, got {mean}");
+    }
+
+    /// The per-pair noise loop the chunked draw/apply passes replaced: one
+    /// word per pair of bytes, then one word for an odd last byte.
+    fn gaussian_noise_ref<R: Rng + ?Sized>(img: &Image, sigma: f32, rng: &mut R) -> Image {
+        let mut data = vec![0u8; img.data.len()];
+        let mut rng = crate::ziggurat::BufferedRng::new(rng);
+        let mut out_pairs = data.chunks_exact_mut(2);
+        let src_pairs = img.data.chunks_exact(2);
+        let src_rem = src_pairs.remainder();
+        for (out, src) in (&mut out_pairs).zip(src_pairs) {
+            let (n0, n1) = crate::ziggurat::standard_normal_pair(&mut rng);
+            out[0] = (src[0] as f32 + n0 * sigma + 0.5) as u8;
+            out[1] = (src[1] as f32 + n1 * sigma + 0.5) as u8;
+        }
+        for (out, &b) in out_pairs.into_remainder().iter_mut().zip(src_rem) {
+            let n = crate::ziggurat::standard_normal(&mut rng);
+            *out = (b as f32 + n * sigma + 0.5) as u8;
+        }
+        Image::from_rgb(img.width, img.height, data)
+    }
+
+    #[test]
+    fn round_to_u8_is_the_saturating_cast() {
+        let mut xs = vec![0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::MAX, f32::MIN];
+        xs.extend([f32::MIN_POSITIVE, -f32::MIN_POSITIVE, 1e-45, -1e-45, 1e9, -1e9]);
+        // Every multiple of 2^-12 over [-2, 258], and the floats either side
+        // of each: integers, halves and the steps between them.
+        for k in -(2 << 12)..(258 << 12) {
+            let x = k as f32 / 4096.0;
+            xs.extend([x, x.next_down(), x.next_up()]);
+        }
+        for x in xs {
+            assert_eq!(round_to_u8(x), x as u8, "{x:e}");
+        }
+    }
+
+    proptest::proptest! {
+        /// The chunked noise against the per-pair reference, byte for byte,
+        /// and the caller's generator state after the call: sizes from 1×1
+        /// up (odd byte counts, non-multiples of the chunk, several buffer
+        /// refills), `sigma = 1e6` saturating both ends.
+        #[test]
+        fn gaussian_noise_matches_per_pair_reference(
+            w in 1usize..48,
+            h in 1usize..48,
+            sigma_pick in 0usize..3,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let sigma = [0.0, 2.0, 1e6][sigma_pick];
+            let img = gradient(w, h);
+            let mut got_rng = StdRng::seed_from_u64(seed);
+            let mut want_rng = got_rng.clone();
+            let got = img.gaussian_noise(sigma, &mut got_rng);
+            let want = gaussian_noise_ref(&img, sigma, &mut want_rng);
+            proptest::prop_assert_eq!(got.data(), want.data());
+            proptest::prop_assert_eq!(got_rng.next_u64(), want_rng.next_u64());
+        }
     }
 
     #[test]

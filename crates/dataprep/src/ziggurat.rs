@@ -3,7 +3,7 @@
 //! The Gaussian-noise augmentation stage draws one normal variate per byte of
 //! image data, which made the Box–Muller transform (one `ln`, one `sqrt`, one
 //! `sin_cos` per pair of variates) the hottest kernel in the image pipeline.
-//! The Marsaglia–Tsang ziggurat replaces that with, on ~98.8% of draws, a
+//! The Marsaglia–Tsang ziggurat replaces that with, on ~98.5% of draws, a
 //! single 64-bit random word, one table lookup, one compare, and one multiply.
 //!
 //! Layout: 256 horizontal layers of equal area `V` covering the right half of
@@ -16,26 +16,39 @@
 use rand::{Rng, RngCore};
 use std::sync::OnceLock;
 
+/// Words [`BufferedRng`] pulls from its inner generator per refill.
+const WORDS: usize = 64;
+
 /// Amortizes RNG dispatch overhead: pulls 64 words at a time from the inner
-/// generator via one `fill_bytes` call, then serves `next_u64` from the local
-/// buffer. Matters when the inner generator sits behind `&mut dyn RngCore`
-/// (as in [`crate::pipeline::PrepStage::apply`]) — per-draw virtual calls
-/// would otherwise dominate the ziggurat's ~2 ns fast path.
+/// generator via one `fill_bytes` call straight into the word slots, then
+/// serves `next_u64` from the local buffer. Matters when the inner generator
+/// sits behind `&mut dyn RngCore` (as in
+/// [`crate::pipeline::PrepStage::apply`]). On a 2-vCPU 2.0 GHz x86-64 host
+/// a virtual `next_u64` costs ~2.1 ns per word, while a refill through the
+/// vendored `StdRng::fill_bytes` costs ~1.5 ns per word, the xoshiro256++
+/// chain itself, since that fill stores whole words (4.4 ns per word when
+/// it copied each word with a variable-length copy); a buffered word is
+/// then one load.
 ///
 /// The word stream is identical to calling `next_u64` on the inner generator
 /// directly (for generators whose `fill_bytes` emits little-endian
 /// `next_u64` output, as the vendored `StdRng` does); unconsumed buffered
-/// words are discarded on drop, so the *inner* generator may advance further
-/// than the words consumed.
+/// words are discarded on drop, so the *inner* generator advances in whole
+/// 64-word blocks, further than the words consumed.
 pub struct BufferedRng<'a, R: RngCore + ?Sized> {
     inner: &'a mut R,
-    buf: [u64; 64],
+    buf: [[u8; 8]; WORDS],
     pos: usize,
 }
 
 impl<'a, R: RngCore + ?Sized> BufferedRng<'a, R> {
     pub fn new(inner: &'a mut R) -> Self {
-        Self { inner, buf: [0; 64], pos: 64 }
+        Self { inner, buf: [[0; 8]; WORDS], pos: WORDS }
+    }
+
+    fn refill(&mut self) {
+        self.inner.fill_bytes(self.buf.as_flattened_mut());
+        self.pos = 0;
     }
 }
 
@@ -47,15 +60,10 @@ impl<R: RngCore + ?Sized> RngCore for BufferedRng<'_, R> {
 
     #[inline]
     fn next_u64(&mut self) -> u64 {
-        if self.pos == self.buf.len() {
-            let mut bytes = [0u8; 512];
-            self.inner.fill_bytes(&mut bytes);
-            for (w, c) in self.buf.iter_mut().zip(bytes.chunks_exact(8)) {
-                *w = u64::from_le_bytes(c.try_into().unwrap());
-            }
-            self.pos = 0;
+        if self.pos == WORDS {
+            self.refill();
         }
-        let w = self.buf[self.pos];
+        let w = u64::from_le_bytes(self.buf[self.pos]);
         self.pos += 1;
         w
     }
@@ -73,9 +81,9 @@ const R: f64 = 3.654_152_885_361_009;
 const V: f64 = 4.928_673_233_974_655e-3;
 
 struct Tables {
-    /// `x[i]` = right edge of layer `i` (x[0] = V/f(R) pseudo-edge, x[255]=R
-    /// at the top... actually x is descending: x[0] is the widest). Stored as
-    /// f32 for the fast-path multiply.
+    /// `x[i]` = right edge of layer `i`, descending: `x[0]` is the pseudo-edge
+    /// `V/f(R)` of the base strip, `x[1] = R`, and the edges fall to ~0 at
+    /// `x[256]`. Stored as f32 for the fast-path multiply.
     x: [f32; LAYERS + 1],
     /// `f(x[i])` — density at each edge, for the wedge rejection test.
     f: [f32; LAYERS + 1],
@@ -132,25 +140,35 @@ fn tables() -> &'static Tables {
     })
 }
 
+/// Whether draw word `h` lands inside its layer's rectangle (~98.5% of
+/// draws), the fast path of [`rect`].
+#[inline]
+fn in_rect(t: &Tables, h: u32) -> bool {
+    (h >> 9) < t.k[(h & 0xff) as usize]
+}
+
+/// The fast-path variate of a draw word inside its rectangle: one
+/// int→float convert and one multiply. The sign is applied by XOR-ing the
+/// random bit into the f32 sign bit rather than branching on it — a 50/50
+/// branch would mispredict half the time.
+#[inline]
+fn rect(t: &Tables, h: u32) -> f32 {
+    let xf = (h >> 9) as f32 * t.w[(h & 0xff) as usize];
+    let sign_bit = (h & 0x100) << 23;
+    f32::from_bits(xf.to_bits() ^ sign_bit)
+}
+
 /// Resolve one 32-bit draw word: layer index in bits 0..8, sign in bit 8,
 /// mantissa in bits 9..32.
 #[inline]
 fn from_word<G: Rng + ?Sized>(t: &Tables, h: u32, rng: &mut G) -> f32 {
-    let i = (h & 0xff) as usize; // layer index
-    let u23 = h >> 9; // 23 uniform mantissa bits
-    // Fast path: entirely inside layer i's rectangle (~98.8% of draws).
-    // One compare, one int→float convert, one multiply; the sign is applied
-    // by XOR-ing the random bit into the f32 sign bit rather than branching
-    // on it — a 50/50 branch would mispredict half the time.
-    if u23 < t.k[i] {
-        let xf = u23 as f32 * t.w[i];
-        let sign_bit = (h & 0x100) << 23;
-        return f32::from_bits(xf.to_bits() ^ sign_bit);
+    if in_rect(t, h) {
+        return rect(t, h);
     }
     edge_case(t, h, rng)
 }
 
-/// Tail and wedge handling (~1.2% of draws).
+/// Tail and wedge handling (~1.5% of draws).
 #[cold]
 fn edge_case<G: Rng + ?Sized>(t: &Tables, h: u32, rng: &mut G) -> f32 {
     let i = (h & 0xff) as usize;
@@ -186,15 +204,63 @@ pub fn standard_normal<G: Rng + ?Sized>(rng: &mut G) -> f32 {
     from_word(t, bits as u32, rng)
 }
 
-/// Draw two standard normal variates from a single 64-bit word — the bulk
-/// path for per-byte noise generation, where RNG dispatch is half the cost.
-#[inline]
-pub fn standard_normal_pair<G: Rng + ?Sized>(rng: &mut G) -> (f32, f32) {
+/// Draw two standard normal variates from a single 64-bit word, low half
+/// first. [`fill_standard_normal`] is the bulk form; this per-pair form is
+/// its test reference.
+#[cfg(test)]
+pub(crate) fn standard_normal_pair<G: Rng + ?Sized>(rng: &mut G) -> (f32, f32) {
     let t = tables();
     let bits = rng.next_u64();
     let a = from_word(t, bits as u32, rng);
     let b = from_word(t, (bits >> 32) as u32, rng);
     (a, b)
+}
+
+/// Fill `out` with standard normal variates: the bulk path for per-byte
+/// noise. Draws exactly what one word per pair of slots (low half first)
+/// and then [`standard_normal`] for an odd last slot would: the same words
+/// in the same order, and the same words consumed by edge cases. The
+/// per-pair loop survives as the tests' reference.
+///
+/// The loop walks the buffered words with a local cursor and tests both
+/// halves of a word against their rectangles together, so a pair costs one
+/// well-predicted branch. Only a word with a half outside (~3% of words)
+/// leaves the loop for `edge_pair`, which draws through the same buffer
+/// (and may refill it mid-draw).
+pub fn fill_standard_normal<R: RngCore + ?Sized>(rng: &mut BufferedRng<'_, R>, out: &mut [f32]) {
+    let t = tables();
+    let (pairs, odd) = out.split_at_mut(out.len() & !1);
+    let mut pos = rng.pos;
+    for pair in pairs.chunks_exact_mut(2) {
+        if pos == WORDS {
+            rng.refill();
+            pos = 0;
+        }
+        let w = u64::from_le_bytes(rng.buf[pos]);
+        pos += 1;
+        let (lo, hi) = (w as u32, (w >> 32) as u32);
+        if in_rect(t, lo) & in_rect(t, hi) {
+            pair[0] = rect(t, lo);
+            pair[1] = rect(t, hi);
+        } else {
+            rng.pos = pos;
+            (pair[0], pair[1]) = edge_pair(t, lo, hi, rng);
+            pos = rng.pos;
+        }
+    }
+    rng.pos = pos;
+    if let Some(last) = odd.first_mut() {
+        *last = standard_normal(rng);
+    }
+}
+
+/// Both halves of a word with at least one half outside its rectangle, low
+/// half first, drawing any extra words from `rng`.
+#[cold]
+#[inline(never)]
+fn edge_pair<G: Rng + ?Sized>(t: &Tables, lo: u32, hi: u32, rng: &mut G) -> (f32, f32) {
+    let a = from_word(t, lo, rng);
+    (a, from_word(t, hi, rng))
 }
 
 #[cfg(test)]
@@ -225,15 +291,14 @@ mod tests {
         let (mut s1, mut s2, mut s4) = (0.0f64, 0.0f64, 0.0f64);
         let mut tail = 0usize;
         // Exercise the bulk path: both halves of each word.
-        for _ in 0..n / 2 {
-            let (a, b) = standard_normal_pair(&mut rng);
-            for z in [a as f64, b as f64] {
-                s1 += z;
-                s2 += z * z;
-                s4 += z * z * z * z;
-                if z.abs() > 3.0 {
-                    tail += 1;
-                }
+        let mut zs = vec![0.0f32; n];
+        fill_standard_normal(&mut BufferedRng::new(&mut rng), &mut zs);
+        for z in zs.into_iter().map(f64::from) {
+            s1 += z;
+            s2 += z * z;
+            s4 += z * z * z * z;
+            if z.abs() > 3.0 {
+                tail += 1;
             }
         }
         let mean = s1 / n as f64;
@@ -258,6 +323,78 @@ mod tests {
             }
         }
         assert!(seen_tail, "tail beyond R={R} never sampled");
+    }
+
+    /// A generator that hands out scripted words at scripted indices and
+    /// fast-path words everywhere else, counting the words it hands out.
+    /// Its other words keep `StdRng`'s bits except that each half's layer
+    /// is forced into 1..=128 and its mantissa below 2^21, inside every one
+    /// of those rectangles, so the output index of a scripted word is known.
+    struct Scripted {
+        base: StdRng,
+        script: Vec<(usize, u64)>,
+        drawn: usize,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            (self.next_u64() >> 32) as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            let w = self.base.next_u64();
+            let w = (w & !0xC000_00FF_C000_00FF) | ((w & 0x7F_0000_007F) + 0x1_0000_0001);
+            let at = self.drawn;
+            self.drawn += 1;
+            self.script.iter().find(|&&(i, _)| i == at).map_or(w, |&(_, s)| s)
+        }
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            for chunk in dest.chunks_mut(8) {
+                let bytes = self.next_u64().to_le_bytes();
+                let n = chunk.len();
+                chunk.copy_from_slice(&bytes[..n]);
+            }
+        }
+    }
+
+    /// Draw word of layer `i` with the largest mantissa, which is outside
+    /// every rectangle: a wedge draw for `i > 0`, a tail draw for `i = 0`.
+    fn edge_word(i: u32) -> u64 {
+        u64::from(i | (((1 << MANTISSA_BITS) - 1) << 9))
+    }
+
+    #[test]
+    fn edge_cases_refill_mid_draw_like_the_per_pair_path() {
+        // Word 63 is the last of the first buffer: wedge low half, tail high
+        // half, so `edge_case` refills before either resolves. Word 127 ends
+        // the second buffer with a wedge alone, and word 130 puts both in
+        // the middle of the third.
+        assert!(tables().k[1..=128].iter().all(|&k| k >= 1 << 21), "unscripted words are fast");
+        let (wedge, tail) = (edge_word(5), edge_word(0));
+        let script = vec![
+            (63, wedge | tail << 32),
+            (127, 3 << 32 | edge_word(200)),
+            (130, tail | wedge << 32),
+        ];
+        let scripted = || Scripted { base: StdRng::seed_from_u64(3), script: script.clone(), drawn: 0 };
+        for len in [128usize, 255, 256, 300] {
+            let (mut got_inner, mut want_inner) = (scripted(), scripted());
+            let mut got = vec![0.0f32; len];
+            fill_standard_normal(&mut BufferedRng::new(&mut got_inner), &mut got);
+            let mut want = Vec::with_capacity(len);
+            let mut rng = BufferedRng::new(&mut want_inner);
+            for _ in 0..len / 2 {
+                let (a, b) = standard_normal_pair(&mut rng);
+                want.extend([a, b]);
+            }
+            if len % 2 == 1 {
+                want.push(standard_normal(&mut rng));
+            }
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "length {len}");
+            assert_eq!(got_inner.drawn, want_inner.drawn, "inner words drawn at length {len}");
+            assert_eq!(got_inner.drawn % WORDS, 0, "whole 64-word blocks");
+            assert!(got[127].abs() > R as f32, "word 63's high half is a tail draw");
+        }
     }
 
     #[test]

@@ -221,16 +221,49 @@ pub fn run_batch_scaling(
 ) -> Vec<(usize, f64, f64, f32)> {
     let points = batch_scaling_points(base_batch, batches, cfg.lr);
     let prep = prepare_scaling(cfg);
-    let accs: Vec<f64> =
-        points.iter().map(|&(b, lr)| run_with_batch_prepared(&prep, b, lr)).collect();
+    let accs = run_distinct_points(&points, |distinct| {
+        distinct.iter().map(|&(b, lr)| run_with_batch_prepared(&prep, b, lr)).collect()
+    });
     reduce_batch_scaling(base_batch, batches, cfg.lr, &accs)
 }
 
-/// Every `(batch, learning rate)` training run [`run_batch_scaling`]
-/// performs, in evaluation order. Each run is independent and fully
-/// self-seeded ([`run_with_batch`]), so callers may execute the points in
-/// parallel and fold the accuracies back with [`reduce_batch_scaling`] for a
-/// result identical to the sequential one.
+/// Run each distinct `(batch, learning rate)` of `points` once and fan the
+/// accuracies back out in `points` order, ready for
+/// [`reduce_batch_scaling`]. The rate grid can repeat a point (at a 4×
+/// batch, `√4 = 4/2`), and a run is deterministic, so a repeat's accuracy
+/// is the first run's. `run` gets the distinct points in first-seen order
+/// and returns one accuracy per point; rates compare by bits.
+///
+/// # Panics
+///
+/// Panics if `run` returns a different number of accuracies.
+pub fn run_distinct_points(
+    points: &[(usize, f32)],
+    run: impl FnOnce(Vec<(usize, f32)>) -> Vec<f64>,
+) -> Vec<f64> {
+    let mut distinct: Vec<(usize, f32)> = Vec::new();
+    let slots: Vec<usize> = points
+        .iter()
+        .map(|&(b, lr)| {
+            let same = |&(db, dlr): &(usize, f32)| db == b && dlr.to_bits() == lr.to_bits();
+            distinct.iter().position(same).unwrap_or_else(|| {
+                distinct.push((b, lr));
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let n = distinct.len();
+    let accs = run(distinct);
+    assert_eq!(accs.len(), n, "one accuracy per distinct point");
+    slots.iter().map(|&i| accs[i]).collect()
+}
+
+/// Every `(batch, learning rate)` point of [`run_batch_scaling`]'s grid, in
+/// evaluation order; a point may repeat, and [`run_distinct_points`] runs it
+/// once. Each run is independent and fully self-seeded
+/// ([`run_with_batch`]), so callers may execute the points in parallel and
+/// fold the accuracies back with [`reduce_batch_scaling`] for a result
+/// identical to the sequential one.
 pub fn batch_scaling_points(
     base_batch: usize,
     batches: &[usize],
@@ -451,6 +484,38 @@ mod tests {
             "retuned lr should recover: fixed {big_fixed:.3}, tuned {big_tuned:.3}"
         );
         assert!(best_lr > cfg.lr, "the proper large-batch rate is larger");
+    }
+
+    #[test]
+    fn distinct_points_run_once_and_fan_out_in_order() {
+        let points = batch_scaling_points(32, &[32, 128, 256], 0.05);
+        assert_eq!(points.len(), 10);
+        let mut ran = Vec::new();
+        let accs = run_distinct_points(&points, |distinct| {
+            ran = distinct.clone();
+            distinct.iter().map(|&(b, lr)| b as f64 + f64::from(lr)).collect()
+        });
+        // (128, 0.1) twice in the grid, once in the runs.
+        assert_eq!(ran.len(), 9);
+        let want: Vec<f64> = points.iter().map(|&(b, lr)| b as f64 + f64::from(lr)).collect();
+        assert_eq!(accs, want);
+    }
+
+    #[test]
+    fn deduplicated_sweep_matches_the_full_sweep() {
+        let cfg = AugExperimentConfig { epochs: 2, ..quick_cfg() };
+        let batches = [32, 128, 256];
+        let prep = prepare_scaling(&cfg);
+        let full: Vec<f64> = batch_scaling_points(32, &batches, cfg.lr)
+            .iter()
+            .map(|&(b, lr)| run_with_batch_prepared(&prep, b, lr))
+            .collect();
+        let rows = run_batch_scaling(&cfg, 32, &batches);
+        let want = reduce_batch_scaling(32, &batches, cfg.lr, &full);
+        let bits = |r: &[(usize, f64, f64, f32)]| -> Vec<_> {
+            r.iter().map(|&(b, f, t, lr)| (b, f.to_bits(), t.to_bits(), lr.to_bits())).collect()
+        };
+        assert_eq!(bits(&rows), bits(&want));
     }
 
     #[test]
