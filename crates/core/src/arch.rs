@@ -227,11 +227,6 @@ impl ServerConfig {
         self.batch_override
     }
 
-    /// The explicit prep-pool size override, if one was set.
-    pub fn pool_override(&self) -> Option<usize> {
-        self.pool_fpgas
-    }
-
     /// The synchronization fabric model in effect.
     pub fn ring(&self) -> &RingModel {
         &self.ring
@@ -801,7 +796,7 @@ mod tests {
         assert_eq!(cfg.kind(), ServerKind::TrainBox);
         assert_eq!(cfg.n_accels(), 64);
         assert_eq!(cfg.batch_override(), Some(512));
-        assert_eq!(cfg.pool_override(), Some(32));
+        assert_eq!(cfg.pool_fpgas, Some(32));
         assert!(cfg.ring().link_bytes_per_sec > 0.0);
         assert!(cfg.validate().is_ok());
     }

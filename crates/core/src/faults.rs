@@ -9,10 +9,11 @@
 //! discrete-event datapath. The simulator then exercises the degraded
 //! modes: preparation work is rebalanced across surviving devices (greedy
 //! water-filling, the discrete analogue of max-min fairness), the
-//! synchronization ring is re-formed over the surviving accelerators (see
-//! [`trainbox_collective::reform`]), degraded links reshape the max-min
-//! flow rates, and transient request failures retry with exponential
-//! backoff.
+//! synchronization ring is re-formed over the surviving accelerators (the
+//! DES in [`crate::pipeline`] prices every sync with
+//! [`trainbox_collective::SyncModel::steps`] over the survivor count,
+//! `alive_accels()`), degraded links reshape the max-min flow rates, and
+//! transient request failures retry with exponential backoff.
 //!
 //! Determinism guarantee: a plan is data, not a random process. The same
 //! `(server, workload, config, plan)` tuple always produces the identical

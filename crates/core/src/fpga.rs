@@ -86,13 +86,6 @@ pub struct Utilization {
     pub dsp: f64,
 }
 
-impl Utilization {
-    /// The most-utilized resource fraction (what binds further additions).
-    pub fn max_fraction(&self) -> f64 {
-        self.lut.max(self.ff).max(self.bram).max(self.dsp)
-    }
-}
-
 /// Error when an engine mix does not fit a part.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FitError {
@@ -303,11 +296,5 @@ mod tests {
         assert_eq!(re, 2);
         // Total swap latency is modest even per the conservative constant.
         assert!(re as f64 * RECONFIG_SECS < 1.0);
-    }
-
-    #[test]
-    fn max_fraction_picks_binding_resource() {
-        let u = allocate(XCVU9P, &image_engines()).unwrap();
-        assert_eq!(u.max_fraction(), u.lut);
     }
 }

@@ -232,19 +232,6 @@ impl serde::Serialize for SimResult {
     }
 }
 
-impl SimResult {
-    /// Fraction of all transferred bytes that crossed the root complex —
-    /// the quantity Step 3 (clustering) drives to zero.
-    pub fn rc_share(&self) -> f64 {
-        let total: f64 = self.link_bytes.iter().sum();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.rc_bytes / total
-        }
-    }
-}
-
 /// Where a chunk currently is in the datapath.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Stage {
@@ -1937,7 +1924,8 @@ mod tests {
             .build();
         let base = run(&base_server, &w, &quick_cfg(), &FaultPlan::empty());
         assert!(base.rc_bytes > 0.0);
-        assert!(base.rc_share() > 0.3, "rc share {}", base.rc_share());
+        let rc_share = base.rc_bytes / base.link_bytes.iter().sum::<f64>();
+        assert!(rc_share > 0.3, "rc share {rc_share}");
         let tb_server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16)
             .batch_size(512)
             .build();

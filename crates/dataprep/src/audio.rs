@@ -45,18 +45,6 @@ pub enum AudioError {
         /// Available linear bins.
         n_bins: usize,
     },
-    /// The pre-emphasis coefficient must lie in `[0, 1)`.
-    AlphaOutOfRange {
-        /// The rejected coefficient.
-        alpha: f32,
-    },
-    /// MFCC coefficient counts must be in `1..=n_mels`.
-    BadCoefficientCount {
-        /// Requested coefficients.
-        n_coeffs: usize,
-        /// Available Mel bands.
-        n_mels: usize,
-    },
 }
 
 impl std::fmt::Display for AudioError {
@@ -71,12 +59,6 @@ impl std::fmt::Display for AudioError {
             AudioError::NoMelBands => write!(f, "need at least one mel band"),
             AudioError::TooFewBins { n_mels, n_bins } => {
                 write!(f, "need more linear bins than mel bands, got {n_bins} bins for {n_mels} bands")
-            }
-            AudioError::AlphaOutOfRange { alpha } => {
-                write!(f, "alpha must be in [0, 1), got {alpha}")
-            }
-            AudioError::BadCoefficientCount { n_coeffs, n_mels } => {
-                write!(f, "invalid coefficient count: {n_coeffs} not in 1..={n_mels}")
             }
         }
     }
@@ -128,17 +110,6 @@ impl Waveform {
         self.samples.len() * 2
     }
 
-    /// Add uniform noise of amplitude `level` (an audio augmentation of
-    /// §II-A: "add some noise into sound").
-    pub fn with_noise<R: Rng + ?Sized>(&self, level: f32, rng: &mut R) -> Waveform {
-        assert!(level >= 0.0 && level.is_finite(), "noise level must be nonnegative");
-        let samples = self
-            .samples
-            .iter()
-            .map(|&s| s + rng.gen_range(-1.0f32..1.0) * level)
-            .collect();
-        Waveform { samples, sample_rate: self.sample_rate }
-    }
 }
 
 /// A complex number for the FFT (kept minimal on purpose).
@@ -756,65 +727,6 @@ pub fn mel_spectrogram(
     Ok(MelBank::new(n_mels, spec.bins(), wave.sample_rate())?.apply(&spec))
 }
 
-
-/// Pre-emphasis filter `y[n] = x[n] - alpha·x[n-1]`, the classic speech
-/// front-end high-pass (part of "emerging complex data preparation
-/// algorithms", §III-C).
-///
-/// # Errors
-///
-/// [`AudioError::AlphaOutOfRange`] if `alpha` is not in `[0, 1)`.
-pub fn pre_emphasis(wave: &Waveform, alpha: f32) -> Result<Waveform, AudioError> {
-    if !(0.0..1.0).contains(&alpha) {
-        return Err(AudioError::AlphaOutOfRange { alpha });
-    }
-    let s = wave.samples();
-    let mut out = Vec::with_capacity(s.len());
-    out.push(s[0]);
-    for i in 1..s.len() {
-        out.push(s[i] - alpha * s[i - 1]);
-    }
-    Waveform::new(out, wave.sample_rate())
-}
-
-/// Type-II DCT over the Mel axis of a log-Mel spectrogram — MFCC features,
-/// keeping the first `n_coeffs` coefficients per frame.
-///
-/// # Errors
-///
-/// [`AudioError::BadCoefficientCount`] if `n_coeffs` is zero or exceeds the
-/// Mel band count.
-pub fn mfcc(log_mel: &Spectrogram, n_coeffs: usize) -> Result<Spectrogram, AudioError> {
-    let m = log_mel.bins();
-    if n_coeffs < 1 || n_coeffs > m {
-        return Err(AudioError::BadCoefficientCount { n_coeffs, n_mels: m });
-    }
-    // Orthonormal DCT-II basis.
-    let mut basis = vec![0.0f32; n_coeffs * m];
-    for k in 0..n_coeffs {
-        let scale = if k == 0 {
-            (1.0 / m as f32).sqrt()
-        } else {
-            (2.0 / m as f32).sqrt()
-        };
-        for j in 0..m {
-            basis[k * m + j] =
-                scale * (std::f32::consts::PI * k as f32 * (j as f32 + 0.5) / m as f32).cos();
-        }
-    }
-    let mut data = Vec::with_capacity(log_mel.frames() * n_coeffs);
-    for t in 0..log_mel.frames() {
-        for k in 0..n_coeffs {
-            let mut acc = 0.0f32;
-            for j in 0..m {
-                acc += basis[k * m + j] * log_mel.at(t, j);
-            }
-            data.push(acc);
-        }
-    }
-    Ok(Spectrogram::new(log_mel.frames(), n_coeffs, data))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1118,70 +1030,6 @@ mod tests {
     }
 
     #[test]
-    fn noise_augmentation_perturbs() {
-        let w = tone(220.0, 0.1, 8000);
-        let mut rng = StdRng::seed_from_u64(7);
-        let noisy = w.with_noise(0.1, &mut rng);
-        assert_ne!(w.samples(), noisy.samples());
-        let clean = w.with_noise(0.0, &mut rng);
-        assert_eq!(w.samples(), clean.samples());
-    }
-
-
-    #[test]
-    fn pre_emphasis_flattens_dc_keeps_highs() {
-        // DC input is almost eliminated; an alternating signal is boosted.
-        let dc = Waveform::new(vec![1.0; 256], 8000).unwrap();
-        let hp = pre_emphasis(&dc, 0.97).unwrap();
-        let tail_energy: f32 = hp.samples()[1..].iter().map(|v| v * v).sum();
-        assert!(tail_energy < 0.5, "dc should vanish: {tail_energy}");
-        let alt = Waveform::new((0..256).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect(), 8000).unwrap();
-        let hp = pre_emphasis(&alt, 0.97).unwrap();
-        let energy: f32 = hp.samples()[1..].iter().map(|v| v * v).sum();
-        let orig: f32 = alt.samples()[1..].iter().map(|v| v * v).sum();
-        assert!(energy > orig, "highs should be boosted");
-    }
-
-    #[test]
-    fn mfcc_shape_and_dc_coefficient() {
-        let w = crate::synth::speech_like_waveform(0.5, 16_000, 3);
-        let mel = mel_spectrogram(&w, StftConfig::speech_default(), 40).unwrap();
-        let coeffs = mfcc(&mel, 13).unwrap();
-        assert_eq!(coeffs.bins(), 13);
-        assert_eq!(coeffs.frames(), mel.frames());
-        // Coefficient 0 is the (scaled) frame mean of the log-Mel energies.
-        let t = coeffs.frames() / 2;
-        let mean: f32 = (0..40).map(|j| mel.at(t, j)).sum::<f32>() / 40.0;
-        let expect = mean * (40.0f32).sqrt();
-        assert!((coeffs.at(t, 0) - expect).abs() < 1e-3 * expect.abs().max(1.0));
-    }
-
-    #[test]
-    fn mfcc_dct_is_orthonormal() {
-        // Full-size DCT preserves per-frame energy (Parseval).
-        let mel = Spectrogram::new(3, 16, (0..48).map(|i| ((i * 13) % 7) as f32 - 3.0).collect());
-        let c = mfcc(&mel, 16).unwrap();
-        for t in 0..3 {
-            let e_in: f32 = (0..16).map(|j| mel.at(t, j).powi(2)).sum();
-            let e_out: f32 = (0..16).map(|k| c.at(t, k).powi(2)).sum();
-            assert!((e_in - e_out).abs() < 1e-3 * e_in.max(1.0), "{e_in} vs {e_out}");
-        }
-    }
-
-    #[test]
-    fn mfcc_rejects_too_many_coeffs() {
-        let mel = Spectrogram::new(1, 8, vec![0.0; 8]);
-        assert_eq!(
-            mfcc(&mel, 9),
-            Err(AudioError::BadCoefficientCount { n_coeffs: 9, n_mels: 8 })
-        );
-        assert_eq!(
-            mfcc(&mel, 0),
-            Err(AudioError::BadCoefficientCount { n_coeffs: 0, n_mels: 8 })
-        );
-    }
-
-    #[test]
     fn constructors_reject_bad_inputs_as_values() {
         assert_eq!(Waveform::new(vec![], 8000), Err(AudioError::EmptyWaveform));
         assert_eq!(Waveform::new(vec![0.0], 0), Err(AudioError::ZeroSampleRate));
@@ -1204,11 +1052,6 @@ mod tests {
             Err(AudioError::TooFewBins { n_mels: 40, n_bins: 40 })
         );
         assert_eq!(MelBank::new(4, 9, 0), Err(AudioError::ZeroSampleRate));
-        assert_eq!(
-            pre_emphasis(&w, 1.0),
-            Err(AudioError::AlphaOutOfRange { alpha: 1.0 })
-        );
-        assert!(pre_emphasis(&w, f32::NAN).is_err());
         // Errors render the same diagnostics the old asserts carried.
         let msg = AudioError::FftLengthNotPowerOfTwo { n: 12 }.to_string();
         assert!(msg.contains("power of two"), "{msg}");
@@ -1317,8 +1160,6 @@ mod tests {
             n_fft in 0usize..700,
             hop in 0usize..80,
             n_mels in 0usize..80,
-            alpha in -2.0f32..2.0,
-            n_coeffs in 0usize..90,
         ) {
             let _ = FftPlan::new(n_fft);
             let _ = MelBank::new(n_mels, n_fft, rate);
@@ -1331,10 +1172,6 @@ mod tests {
                     }
                 }
                 let _ = mel_spectrogram(&w, cfg, n_mels);
-                let _ = pre_emphasis(&w, alpha);
-                if let Ok(mel) = mel_spectrogram(&w, StftConfig::speech_default(), 8) {
-                    let _ = mfcc(&mel, n_coeffs);
-                }
             }
         }
 

@@ -254,122 +254,6 @@ impl FloatImage {
     }
 }
 
-
-/// RICAP augmentation (Takahashi et al., cited as \[43\] in §VII-B): randomly
-/// crop four source images and patch them into one new training image. The
-/// boundary point is drawn uniformly; each quadrant is filled with a random
-/// crop of the corresponding source.
-///
-/// Returns the composed image and the area fraction each source contributes
-/// (the label-mixing weights RICAP trains with).
-///
-/// # Errors
-///
-/// Returns [`PrepError::InvalidParam`] if any source is smaller than the
-/// output or the output has a zero dimension.
-pub fn ricap<R: Rng + ?Sized>(
-    sources: &[Image; 4],
-    out_w: usize,
-    out_h: usize,
-    rng: &mut R,
-) -> Result<(Image, [f64; 4]), PrepError> {
-    if out_w == 0 || out_h == 0 {
-        return Err(PrepError::InvalidParam("output dimensions must be positive".into()));
-    }
-    for s in sources {
-        if s.width() < out_w || s.height() < out_h {
-            return Err(PrepError::InvalidParam(format!(
-                "source {}x{} smaller than output {out_w}x{out_h}",
-                s.width(),
-                s.height()
-            )));
-        }
-    }
-    // Boundary point strictly inside so every quadrant is nonempty... RICAP
-    // allows degenerate quadrants; we draw over the full range.
-    let bx = rng.gen_range(0..=out_w);
-    let by = rng.gen_range(0..=out_h);
-    let quads = [
-        (0, 0, bx, by),
-        (bx, 0, out_w - bx, by),
-        (0, by, bx, out_h - by),
-        (bx, by, out_w - bx, out_h - by),
-    ];
-    let mut out = Image::filled(out_w, out_h, [0, 0, 0]);
-    let mut weights = [0.0f64; 4];
-    for (k, &(ox, oy, qw, qh)) in quads.iter().enumerate() {
-        weights[k] = (qw * qh) as f64 / (out_w * out_h) as f64;
-        if qw == 0 || qh == 0 {
-            continue;
-        }
-        let patch = sources[k].random_crop(qw, qh, rng)?;
-        for y in 0..qh {
-            for x in 0..qw {
-                out.set_pixel(ox + x, oy + y, patch.pixel(x, y));
-            }
-        }
-    }
-    Ok((out, weights))
-}
-
-/// Color-jitter augmentation: scale brightness and contrast around the
-/// mid-gray point, clamping to `[0, 255]`.
-///
-/// # Panics
-///
-/// Panics if a factor is not finite and positive.
-pub fn color_jitter(img: &Image, brightness: f32, contrast: f32) -> Image {
-    assert!(
-        brightness.is_finite() && brightness > 0.0 && contrast.is_finite() && contrast > 0.0,
-        "jitter factors must be positive"
-    );
-    let data = img
-        .data()
-        .iter()
-        .map(|&b| {
-            let v = b as f32 * brightness;
-            let v = (v - 128.0) * contrast + 128.0;
-            v.round().clamp(0.0, 255.0) as u8
-        })
-        .collect();
-    Image::from_rgb(img.width(), img.height(), data)
-}
-
-/// Bilinear resize (used when the stored size differs from the model input
-/// size; part of "cropping to match the model-specific size" in §II-A).
-///
-/// # Panics
-///
-/// Panics if a target dimension is zero.
-pub fn resize_bilinear(src: &Image, new_w: usize, new_h: usize) -> Image {
-    assert!(new_w > 0 && new_h > 0, "target dimensions must be positive");
-    let (w, h) = (src.width(), src.height());
-    let mut data = Vec::with_capacity(new_w * new_h * 3);
-    for y in 0..new_h {
-        // Align centers (standard half-pixel convention).
-        let fy = ((y as f32 + 0.5) * h as f32 / new_h as f32 - 0.5).clamp(0.0, (h - 1) as f32);
-        let y0 = fy.floor() as usize;
-        let y1 = (y0 + 1).min(h - 1);
-        let wy = fy - y0 as f32;
-        for x in 0..new_w {
-            let fx = ((x as f32 + 0.5) * w as f32 / new_w as f32 - 0.5).clamp(0.0, (w - 1) as f32);
-            let x0 = fx.floor() as usize;
-            let x1 = (x0 + 1).min(w - 1);
-            let wx = fx - x0 as f32;
-            let p00 = src.pixel(x0, y0);
-            let p01 = src.pixel(x1, y0);
-            let p10 = src.pixel(x0, y1);
-            let p11 = src.pixel(x1, y1);
-            for c in 0..3 {
-                let top = p00[c] as f32 * (1.0 - wx) + p01[c] as f32 * wx;
-                let bot = p10[c] as f32 * (1.0 - wx) + p11[c] as f32 * wx;
-                data.push((top * (1.0 - wy) + bot * wy).round().clamp(0.0, 255.0) as u8);
-            }
-        }
-    }
-    Image::from_rgb(new_w, new_h, data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,88 +410,6 @@ mod tests {
         assert!((f.at(0, 0, 0) - 0.0).abs() < 1e-6);
         assert!((f.at(1, 0, 0) - 0.0).abs() < 1e-6);
         assert!((f.at(2, 0, 0) - (127.0 / 255.0 - 0.5)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn resize_identity_and_downscale() {
-        let img = gradient(16, 16);
-        let same = resize_bilinear(&img, 16, 16);
-        assert_eq!(same, img);
-        let small = resize_bilinear(&img, 8, 8);
-        assert_eq!((small.width(), small.height()), (8, 8));
-        let up = resize_bilinear(&img, 32, 32);
-        assert_eq!((up.width(), up.height()), (32, 32));
-    }
-
-    #[test]
-    fn resize_solid_stays_solid() {
-        let img = Image::filled(10, 10, [42, 99, 200]);
-        let r = resize_bilinear(&img, 7, 13);
-        for y in 0..13 {
-            for x in 0..7 {
-                assert_eq!(r.pixel(x, y), [42, 99, 200]);
-            }
-        }
-    }
-
-
-    #[test]
-    fn ricap_composes_four_sources() {
-        let sources = [
-            Image::filled(32, 32, [255, 0, 0]),
-            Image::filled(32, 32, [0, 255, 0]),
-            Image::filled(32, 32, [0, 0, 255]),
-            Image::filled(32, 32, [255, 255, 0]),
-        ];
-        let mut rng = StdRng::seed_from_u64(5);
-        let (img, w) = ricap(&sources, 24, 24, &mut rng).unwrap();
-        assert_eq!((img.width(), img.height()), (24, 24));
-        // Weights are a probability distribution over the four sources.
-        let sum: f64 = w.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12);
-        // Every pixel comes from one of the four solid sources.
-        for y in 0..24 {
-            for x in 0..24 {
-                let p = img.pixel(x, y);
-                assert!(
-                    [[255, 0, 0], [0, 255, 0], [0, 0, 255], [255, 255, 0]].contains(&p),
-                    "unexpected pixel {p:?}"
-                );
-            }
-        }
-        // Corner pixels identify their quadrant's source when nonempty.
-        if w[0] > 0.0 {
-            assert_eq!(img.pixel(0, 0), [255, 0, 0]);
-        }
-        if w[3] > 0.0 {
-            assert_eq!(img.pixel(23, 23), [255, 255, 0]);
-        }
-    }
-
-    #[test]
-    fn ricap_rejects_small_sources() {
-        let sources = [
-            Image::filled(8, 8, [0; 3]),
-            Image::filled(32, 32, [0; 3]),
-            Image::filled(32, 32, [0; 3]),
-            Image::filled(32, 32, [0; 3]),
-        ];
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(ricap(&sources, 24, 24, &mut rng).is_err());
-    }
-
-    #[test]
-    fn color_jitter_identity_and_extremes() {
-        let img = gradient(16, 16);
-        assert_eq!(color_jitter(&img, 1.0, 1.0), img);
-        let dark = color_jitter(&img, 0.5, 1.0);
-        let mean = |i: &Image| i.data().iter().map(|&b| b as f64).sum::<f64>() / i.data().len() as f64;
-        assert!(mean(&dark) < mean(&img));
-        // Zero contrast collapses toward mid-gray.
-        let flat = color_jitter(&img, 1.0, 0.01);
-        for &b in flat.data() {
-            assert!((b as i32 - 128).abs() <= 3);
-        }
     }
 
     #[test]

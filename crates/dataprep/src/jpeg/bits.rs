@@ -52,18 +52,6 @@ impl BitWriter {
         }
         self.out
     }
-
-#[cfg_attr(not(test), allow(dead_code))]
-    /// Bytes emitted so far (excluding buffered bits).
-    pub fn len(&self) -> usize {
-        self.out.len()
-    }
-
-    /// True when nothing has been emitted or buffered.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn is_empty(&self) -> bool {
-        self.out.is_empty() && self.nbits == 0
-    }
 }
 
 /// MSB-first bit reader that unstuffs `0xFF 0x00` and stops at markers.
@@ -171,24 +159,12 @@ impl<'a> BitReader<'a> {
         DecodeError::UnexpectedEof
     }
 
-    /// Read one bit.
+    /// Read `n` bits MSB-first. `n = 0` reads nothing and returns 0.
     ///
     /// # Errors
     ///
     /// [`DecodeError::UnexpectedEof`] at end of data, or
     /// [`DecodeError::Malformed`] when hitting a non-restart marker.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn bit(&mut self) -> Result<u32, DecodeError> {
-        let v = self.peek(1);
-        self.consume(1)?;
-        Ok(v)
-    }
-
-    /// Read `n` bits MSB-first. `n = 0` reads nothing and returns 0.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`BitReader::bit`].
     ///
     /// # Panics
     ///
@@ -269,10 +245,10 @@ mod tests {
     #[test]
     fn reader_eof() {
         let mut r = BitReader::new(&[]);
-        assert_eq!(r.bit(), Err(DecodeError::UnexpectedEof));
+        assert_eq!(r.bits(1), Err(DecodeError::UnexpectedEof));
         let mut r = BitReader::new(&[0xab]);
         assert_eq!(r.bits(8).unwrap(), 0xab);
-        assert!(r.bit().is_err());
+        assert!(r.bits(1).is_err());
     }
 
     #[test]
@@ -280,7 +256,7 @@ mod tests {
         let data = [0x12, 0xff, 0xd9]; // EOI after one byte
         let mut r = BitReader::new(&data);
         assert_eq!(r.bits(8).unwrap(), 0x12);
-        assert!(matches!(r.bit(), Err(DecodeError::Malformed(_))));
+        assert!(matches!(r.bits(1), Err(DecodeError::Malformed(_))));
     }
 
     #[test]
@@ -301,9 +277,6 @@ mod tests {
 
     #[test]
     fn empty_writer() {
-        let w = BitWriter::new();
-        assert!(w.is_empty());
-        assert_eq!(w.len(), 0);
-        assert!(w.finish().is_empty());
+        assert!(BitWriter::new().finish().is_empty());
     }
 }

@@ -45,12 +45,6 @@ impl HuffEncoder {
         assert!(len > 0, "symbol 0x{symbol:02x} not in huffman table");
         w.put(self.code[symbol as usize] as u32, len as u32);
     }
-
-#[cfg_attr(not(test), allow(dead_code))]
-    /// Code length for `symbol` (0 when absent) — used by tests.
-    pub fn code_len(&self, symbol: u8) -> u8 {
-        self.len[symbol as usize]
-    }
 }
 
 /// Number of bits resolved by the single-lookup fast path in
@@ -75,12 +69,6 @@ pub struct HuffDecoder {
 }
 
 impl HuffDecoder {
-#[cfg_attr(not(test), allow(dead_code))]
-    /// Build from a table spec.
-    pub fn from_spec(spec: &HuffSpec) -> Self {
-        Self::from_bits_values(&spec.bits, spec.values.to_vec())
-    }
-
     /// Build from raw DHT payload (`bits` counts and symbol values).
     pub fn from_bits_values(bits: &[u8; 16], values: Vec<u8>) -> Self {
         let mut min_code = [0i32; 17];
@@ -186,7 +174,7 @@ mod tests {
     fn encoder_decoder_roundtrip_all_symbols() {
         for spec in [LUMA_DC, CHROMA_DC, LUMA_AC, CHROMA_AC] {
             let enc = HuffEncoder::from_spec(&spec);
-            let dec = HuffDecoder::from_spec(&spec);
+            let dec = HuffDecoder::from_bits_values(&spec.bits, spec.values.to_vec());
             let mut w = BitWriter::new();
             for &sym in spec.values {
                 enc.put(&mut w, sym);
@@ -204,9 +192,9 @@ mod tests {
         // In K.3 (luma DC), category 0 has the 2-bit code 00 and category 2
         // the 3-bit code 011 (canonical order).
         let enc = HuffEncoder::from_spec(&LUMA_DC);
-        assert_eq!(enc.code_len(0), 2);
-        assert_eq!(enc.code_len(2), 3);
-        assert_eq!(enc.code_len(11), 9);
+        assert_eq!(enc.len[0], 2);
+        assert_eq!(enc.len[2], 3);
+        assert_eq!(enc.len[11], 9);
     }
 
     #[test]
@@ -237,7 +225,7 @@ mod tests {
     fn invalid_code_detected() {
         // LUMA_DC has no 1-bit codes; craft an impossible pattern by feeding
         // codes the table can't contain: all-ones 16+ bits maps to overflow.
-        let dec = HuffDecoder::from_spec(&LUMA_DC);
+        let dec = HuffDecoder::from_bits_values(&LUMA_DC.bits, LUMA_DC.values.to_vec());
         let bytes = [0xff, 0x00, 0xff, 0x00, 0xff, 0x00]; // stuffed all-ones
         let mut r = BitReader::new(&bytes);
         assert!(matches!(dec.get(&mut r), Err(DecodeError::Malformed(_))));

@@ -29,13 +29,9 @@
 pub mod audio;
 pub mod error;
 pub mod executor;
-pub mod flate;
 pub mod image;
 pub mod jpeg;
 pub mod pipeline;
-pub mod policy;
-pub mod png;
-pub mod sampler;
 pub mod shard;
 pub mod synth;
 pub mod tokenize;

@@ -118,26 +118,6 @@ impl PrepStage for JpegDecode {
     }
 }
 
-/// PNG decode — the alternative image-formatting engine of §VII-A, swapped
-/// onto the accelerator with partial reconfiguration for PNG-stored corpora.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PngDecode;
-
-impl PrepStage for PngDecode {
-    fn name(&self) -> &'static str {
-        "png-decode"
-    }
-    fn class(&self) -> StageClass {
-        StageClass::Formatting
-    }
-    fn apply(&self, item: DataItem, _rng: &mut dyn RngCore) -> Result<DataItem, PrepError> {
-        match item {
-            DataItem::EncodedImage(bytes) => Ok(DataItem::Image(crate::png::decode(&bytes)?)),
-            other => Err(mismatch(self, "encoded image", &other)),
-        }
-    }
-}
-
 /// Random-basis crop to `width × height` (formatting size match + crop-basis
 /// augmentation rolled together, as §II-A notes they cannot be separated).
 #[derive(Debug, Clone, Copy)]
@@ -380,11 +360,6 @@ impl PrepPipeline {
         self
     }
 
-    /// Stage names, in order.
-    pub fn stage_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|s| s.name()).collect()
-    }
-
     /// Number of stages.
     pub fn len(&self) -> usize {
         self.stages.len()
@@ -458,17 +433,6 @@ impl PrepPipeline {
             .then(CastFloat)
     }
 
-    /// The image path for PNG-stored corpora (§VII-A): PNG decode replaces
-    /// the JPEG decoder; everything downstream is unchanged.
-    pub fn standard_image_png() -> Self {
-        PrepPipeline::new()
-            .then(PngDecode)
-            .then(RandomCrop { width: 224, height: 224 })
-            .then(Mirror { prob: 0.5 })
-            .then(GaussianNoise { sigma: 2.0 })
-            .then(CastFloat)
-    }
-
     /// The standard audio path of Fig 17 / Table III: spectrogram → Mel
     /// filter bank → masking → norm.
     pub fn standard_audio() -> Self {
@@ -531,19 +495,6 @@ pub fn prepare_image_sample(seed: u64, rng: &mut dyn RngCore) -> Result<DataItem
     )
 }
 
-/// Convenience: produce the accelerator-ready features for one synthetic
-/// LibriSpeech-like clip.
-///
-/// # Errors
-///
-/// Propagates pipeline failures (none expected on generated data).
-pub fn prepare_audio_sample(seed: u64, rng: &mut dyn RngCore) -> Result<DataItem, PrepError> {
-    PrepPipeline::standard_audio().run(
-        DataItem::Waveform(crate::synth::librispeech_like_clip(seed)),
-        rng,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,7 +517,8 @@ mod tests {
     #[test]
     fn audio_pipeline_produces_mel_features() {
         let mut rng = StdRng::seed_from_u64(0);
-        let out = prepare_audio_sample(5, &mut rng).unwrap();
+        let clip = DataItem::Waveform(crate::synth::librispeech_like_clip(5));
+        let out = PrepPipeline::standard_audio().run(clip, &mut rng).unwrap();
         match out {
             DataItem::Spectrogram(s) => {
                 assert_eq!(s.bins(), 80);
@@ -620,39 +572,24 @@ mod tests {
         assert!(decode.mean_secs() > 0.0);
     }
 
+    fn stage_names(p: &PrepPipeline) -> Vec<&'static str> {
+        p.stages.iter().map(|s| s.name()).collect()
+    }
+
     #[test]
     fn stage_classes_partition_pipeline() {
         let p = PrepPipeline::standard_image();
         assert_eq!(p.len(), 5);
         assert!(!p.is_empty());
         assert_eq!(
-            p.stage_names(),
+            stage_names(&p),
             vec!["jpeg-decode", "crop", "mirror", "gaussian-noise", "cast"]
         );
         let a = PrepPipeline::standard_audio();
         assert_eq!(
-            a.stage_names(),
+            stage_names(&a),
             vec!["spectrogram", "mel-filterbank", "masking", "norm"]
         );
-    }
-
-    #[test]
-    fn png_pipeline_produces_224_float_tensor() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let png = crate::synth::imagenet_like_png(4);
-        let out = PrepPipeline::standard_image_png()
-            .run(DataItem::EncodedImage(png), &mut rng)
-            .unwrap();
-        match out {
-            DataItem::FloatImage(f) => assert_eq!((f.width(), f.height()), (224, 224)),
-            other => panic!("expected float image, got {}", other.kind_name()),
-        }
-        // Feeding a JPEG into the PNG engine is a decode error, not a panic.
-        let jpeg = crate::synth::imagenet_like_jpeg(4);
-        let err = PrepPipeline::standard_image_png()
-            .run(DataItem::EncodedImage(jpeg), &mut rng)
-            .unwrap_err();
-        assert!(matches!(err, PrepError::Decode(_)));
     }
 
     #[test]

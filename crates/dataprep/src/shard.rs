@@ -12,7 +12,6 @@
 //! so truncation and corruption are detected at read time.
 
 use crate::error::DecodeError;
-use crate::png::crc32;
 
 /// Magic prefix identifying a shard file.
 const MAGIC: &[u8; 8] = b"TBSHARD1";
@@ -141,10 +140,42 @@ pub fn distribute<'a>(items: impl Iterator<Item = &'a [u8]>, shards: usize) -> V
     writers.into_iter().map(ShardWriter::finish).collect()
 }
 
+/// CRC-32 (ISO 3309, the polynomial PNG and zlib use) over `data`.
+fn crc32(data: &[u8]) -> u32 {
+    fn table() -> &'static [u32; 256] {
+        use std::sync::OnceLock;
+        static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
+        TABLE.get_or_init(|| {
+            let mut t = [0u32; 256];
+            for (n, e) in t.iter_mut().enumerate() {
+                let mut c = n as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+                }
+                *e = c;
+            }
+            t
+        })
+    }
+    let t = table();
+    let mut c = 0xFFFF_FFFFu32;
+    for &b in data {
+        c = t[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::synth::imagenet_like_jpeg;
+
+    #[test]
+    fn crc32_known_vectors() {
+        assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b"IEND"), 0xAE42_6082);
+    }
 
     #[test]
     fn roundtrip_records() {

@@ -74,12 +74,6 @@ pub fn imagenet_like_jpeg(seed: u64) -> Vec<u8> {
     jpeg::encode(&synthetic_image(IMAGENET_EDGE, IMAGENET_EDGE, seed), 90)
 }
 
-/// An ImageNet-like stored sample in PNG form (for the §VII-A alternative
-/// input-format path).
-pub fn imagenet_like_png(seed: u64) -> Vec<u8> {
-    crate::png::encode(&synthetic_image(IMAGENET_EDGE, IMAGENET_EDGE, seed))
-}
-
 /// A speech-like waveform: a pitch-modulated harmonic stack shaped by two
 /// formant-ish amplitude resonances, syllabic energy modulation, and a noise
 /// floor. Deterministic in `seed`.

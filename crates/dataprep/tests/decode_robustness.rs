@@ -1,26 +1,22 @@
 //! Decoder robustness: corrupted inputs must fail with `Err`, never panic.
 //!
 //! The data-preparation pipeline feeds attacker-adjacent bytes (files read
-//! straight off SSDs) into the JPEG and PNG decoders, so a malformed stream
-//! must never take down a prep worker. These properties encode, then
-//! corrupt, then decode:
+//! straight off SSDs) into the JPEG decoder, so a malformed stream must
+//! never take down a prep worker. These properties encode, then corrupt,
+//! then decode:
 //!
-//! * **Truncation** — a strict prefix of a valid PNG always errors (the
-//!   stream loses IEND or cuts a chunk mid-way). A strict prefix of a JPEG
-//!   usually errors too, but a cut that only sheds the EOI marker or
-//!   trailing padding bits can still decode — there the property is only
-//!   "returns without panicking".
+//! * **Truncation** — a strict prefix of a JPEG usually errors, but a cut
+//!   that only sheds the EOI marker or trailing padding bits can still
+//!   decode — there the property is only "returns without panicking".
 //! * **Bit flips** — flipping one bit anywhere must yield `Ok` or `Err`,
-//!   never a panic. (PNG additionally rejects any flip outside ancillary
-//!   regions via CRC, but the no-panic property is what we pin.)
+//!   never a panic.
 
 use proptest::prelude::*;
 use trainbox_dataprep::jpeg;
-use trainbox_dataprep::png;
 use trainbox_dataprep::Image;
 
 /// Build a small image whose pixels cycle through `palette` bytes, so the
-/// encoders see varied (not flat) data without needing an exact-size vec
+/// encoder sees varied (not flat) data without needing an exact-size vec
 /// strategy.
 fn test_image(width: usize, height: usize, palette: &[u8]) -> Image {
     let n = width * height * 3;
@@ -43,24 +39,6 @@ fn flip_bit(bytes: &mut [u8], bit: usize) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn truncated_png_always_errs(
-        w in 1usize..8,
-        h in 1usize..8,
-        palette in proptest::collection::vec(any::<u8>(), 0..32),
-        cut_frac in 0.0f64..1.0,
-    ) {
-        let bytes = png::encode(&test_image(w, h, &palette));
-        // Strictly shorter than the full stream: IEND (or a chunk tail)
-        // is guaranteed to be missing.
-        let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
-        prop_assert!(
-            png::decode(&bytes[..cut]).is_err(),
-            "decoding a {cut}-byte prefix of a {}-byte PNG must fail",
-            bytes.len()
-        );
-    }
 
     #[test]
     fn truncated_jpeg_never_panics(
@@ -89,25 +67,6 @@ proptest! {
     }
 
     #[test]
-    fn bit_flipped_png_never_panics(
-        w in 1usize..8,
-        h in 1usize..8,
-        palette in proptest::collection::vec(any::<u8>(), 0..32),
-        bit_frac in 0.0f64..1.0,
-    ) {
-        let mut bytes = png::encode(&test_image(w, h, &palette));
-        let nbits = bytes.len() * 8;
-        let bit = ((nbits - 1) as f64 * bit_frac) as usize;
-        flip_bit(&mut bytes, bit);
-        // Must return without panicking; a flip in an ancillary byte can
-        // still decode, anything load-bearing fails the CRC or the parse.
-        if let Ok(img) = png::decode(&bytes) {
-            prop_assert_eq!(img.width(), w);
-            prop_assert_eq!(img.height(), h);
-        }
-    }
-
-    #[test]
     fn bit_flipped_jpeg_never_panics(
         w in 1usize..8,
         h in 1usize..8,
@@ -129,6 +88,5 @@ proptest! {
         data in proptest::collection::vec(any::<u8>(), 0..256),
     ) {
         let _ = jpeg::decode(&data);
-        let _ = png::decode(&data);
     }
 }

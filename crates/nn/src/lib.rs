@@ -15,7 +15,6 @@
 //! a black-box throughput number measured on TPUs (§VI-A); what must be real
 //! here is the *data preparation's effect on accuracy*, not TPU-scale math.
 
-pub mod conv;
 pub mod layers;
 pub mod tensor;
 pub mod train;

@@ -136,27 +136,6 @@ impl StageCost {
         }
     }
 
-    /// Device seconds per sample (zero for host-CPU costs).
-    pub fn device_secs(&self) -> f64 {
-        match self {
-            StageCost::HostCpuSecs(_) => 0.0,
-            StageCost::AccelSamplesPerSec(r) => {
-                if *r > 0.0 {
-                    1.0 / *r
-                } else {
-                    f64::INFINITY
-                }
-            }
-            StageCost::Flops { flops_per_sample, device_flops_per_sec } => {
-                if *device_flops_per_sec > 0.0 {
-                    flops_per_sample / device_flops_per_sec
-                } else {
-                    f64::INFINITY
-                }
-            }
-        }
-    }
-
     fn validate(&self) -> Result<(), String> {
         let ok = |x: f64| x.is_finite() && x >= 0.0;
         match self {
@@ -1151,11 +1130,6 @@ impl Workload {
         (self.model_mbytes * 1e6) as u64
     }
 
-    /// Seconds one accelerator spends computing one batch.
-    pub fn batch_compute_secs(&self) -> f64 {
-        self.batch_size as f64 / self.accel_samples_per_sec
-    }
-
     /// Aggregate demand of `n` accelerators in samples/s (the data-prep
     /// throughput required to keep them fed).
     pub fn aggregate_demand(&self, n_accels: usize) -> f64 {
@@ -1202,7 +1176,6 @@ mod tests {
     fn derived_quantities() {
         let r = Workload::resnet50();
         assert_eq!(r.model_bytes(), 97_500_000);
-        assert!((r.batch_compute_secs() - 8192.0 / 7431.0).abs() < 1e-9);
         assert!((r.aggregate_demand(256) - 256.0 * 7431.0).abs() < 1e-6);
     }
 

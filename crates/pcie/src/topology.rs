@@ -289,12 +289,6 @@ impl Topology {
         src == self.root() || dst == self.root() || self.lca(src, dst) == self.root()
     }
 
-    /// The minimum per-direction bandwidth along a route (its static capacity
-    /// ignoring contention). Returns `None` for an empty route.
-    pub fn route_capacity(&self, route: &[LinkId]) -> Option<Bandwidth> {
-        route.iter().map(|&l| self.link(l).bandwidth).min()
-    }
-
     /// Number of physical ports a switch uses: its children plus the uplink
     /// to its parent. Real parts bound this (the paper's PEX8796 has six
     /// links: one up, five down — §V-D).
@@ -393,14 +387,6 @@ mod tests {
         for l in &there {
             assert!(!back.contains(l), "up and down directions must use distinct links");
         }
-    }
-
-    #[test]
-    fn route_capacity_is_min_link() {
-        let (t, _, ssd, _, acc1, _) = sample();
-        let route = t.route(ssd, acc1);
-        assert_eq!(t.route_capacity(&route), Some(Bandwidth::gen3_x4()));
-        assert_eq!(t.route_capacity(&[]), None);
         assert!(t.route(ssd, ssd).is_empty());
     }
 

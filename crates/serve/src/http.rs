@@ -165,12 +165,6 @@ impl RequestParser {
         matches!(self.phase, Phase::RequestLine | Phase::Headers)
     }
 
-    /// True once any byte has been fed: distinguishes a clean
-    /// connect-then-close from a request truncated mid-flight.
-    pub fn saw_bytes(&self) -> bool {
-        !self.buf.is_empty()
-    }
-
     /// The client sent `Expect: 100-continue` and is now waiting for the
     /// interim response before it ships the body. Returns true exactly
     /// once, after the header section is parsed.

@@ -156,7 +156,7 @@ const CHEAP_WINDOW_EVENTS: u64 = 2048;
 /// observes the exact same sequence either way, and results are
 /// byte-identical by construction.
 ///
-/// A window whose predecessor processed fewer than [`CHEAP_WINDOW_EVENTS`]
+/// A window whose predecessor processed fewer than `CHEAP_WINDOW_EVENTS`
 /// runs inline even with `workers >= 2` (the first window always takes the
 /// threaded path). That decision reads only the previous window's event
 /// count, itself worker-invariant, so it moves work between threads without

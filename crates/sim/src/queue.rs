@@ -72,16 +72,6 @@ impl FifoServer {
         done
     }
 
-    /// Earliest time at which any slot is free.
-    pub fn next_free(&self) -> SimTime {
-        self.free_at.iter().copied().min().unwrap_or(SimTime::ZERO)
-    }
-
-    /// Time at which all admitted work completes.
-    pub fn drain_time(&self) -> SimTime {
-        self.free_at.iter().copied().max().unwrap_or(SimTime::ZERO)
-    }
-
     /// Total busy time summed over all slots.
     pub fn busy_total(&self) -> SimTime {
         self.busy_total
@@ -131,8 +121,6 @@ mod tests {
             assert_eq!(s.enqueue(SimTime::ZERO, svc), SimTime::from_nanos(10));
         }
         assert_eq!(s.enqueue(SimTime::ZERO, svc), SimTime::from_nanos(20));
-        assert_eq!(s.drain_time(), SimTime::from_nanos(20));
-        assert_eq!(s.next_free(), SimTime::from_nanos(10));
     }
 
     #[test]
@@ -161,6 +149,7 @@ mod tests {
         ) {
             let mut s = FifoServer::new(servers);
             let mut total_service = SimTime::ZERO;
+            let mut drain = SimTime::ZERO;
             let mut sorted = jobs.clone();
             sorted.sort_by_key(|&(a, _)| a);
             for &(arrival, service) in &sorted {
@@ -168,12 +157,13 @@ mod tests {
                 let done = s.enqueue(at, svc);
                 prop_assert!(done >= at + svc, "completion precedes arrival+service");
                 total_service += svc;
+                drain = drain.max(done);
             }
             prop_assert_eq!(s.busy_total(), total_service);
             prop_assert_eq!(s.jobs(), sorted.len() as u64);
             // Serialized upper bound.
             let last_arrival = SimTime::from_nanos(sorted.last().unwrap().0);
-            prop_assert!(s.drain_time() <= last_arrival + total_service);
+            prop_assert!(drain <= last_arrival + total_service);
         }
     }
 
@@ -182,9 +172,10 @@ mod tests {
         // 4 servers, 1us service each, 1000 jobs arriving at t=0:
         // drain time should be 250us (perfect load balance).
         let mut s = FifoServer::new(4);
+        let mut drain = SimTime::ZERO;
         for _ in 0..1000 {
-            s.enqueue(SimTime::ZERO, SimTime::from_micros(1));
+            drain = drain.max(s.enqueue(SimTime::ZERO, SimTime::from_micros(1)));
         }
-        assert_eq!(s.drain_time(), SimTime::from_micros(250));
+        assert_eq!(drain, SimTime::from_micros(250));
     }
 }

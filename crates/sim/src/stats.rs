@@ -54,12 +54,6 @@ impl Gauge {
         self.updates += 1;
     }
 
-    /// Adjust the value by `delta`.
-    pub fn adjust(&mut self, delta: f64) {
-        let v = self.value + delta;
-        self.set(v);
-    }
-
     /// Most recently set value (0 before any update).
     pub fn value(&self) -> f64 {
         self.value
@@ -187,11 +181,6 @@ impl Histogram {
         }
         Some(self.lo + self.buckets.len() as f64 * self.width)
     }
-
-    /// Counts in `(underflow, buckets, overflow)` form.
-    pub fn raw_counts(&self) -> (u64, &[u64], u64) {
-        (self.underflow, &self.buckets, self.overflow)
-    }
 }
 
 #[cfg(test)]
@@ -207,12 +196,11 @@ mod tests {
         assert_eq!(h.count(), 6);
         assert_eq!(h.min(), Some(-1.0));
         assert_eq!(h.max(), Some(100.0));
-        let (u, b, o) = h.raw_counts();
-        assert_eq!(u, 1);
-        assert_eq!(o, 1);
-        assert_eq!(b[1], 1);
-        assert_eq!(b[2], 2);
-        assert_eq!(b[7], 1);
+        assert_eq!(h.underflow, 1);
+        assert_eq!(h.overflow, 1);
+        assert_eq!(h.buckets[1], 1);
+        assert_eq!(h.buckets[2], 2);
+        assert_eq!(h.buckets[7], 1);
     }
 
     #[test]
@@ -235,7 +223,7 @@ mod tests {
         assert_eq!(g.max(), None);
         g.set(0.75);
         g.set(0.25);
-        g.adjust(0.05);
+        g.set(0.30);
         assert!((g.value() - 0.30).abs() < 1e-12);
         assert_eq!(g.min(), Some(0.25));
         assert_eq!(g.max(), Some(0.75));

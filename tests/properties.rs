@@ -11,8 +11,6 @@ use trainbox::pcie::addr::{verify_addr_routing_matches_lca, AddressMap};
 use trainbox::pcie::bandwidth::Bandwidth;
 use trainbox::pcie::flow::{FlowNet, FlowSim, FlowSpec};
 use trainbox::pcie::topology::{EndpointKind, Topology};
-use trainbox::collective::halving_doubling_all_reduce;
-use trainbox::dataprep::sampler::AliasTable;
 use trainbox::dataprep::shard::{ShardReader, ShardWriter};
 use trainbox::dataprep::wav;
 use trainbox::dataprep::audio::Waveform;
@@ -166,49 +164,6 @@ proptest! {
         prop_assert_eq!(back.samples().len(), samples.len());
         for (a, b) in samples.iter().zip(back.samples()) {
             prop_assert!((a - b).abs() < 2.0 / 32768.0 + 1e-6);
-        }
-    }
-
-    /// Halving–doubling all-reduce equals the serial sum for any
-    /// power-of-two participant count.
-    #[test]
-    fn halving_doubling_correct(
-        log_n in 0u32..4,
-        len in 1usize..64,
-        seed: u64,
-    ) {
-        let n = 1usize << log_n;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let bufs: Vec<Vec<f32>> = (0..n)
-            .map(|_| (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect())
-            .collect();
-        let mut want = vec![0.0f32; len];
-        for b in &bufs {
-            for (w, v) in want.iter_mut().zip(b) {
-                *w += v;
-            }
-        }
-        for got in halving_doubling_all_reduce(bufs) {
-            for (g, w) in got.iter().zip(&want) {
-                prop_assert!((g - w).abs() < 1e-4);
-            }
-        }
-    }
-
-    /// Alias tables always return in-range categories and never emit
-    /// zero-weight ones.
-    #[test]
-    fn alias_table_in_range(
-        weights in proptest::collection::vec(0.0f64..10.0, 1..40),
-        seed: u64,
-    ) {
-        prop_assume!(weights.iter().sum::<f64>() > 0.0);
-        let t = AliasTable::new(&weights);
-        let mut rng = StdRng::seed_from_u64(seed);
-        for _ in 0..200 {
-            let i = t.sample(&mut rng);
-            prop_assert!(i < weights.len());
-            prop_assert!(weights[i] > 0.0, "zero-weight category {i} sampled");
         }
     }
 }
