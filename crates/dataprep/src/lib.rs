@@ -13,13 +13,13 @@
 //!   ([`jpeg`]), cropping, and type casting ([`image`]);
 //! * **Image augmentation** — random crop basis selection, horizontal mirror,
 //!   Gaussian noise ([`image`]);
-//! * **Audio formatting** — radix-2 FFT, Hann STFT, and Mel spectrogram
-//!   extraction ([`audio`]);
-//! * **Audio augmentation** — SpecAugment-style time/frequency masking and
-//!   per-feature normalization ([`audio`]);
+//! * **Audio formatting** — radix-2 FFT, Hann STFT, Mel spectrogram
+//!   extraction, and per-feature normalization ([`audio`]);
+//! * **Audio augmentation** — SpecAugment-style time/frequency masking
+//!   ([`audio`]);
 //! * **Pipelines** — composable stage graphs mirroring the FPGA engine layout
-//!   of Fig 17, with wall-clock cost measurement used to calibrate the server
-//!   simulator ([`pipeline`]);
+//!   of Fig 17, with per-stage wall-clock and byte measurement
+//!   ([`pipeline`]);
 //! * **Synthetic datasets** — procedural ImageNet-like JPEGs and
 //!   LibriSpeech-like waveforms ([`synth`]), substituting for the real
 //!   datasets which cannot ship with this repository. They exercise the

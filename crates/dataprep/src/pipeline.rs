@@ -1,6 +1,5 @@
 //! Composable data-preparation pipelines mirroring the FPGA engine layout of
-//! Fig 17, with per-stage wall-clock measurement used to calibrate the server
-//! simulator.
+//! Fig 17, with per-stage wall-clock and byte measurement.
 //!
 //! A [`PrepStage`] corresponds to one engine on the paper's accelerator
 //! (decoder, crop, mirror, Gaussian noise, cast; spectrogram, Mel filter
@@ -59,7 +58,8 @@ impl DataItem {
 /// accounts for them separately (Figs 9, 11, 22).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StageClass {
-    /// Required format conversion (decode, crop-to-size, cast, STFT, Mel).
+    /// Required format conversion (decode, crop-to-size, cast, STFT, Mel,
+    /// per-feature normalization).
     Formatting,
     /// Accuracy-enhancing randomized transforms (random crop basis, mirror,
     /// noise, masking).
@@ -383,8 +383,8 @@ impl PrepPipeline {
     }
 
     /// Run `items` through the pipeline measuring each stage's wall-clock
-    /// cost and data sizes. Returns per-stage aggregates; used to calibrate
-    /// the server simulator the same way the paper profiled its prototype.
+    /// cost and data sizes. Returns per-stage aggregates. The simulator does
+    /// not read them: `core::calib`'s constants are paper-anchored.
     ///
     /// # Errors
     ///
@@ -483,7 +483,7 @@ impl StageCost {
 }
 
 /// Convenience: produce the accelerator-ready tensor for one synthetic
-/// ImageNet-like sample. Used by examples and calibration.
+/// ImageNet-like sample.
 ///
 /// # Errors
 ///
@@ -572,23 +572,26 @@ mod tests {
         assert!(decode.mean_secs() > 0.0);
     }
 
-    fn stage_names(p: &PrepPipeline) -> Vec<&'static str> {
-        p.stages.iter().map(|s| s.name()).collect()
+    fn stage_classes(p: &PrepPipeline) -> Vec<(&'static str, StageClass)> {
+        p.stages.iter().map(|s| (s.name(), s.class())).collect()
     }
 
     #[test]
     fn stage_classes_partition_pipeline() {
+        // Pinned (name, class) lists: augmentation is exactly the randomized
+        // stages; normalization is deterministic, so it is formatting.
+        use StageClass::{Augmentation as A, Formatting as F};
         let p = PrepPipeline::standard_image();
         assert_eq!(p.len(), 5);
         assert!(!p.is_empty());
         assert_eq!(
-            stage_names(&p),
-            vec!["jpeg-decode", "crop", "mirror", "gaussian-noise", "cast"]
+            stage_classes(&p),
+            vec![("jpeg-decode", F), ("crop", A), ("mirror", A), ("gaussian-noise", A), ("cast", F)]
         );
         let a = PrepPipeline::standard_audio();
         assert_eq!(
-            stage_names(&a),
-            vec!["spectrogram", "mel-filterbank", "masking", "norm"]
+            stage_classes(&a),
+            vec![("spectrogram", F), ("mel-filterbank", F), ("masking", A), ("norm", F)]
         );
     }
 

@@ -20,7 +20,7 @@ pub mod tensor;
 pub mod train;
 pub mod workload;
 
-pub use tensor::Matrix;
+pub use tensor::{Matrix, MatrixView};
 pub use workload::{
     InputKind, NnKind, PrepClass, StageCost, StageGraph, StageSpec, SyncPattern, Workload,
     WorkloadBuilder, WorkloadError,

@@ -13,7 +13,7 @@
 //! sees that distribution during training.
 
 use crate::layers::Mlp;
-use crate::tensor::Matrix;
+use crate::tensor::{Matrix, MatrixView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -185,11 +185,11 @@ pub fn run_arm(cfg: &AugExperimentConfig, augment: bool) -> AccuracyCurve {
                 labels.push(class);
             }
             let x = Matrix::from_vec(take, dim, rows);
-            mlp.train_step(&x, &labels, cfg.lr, 0.9);
+            mlp.train_step(x.view(), &labels, cfg.lr, 0.9);
             done += take;
         }
         let k5 = 5.min(cfg.classes);
-        let accs = mlp.top_k_accuracies(&test_x, &test_labels, &[1, k5]);
+        let accs = mlp.top_k_accuracies(test_x.view(), &test_labels, &[1, k5]);
         curve.top1.push(accs[0]);
         curve.top5.push(accs[1]);
     }
@@ -384,16 +384,13 @@ pub fn run_with_batch_prepared(prep: &PreparedScaling, batch: usize, lr: f32) ->
         let lr_t = lr * ramp;
         step += 1;
         let take = batch.min(total - done);
-        let x = Matrix::from_vec(
-            take,
-            prep.dim,
-            prep.feats[done * prep.dim..(done + take) * prep.dim].to_vec(),
-        );
+        let rows = &prep.feats[done * prep.dim..(done + take) * prep.dim];
+        let x = MatrixView::new(take, prep.dim, rows);
         let labels = &prep.labels[done..done + take];
-        mlp.train_step(&x, labels, lr_t, 0.9);
+        mlp.train_step(x, labels, lr_t, 0.9);
         done += take;
     }
-    mlp.top_k_accuracy(&prep.test_x, &prep.test_labels, 1)
+    mlp.top_k_accuracy(prep.test_x.view(), &prep.test_labels, 1)
 }
 
 /// Train the augmented arm with an explicit batch size and learning rate
