@@ -15,6 +15,7 @@
 //! a black-box throughput number measured on TPUs (§VI-A); what must be real
 //! here is the *data preparation's effect on accuracy*, not TPU-scale math.
 
+mod lane;
 pub mod layers;
 pub mod tensor;
 pub mod train;

@@ -1,6 +1,7 @@
 //! A minimal row-major `f32` matrix and the one GEMM core every product in
 //! the trainer runs through.
 
+use crate::lane::{F32x16, LANES};
 use serde::{Deserialize, Serialize};
 
 /// A dense row-major matrix.
@@ -76,13 +77,16 @@ impl<'a> MatrixView<'a> {
     }
 }
 
-/// Output rows computed together. Each rhs strip load is shared by this many
-/// rows, and `ROW_BLOCK × STRIP` accumulators (24 eight-lane vectors) stay in
-/// registers across the whole k loop.
+/// Output rows computed together. Each rhs vector load is shared by this
+/// many rows, and `ROW_BLOCK × STRIP_VECS` accumulators (12 sixteen-lane
+/// vectors) stay in registers across the whole k loop.
 const ROW_BLOCK: usize = 4;
 
-/// Output columns per accumulator strip.
-const STRIP: usize = 48;
+/// Sixteen-lane vectors per full column strip.
+const STRIP_VECS: usize = 3;
+
+/// Output columns per full column strip.
+const STRIP: usize = STRIP_VECS * LANES;
 
 /// A product's left operand: element `(r, k)` is
 /// `data[r * row_stride + k * k_stride]`, so a transposed read is a stride
@@ -101,112 +105,110 @@ impl Lhs<'_> {
     }
 }
 
+/// Rows of a product's right operand that a strip reads whole vectors from:
+/// `data.len() / stride` rows of `stride` values each, one per k.
+#[derive(Clone, Copy)]
+struct Rhs<'a> {
+    data: &'a [f32],
+    stride: usize,
+}
+
 /// The GEMM core: `lhs (m × kd) × rhs (kd × n)`, row-major `rhs`.
 ///
 /// Every output element sums its terms in ascending-k order from `+0.0`, one
-/// rounded multiply and one rounded add per term (rustc never contracts them
-/// into an FMA), and skips the term of each zero lhs entry: exactly the naive
-/// triple loop, so results are bit-identical to it for every input, `inf` and
-/// `NaN` included. Only the order in which *independent* elements are
-/// computed changes: a block of rows times a strip of columns at a time.
+/// rounded multiply and one rounded add per term (the lane type has no fused
+/// multiply-add), and skips the term of each zero lhs entry: exactly the
+/// naive triple loop, so results are bit-identical to it for every input,
+/// `inf` and `NaN` included. Only the order in which *independent* elements
+/// are computed changes: a block of rows times a strip of columns at a time.
 fn gemm(lhs: Lhs<'_>, m: usize, rhs: &[f32], kd: usize, n: usize) -> Matrix {
     let mut out = Matrix::zeros(m, n);
+    // The last `n % LANES` columns fill less than a vector: their rhs values
+    // are copied once into zero-padded vector-wide rows, so every strip loads
+    // whole vectors. The padding lanes' sums are never stored.
+    let ragged = n % LANES;
+    let mut pad = vec![0.0f32; if ragged > 0 { kd * LANES } else { 0 }];
+    for (dst, src) in pad.chunks_exact_mut(LANES).zip(rhs.chunks_exact(n)) {
+        dst[..ragged].copy_from_slice(&src[n - ragged..]);
+    }
+    let rhs = Rhs { data: rhs, stride: n };
+    let pad = Rhs { data: &pad, stride: LANES };
     let mut r = 0;
     while r + ROW_BLOCK <= m {
-        row_block::<ROW_BLOCK>(lhs, r, rhs, kd, n, &mut out.data);
+        row_block::<ROW_BLOCK>(lhs, r, rhs, pad, n, &mut out.data);
         r += ROW_BLOCK;
     }
     while r < m {
-        row_block::<1>(lhs, r, rhs, kd, n, &mut out.data);
+        row_block::<1>(lhs, r, rhs, pad, n, &mut out.data);
         r += 1;
     }
     out
 }
 
-/// Output rows `r0..r0 + R`, one column strip at a time.
+/// Output rows `r0..r0 + R`, one column strip at a time: full strips, then
+/// single vectors, then the zero-padded ragged columns.
 #[inline(always)]
 fn row_block<const R: usize>(
     lhs: Lhs<'_>,
     r0: usize,
-    rhs: &[f32],
-    kd: usize,
+    rhs: Rhs<'_>,
+    pad: Rhs<'_>,
     n: usize,
     out: &mut [f32],
 ) {
     let mut c0 = 0;
     while c0 + STRIP <= n {
-        full_strip::<R>(lhs, r0, rhs, kd, n, c0, out);
+        strip::<R, STRIP_VECS>(lhs, r0, rhs, c0, &mut out[c0..], n, STRIP);
         c0 += STRIP;
     }
+    while c0 + LANES <= n {
+        strip::<R, 1>(lhs, r0, rhs, c0, &mut out[c0..], n, LANES);
+        c0 += LANES;
+    }
     if c0 < n {
-        tail_strip::<R>(lhs, r0, rhs, kd, n, c0, out);
+        strip::<R, 1>(lhs, r0, pad, 0, &mut out[c0..], n, n - c0);
     }
 }
 
-/// Columns `c0..c0 + STRIP` of rows `r0..r0 + R`. The compile-time width,
-/// and an `acc` no slice ever borrows, keep the accumulators in vector
-/// registers across the k loop.
+/// Rows `r0..r0 + R` of `V` vectors' worth of columns: `rhs` columns
+/// `rc0..rc0 + V × LANES` go into the first `w` columns of each `n`-long row
+/// of `out`. The compile-time shape, and an `acc` no slice ever borrows, keep
+/// the accumulators in vector registers across the k loop.
 #[inline(always)]
-fn full_strip<const R: usize>(
+fn strip<const R: usize, const V: usize>(
     lhs: Lhs<'_>,
     r0: usize,
-    rhs: &[f32],
-    kd: usize,
-    n: usize,
-    c0: usize,
+    rhs: Rhs<'_>,
+    rc0: usize,
     out: &mut [f32],
+    n: usize,
+    w: usize,
 ) {
-    let mut acc = [[0.0f32; STRIP]; R];
-    for k in 0..kd {
-        let base = k * n + c0;
-        let strip: &[f32; STRIP] =
-            rhs[base..base + STRIP].try_into().expect("strip-sized slice");
+    assert!(rc0 + V * LANES <= rhs.stride, "strip outside the rhs rows");
+    let mut acc = [[F32x16::splat(0.0); V]; R];
+    for (k, row) in rhs.data.chunks_exact(rhs.stride).enumerate() {
+        let b: [F32x16; V] = std::array::from_fn(|j| {
+            let at = rc0 + j * LANES;
+            F32x16::load(row[at..at + LANES].try_into().expect("lane-sized slice"))
+        });
         for (i, acc) in acc.iter_mut().enumerate() {
             let a = lhs.at(r0 + i, k);
             if a == 0.0 {
                 continue;
             }
-            for (t, &b) in acc.iter_mut().zip(strip) {
-                *t += a * b;
-            }
-        }
-    }
-    for (i, acc) in acc.into_iter().enumerate() {
-        let at = (r0 + i) * n + c0;
-        let dst: &mut [f32; STRIP] =
-            (&mut out[at..at + STRIP]).try_into().expect("strip-sized slice");
-        *dst = acc;
-    }
-}
-
-/// The ragged last strip, columns `c0..n` with `n - c0 < STRIP`.
-#[inline(always)]
-fn tail_strip<const R: usize>(
-    lhs: Lhs<'_>,
-    r0: usize,
-    rhs: &[f32],
-    kd: usize,
-    n: usize,
-    c0: usize,
-    out: &mut [f32],
-) {
-    let w = n - c0;
-    let mut acc = [[0.0f32; STRIP]; R];
-    for k in 0..kd {
-        let strip = &rhs[k * n + c0..k * n + n];
-        for (i, acc) in acc.iter_mut().enumerate() {
-            let a = lhs.at(r0 + i, k);
-            if a == 0.0 {
-                continue;
-            }
-            for (t, &b) in acc[..w].iter_mut().zip(strip) {
-                *t += a * b;
+            let a = F32x16::splat(a);
+            for (t, &b) in acc.iter_mut().zip(&b) {
+                *t = t.add(a.mul(b));
             }
         }
     }
     for (i, acc) in acc.iter().enumerate() {
-        let at = (r0 + i) * n + c0;
-        out[at..at + w].copy_from_slice(&acc[..w]);
+        let dst = &mut out[(r0 + i) * n..][..w];
+        for (dst, v) in dst.chunks_mut(LANES).zip(acc) {
+            let mut lanes = [0.0f32; LANES];
+            v.store(&mut lanes);
+            dst.copy_from_slice(&lanes[..dst.len()]);
+        }
     }
 }
 
@@ -513,12 +515,14 @@ mod tests {
             n in 1usize..=70,
             seed: u64,
         ) {
-            // Every m, k and n in 1..=70, plus the strip edges (47/48/49,
-            // 96) and the trainer's 8-wide logits on every case; m ranges
-            // over row counts that are and are not whole row blocks.
+            // Every m, k and n in 1..=70, plus the vector edges (15/16/17,
+            // 31, 33: zero-padded ragged columns and single-vector strips),
+            // the strip edges (47/48/49, 96) and the trainer's 8-wide
+            // logits on every case; m ranges over row counts that are and
+            // are not whole row blocks.
             let mut rng = StdRng::seed_from_u64(seed);
             let a = seeded(m, k, &mut rng);
-            for n in [n, 8, 47, 48, 49, 96] {
+            for n in [n, 8, 15, 16, 17, 31, 33, 47, 48, 49, 96] {
                 let b = seeded(k, n, &mut rng);
                 let want = bits(&matmul_ref(&a, &b));
                 prop_assert_eq!(bits(&a.matmul(&b)), want.clone());
