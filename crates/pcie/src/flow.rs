@@ -20,10 +20,13 @@
 //! Flows live in per-route-class queues sorted by remaining bytes. Members
 //! of a class share one rate, so draining subtracts the same `rate * dt`
 //! from each and (IEEE subtraction being monotone) never reorders a queue,
-//! and completion time is monotone in remaining bytes. Per event the
-//! simulator therefore pays O(live classes) to find the next completion and
-//! nothing per flow to publish new rates; only [`FlowSim::advance`] still
-//! touches every active flow, as one contiguous subtraction per member.
+//! and completion time is monotone in remaining bytes. Each link domain
+//! keeps a list of its classes and caches its earliest completion, so
+//! finding the next completion costs O(domains) plus one queue-head look per
+//! class of the domains re-solved since the last query — all classes only
+//! when the clock has moved since then. Publishing new rates costs nothing
+//! per flow; only [`FlowSim::advance`] still touches every active flow, as
+//! one contiguous subtraction per member.
 
 use crate::topology::{LinkId, Topology};
 use serde::{Deserialize, Serialize};
@@ -286,6 +289,65 @@ impl FlowClass {
     fn members(&self) -> usize {
         self.queue.len()
     }
+
+    /// The earliest `(time, flow)` completion among the members at `rate`
+    /// from `now`: the queue head's instant and the smallest id among the
+    /// members tied with it (completion times ascend along the queue).
+    fn earliest(&self, rate: f64, now: SimTime) -> Option<(SimTime, FlowId)> {
+        if rate <= 0.0 {
+            return None;
+        }
+        let finish = |remaining: f64| now + SimTime::from_secs_f64(remaining / rate);
+        let mut members = self.queue.iter();
+        let &(head, remaining) = members.next()?;
+        let t = finish(remaining);
+        let first = members
+            .take_while(|&&(_, remaining)| finish(remaining) == t)
+            .fold(head, |first, &(id, _)| first.min(id));
+        Some((t, first))
+    }
+}
+
+/// Keep the earlier of `best` and `candidate` in `best` (`(time, FlowId)`
+/// order: minimum time, then earliest-started flow).
+fn keep_earlier(best: &mut Option<(SimTime, FlowId)>, candidate: Option<(SimTime, FlowId)>) {
+    if let Some(c) = candidate {
+        if best.is_none_or(|b| c < b) {
+            *best = Some(c);
+        }
+    }
+}
+
+/// Record index of the link-free pseudo-domain: classes with an empty route
+/// (demand-capped, crossing no link) are listed in `FlowSim::records[0]`.
+const LINK_FREE: usize = 0;
+/// `FlowSim::link_record` entry of a root whose domain has no record yet.
+const NO_RECORD: u32 = u32::MAX;
+/// `DomainRecord::fresh_at` of a record whose cache must be recomputed; the
+/// clock epoch starts above it.
+const STALE: u64 = 0;
+
+/// One link domain's classes and its cached earliest completion.
+#[derive(Debug, Clone)]
+struct DomainRecord {
+    /// The domain's root link in [`LinkDomains`] (unused for the link-free
+    /// record).
+    root: usize,
+    /// Class slots of the domain, ascending. A tombstoned slot stays listed
+    /// until it is reused for a class in another domain, so churn inside a
+    /// domain edits no list.
+    classes: Vec<usize>,
+    /// Earliest completion among the listed classes, as of `fresh_at`.
+    earliest: Option<(SimTime, FlowId)>,
+    /// Clock epoch at which `earliest` was computed, or [`STALE`] when the
+    /// domain was re-solved since.
+    fresh_at: u64,
+}
+
+impl DomainRecord {
+    fn new(root: usize) -> Self {
+        DomainRecord { root, classes: Vec::new(), earliest: None, fresh_at: STALE }
+    }
 }
 
 /// Persistent scratch for the domain-incremental solver ([`FlowSim`]'s hot
@@ -338,14 +400,18 @@ impl LinkDomains {
         x
     }
 
-    fn union(&mut self, a: usize, b: usize) {
+    /// Merge the domains of `a` and `b`. When they were distinct, returns
+    /// `(root, absorbed)`: the surviving root and the root it absorbed.
+    fn union(&mut self, a: usize, b: usize) -> Option<(usize, usize)> {
         let (ra, rb) = (self.find(a), self.find(b));
-        if ra != rb {
-            // Deterministic tie-break: smaller index wins the root, so the
-            // domain structure is a pure function of the interning history.
-            let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-            self.parent[hi] = lo;
+        if ra == rb {
+            return None;
         }
+        // Deterministic tie-break: smaller index wins the root, so the
+        // domain structure is a pure function of the interning history.
+        let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
+        self.parent[hi] = lo;
+        Some((lo, hi))
     }
 }
 
@@ -502,6 +568,16 @@ pub struct FlowSim {
     dirty: bool,
     /// Monotone link partition: which links can currently share a bottleneck.
     domains: LinkDomains,
+    /// One record per domain that ever held a class, plus the link-free
+    /// pseudo-domain's at [`LINK_FREE`]; dense, so a server with one domain
+    /// keeps two.
+    records: Vec<DomainRecord>,
+    /// Record index of each root link's domain ([`NO_RECORD`] if none);
+    /// entries of non-root links are stale and never read.
+    link_record: Vec<u32>,
+    /// Clock epoch: bumped whenever [`FlowSim::advance`] moves the clock,
+    /// which outdates every record's cached completion at once.
+    clock: u64,
     /// Links whose domain must be re-solved at the next recomputation
     /// (route links of added/completed flows, links with capacity changes).
     dirty_links: Vec<usize>,
@@ -515,6 +591,7 @@ pub struct FlowSim {
     dscratch: DomainScratch,
     recomputes: u64,
     domain_solves: u64,
+    class_scans: u64,
     now: SimTime,
     next_id: u64,
     /// When enabled, every allocator recomputation appends one
@@ -552,12 +629,16 @@ impl FlowSim {
             flow_class: FxHashMap::default(),
             dirty: false,
             domains: LinkDomains::new(n_links),
+            records: vec![DomainRecord::new(usize::MAX)],
+            link_record: vec![NO_RECORD; n_links],
+            clock: STALE + 1,
             dirty_links: Vec::new(),
             dirty_nolink: false,
             class_rate: Vec::new(),
             dscratch: DomainScratch::default(),
             recomputes: 0,
             domain_solves: 0,
+            class_scans: 0,
             now: SimTime::ZERO,
             next_id: 0,
             trace: false,
@@ -594,6 +675,15 @@ impl FlowSim {
         self.domain_solves
     }
 
+    /// Number of class slots [`FlowSim::next_completion`] has examined so
+    /// far. A query re-examines only the classes of the domains re-solved
+    /// since the previous one, or every listed slot once the clock has
+    /// moved; cached domains cost nothing per class. Exact, like
+    /// [`FlowSim::domain_solves`].
+    pub fn class_scans(&self) -> u64 {
+        self.class_scans
+    }
+
     /// Enable (or disable) rate-change tracing: each allocator recomputation
     /// appends one [`FlowTraceEvent`] to an internal log. Purely
     /// observational — the rates themselves are identical with tracing on or
@@ -622,12 +712,24 @@ impl FlowSim {
         }
         if let Some((&first, rest)) = spec.route.split_first() {
             for l in rest {
-                self.domains.union(first.index(), l.index());
+                self.join(first.index(), l.index());
             }
         }
+        let rec = self.record_for(spec.route.first().copied());
         let c = match self.free_classes.pop() {
             Some(slot) => {
-                // Keep the slot's (empty) queue and its allocation.
+                // Keep the slot's (empty) queue and its allocation. The slot
+                // still holds its previous route, which names the record
+                // listing it; move it only if the domain differs.
+                let old = self.record_for(self.classes[slot].route.first().copied());
+                if old != rec {
+                    let listed = &mut self.records[old].classes;
+                    let at = listed.binary_search(&slot).expect("a used slot is listed");
+                    listed.remove(at);
+                    let listed = &mut self.records[rec].classes;
+                    let at = listed.binary_search(&slot).expect_err("listed once");
+                    listed.insert(at, slot);
+                }
                 let cl = &mut self.classes[slot];
                 cl.route = spec.route;
                 cl.demand = spec.demand;
@@ -639,6 +741,8 @@ impl FlowSim {
                     demand: spec.demand,
                     queue: VecDeque::new(),
                 });
+                // The newest slot is the largest: the list stays ascending.
+                self.records[rec].classes.push(self.classes.len() - 1);
                 self.classes.len() - 1
             }
         };
@@ -649,6 +753,43 @@ impl FlowSim {
         self.class_index.insert(key, c);
         self.mark_route_dirty(c);
         c
+    }
+
+    /// Index of the record of the domain holding `link` (the link-free
+    /// record for `None`), created when the domain gets its first class.
+    fn record_for(&mut self, link: Option<LinkId>) -> usize {
+        let Some(l) = link else { return LINK_FREE };
+        let root = self.domains.find(l.index());
+        if self.link_record[root] == NO_RECORD {
+            self.link_record[root] = self.records.len() as u32;
+            self.records.push(DomainRecord::new(root));
+        }
+        self.link_record[root] as usize
+    }
+
+    /// Union the domains of links `a` and `b`, merging their records. The
+    /// absorbed record is swap-removed so records stay dense. The merged
+    /// cache needs no reset: the route that joined the domains marks them
+    /// dirty, and the solve that follows marks the merged record stale.
+    fn join(&mut self, a: usize, b: usize) {
+        let Some((root, absorbed)) = self.domains.union(a, b) else { return };
+        let gone = std::mem::replace(&mut self.link_record[absorbed], NO_RECORD);
+        if gone == NO_RECORD {
+            return;
+        }
+        if self.link_record[root] == NO_RECORD {
+            self.link_record[root] = gone;
+            self.records[gone as usize].root = root;
+            return;
+        }
+        let gone = gone as usize;
+        let merged = self.records.swap_remove(gone);
+        if let Some(moved) = self.records.get(gone) {
+            self.link_record[moved.root] = gone as u32;
+        }
+        let keep = &mut self.records[self.link_record[root] as usize];
+        keep.classes.extend(merged.classes);
+        keep.classes.sort_unstable();
     }
 
     /// Mark class `c`'s domain dirty (its member set or environment changed).
@@ -665,6 +806,7 @@ impl FlowSim {
     }
 
     /// Note that class `c` lost a member, tombstoning the slot when empty.
+    /// A tombstone keeps its route, which names the record listing it.
     fn release_class(&mut self, c: usize) {
         self.mark_route_dirty(c);
         let cl = &mut self.classes[c];
@@ -674,6 +816,7 @@ impl FlowSim {
                 demand_bits: cl.demand.map_or(u64::MAX, f64::to_bits),
             };
             self.class_index.remove(&key);
+            cl.route = key.route;
             self.free_classes.push(c);
         }
     }
@@ -744,8 +887,11 @@ impl FlowSim {
         // the same value the reference allocator assigns them solved alone.
         if self.dirty_nolink {
             self.dirty_nolink = false;
-            for (c, cl) in self.classes.iter().enumerate() {
-                if !cl.queue.is_empty() && cl.route.is_empty() {
+            let rec = &mut self.records[LINK_FREE];
+            rec.fresh_at = STALE;
+            for &c in &rec.classes {
+                let cl = &self.classes[c];
+                if !cl.queue.is_empty() {
                     self.class_rate[c] =
                         cl.demand.expect("validated: a link-free flow carries a demand");
                 }
@@ -754,18 +900,18 @@ impl FlowSim {
 
         for ri in 0..self.dscratch.dirty_roots.len() {
             let root = self.dscratch.dirty_roots[ri];
-            // The domain's live classes, in class-index order. Finding the
-            // root of one route link suffices: `intern_class` unioned every
-            // route into a single domain.
-            self.dscratch.class_ids.clear();
-            for (c, cl) in self.classes.iter().enumerate() {
-                if cl.queue.is_empty() || cl.route.is_empty() {
-                    continue;
-                }
-                if self.domains.find(cl.route[0].index()) == root {
-                    self.dscratch.class_ids.push(c);
-                }
+            // A capacity change can dirty a domain that never held a class.
+            let r = self.link_record[root];
+            if r == NO_RECORD {
+                continue;
             }
+            let rec = &mut self.records[r as usize];
+            rec.fresh_at = STALE;
+            // The domain's live classes, in class-index order.
+            self.dscratch.class_ids.clear();
+            self.dscratch.class_ids.extend(
+                rec.classes.iter().copied().filter(|&c| !self.classes[c].queue.is_empty()),
+            );
             if self.dscratch.class_ids.is_empty() {
                 continue;
             }
@@ -818,6 +964,7 @@ impl FlowSim {
         assert!(now >= self.now, "FlowSim cannot go backwards in time");
         let dt = (now - self.now).as_secs_f64();
         if dt > 0.0 {
+            self.clock += 1;
             for (cl, &rate) in self.classes.iter_mut().zip(&self.class_rate) {
                 let drained = rate * dt;
                 for (_, remaining) in &mut cl.queue {
@@ -908,24 +1055,44 @@ impl FlowSim {
     /// examined: a class's completion times ascend along its queue. Flow ids
     /// are issued in arrival order, so the smallest id among the flows with
     /// the minimum time is the earliest-started one.
-    pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
-        let mut best: Option<(SimTime, FlowId)> = None;
+    ///
+    /// Each domain record caches its classes' minimum. A query refreshes
+    /// only the records re-solved since the previous query, or all of them
+    /// when the clock has moved, and returns the minimum over the records:
+    /// the same `(time, FlowId)` a scan of every class finds, because a
+    /// clean domain's queues, rates and clock are the ones its cache saw.
+    pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
+        let mut best = None;
+        for rec in &mut self.records {
+            if rec.fresh_at != self.clock {
+                rec.fresh_at = self.clock;
+                rec.earliest = None;
+                for &c in &rec.classes {
+                    keep_earlier(
+                        &mut rec.earliest,
+                        self.classes[c].earliest(self.class_rate[c], self.now),
+                    );
+                }
+                self.class_scans += rec.classes.len() as u64;
+            }
+            keep_earlier(&mut best, rec.earliest);
+        }
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            best,
+            self.next_completion_ref(),
+            "cached next completion diverged from the full class scan"
+        );
+        best
+    }
+
+    /// The oracle for [`FlowSim::next_completion`]: the same minimum taken
+    /// over every class slot, with no cache (tests and debug builds only).
+    #[cfg(any(test, debug_assertions))]
+    fn next_completion_ref(&self) -> Option<(SimTime, FlowId)> {
+        let mut best = None;
         for (cl, &rate) in self.classes.iter().zip(&self.class_rate) {
-            if rate <= 0.0 {
-                continue;
-            }
-            let finish = |remaining: f64| self.now + SimTime::from_secs_f64(remaining / rate);
-            let mut members = cl.queue.iter();
-            let Some(&(head, remaining)) = members.next() else {
-                continue;
-            };
-            let t = finish(remaining);
-            let first = members
-                .take_while(|&&(_, remaining)| finish(remaining) == t)
-                .fold(head, |first, &(id, _)| first.min(id));
-            if best.is_none_or(|b| (t, first) < b) {
-                best = Some((t, first));
-            }
+            keep_earlier(&mut best, cl.earliest(rate, self.now));
         }
         best
     }
@@ -1028,6 +1195,92 @@ pub(crate) mod tests {
             FlowSpec::with_demand(route, demand)
         } else {
             FlowSpec::new(route)
+        }
+    }
+
+    /// One step of a random history: the operation (0 add, 1 complete the
+    /// next finisher, 2 degrade a link), raw route picks, whether an added
+    /// flow is demand-capped, a value seeding demands and capacities, and
+    /// indices into [`check_history`]'s transfer sizes and time steps.
+    type HistoryOp = (u8, Vec<u32>, bool, u64, usize, usize);
+
+    /// Replay `ops` on a [`FlowSim`] over links of capacity `caps`, with
+    /// `route` turning an op's raw picks into link indices. After every
+    /// step, each active flow's rate equals the per-domain oracle's, bit for
+    /// bit; its remaining bytes equal a ledger drained at the oracle's
+    /// rates; and `next_completion` equals a brute-force scan over the
+    /// active flows in arrival order (minimum time, then earliest-started),
+    /// twice at one instant, the second time from the caches alone.
+    /// Transfer sizes and time steps come from small sets, so flows of one
+    /// class with equal remaining bytes, and flows drained to zero, actually
+    /// occur.
+    fn check_history(caps: Vec<f64>, ops: Vec<HistoryOp>, route: impl Fn(&[u32]) -> Vec<u32>) {
+        const SIZES: [f64; 4] = [1.0, 64.0, 4096.0, 65536.0];
+        const STEPS_NS: [u64; 4] = [0, 0, 1, 977];
+        let links = caps.len() as u32;
+        let mut sim = FlowSim::new(FlowNet::from_capacities(caps));
+        let mut seen: Vec<Vec<LinkId>> = Vec::new();
+        // (id, spec, remaining bytes) in arrival order, and the oracle's
+        // rate of each.
+        let mut active: Vec<(FlowId, FlowSpec, f64)> = Vec::new();
+        let mut want: Vec<f64> = Vec::new();
+        let mut t = SimTime::ZERO;
+        for (op, picks, capped, v, size, step) in ops {
+            let route = route(&picks);
+            t += SimTime::from_nanos(STEPS_NS[step]);
+            if op == 1 {
+                match sim.next_completion() {
+                    Some((ct, _)) => t = ct.max(t),
+                    None => continue,
+                }
+            }
+            // Every operation below first drains the flows up to `t`.
+            let dt = (t - sim.now()).as_secs_f64();
+            if dt > 0.0 {
+                for ((_, _, remaining), rate) in active.iter_mut().zip(&want) {
+                    *remaining = (*remaining - rate * dt).max(0.0);
+                }
+            }
+            match op {
+                0 => {
+                    // Every third add joins the previous flow's class.
+                    let spec = match active.last() {
+                        Some((_, last, _)) if v % 3 == 0 => last.clone(),
+                        _ => random_flow(route, links, capped, 1e8 + v as f64 * 1e3),
+                    };
+                    seen.push(spec.route.clone());
+                    let id = sim.add_flow(t, spec.clone(), SIZES[size]);
+                    active.push((id, spec, SIZES[size]));
+                }
+                1 => {
+                    let (_, id) = sim.next_completion().expect("checked above");
+                    sim.complete(t, id);
+                    active.retain(|&(a, _, _)| a != id);
+                }
+                _ => {
+                    let l = route.first().map_or(0, |l| l % links);
+                    sim.set_capacity(t, link(l), 0.25e9 + v as f64);
+                }
+            }
+            let specs: Vec<FlowSpec> = active.iter().map(|(_, s, _)| s.clone()).collect();
+            want = reference_rates(sim.net(), &seen, &specs);
+            let mut brute: Option<(SimTime, FlowId)> = None;
+            for ((id, _, remaining), w) in active.iter().zip(&want) {
+                let g = sim.rate(*id).expect("flow is active");
+                assert_eq!(g.to_bits(), w.to_bits(), "{id:?}: sim={g} ref={w}");
+                let r = sim.remaining(*id).expect("flow is active");
+                assert_eq!(r.to_bits(), remaining.to_bits(), "{id:?} remaining");
+                if *w > 0.0 {
+                    let done = sim.now() + SimTime::from_secs_f64(remaining / w);
+                    if brute.is_none_or(|(bt, _)| done < bt) {
+                        brute = Some((done, *id));
+                    }
+                }
+            }
+            assert_eq!(sim.next_completion(), brute);
+            let scans = sim.class_scans();
+            assert_eq!(sim.next_completion(), brute, "repeated query");
+            assert_eq!(sim.class_scans(), scans, "a repeated query scans no class");
         }
     }
 
@@ -1379,6 +1632,38 @@ pub(crate) mod tests {
         );
     }
 
+    #[test]
+    fn completion_queries_rescan_only_changed_domains() {
+        // Domain A is link 0 with two classes, domain B link 1 with three.
+        let net = FlowNet::from_capacities(vec![1e9, 1e9]);
+        let mut sim = FlowSim::new(net);
+        let a = FlowSpec::new(vec![link(0)]);
+        let specs = [
+            a.clone(),
+            FlowSpec::with_demand(vec![link(0)], 1e8),
+            FlowSpec::new(vec![link(1)]),
+            FlowSpec::with_demand(vec![link(1)], 1e8),
+            FlowSpec::with_demand(vec![link(1)], 2e8),
+        ];
+        for spec in specs {
+            sim.add_flow(SimTime::ZERO, spec, 1e6);
+        }
+        let scans = |sim: &mut FlowSim| {
+            let before = sim.class_scans();
+            let next = sim.next_completion();
+            assert_eq!(next, sim.next_completion_ref());
+            sim.class_scans() - before
+        };
+        assert_eq!(scans(&mut sim), 5, "the first query scans every class");
+        assert_eq!(scans(&mut sim), 0, "an unchanged state is answered from the caches");
+        sim.add_flow(SimTime::ZERO, a, 2e6);
+        assert_eq!(scans(&mut sim), 2, "a change in A at the same instant rescans A alone");
+        sim.set_capacity(SimTime::ZERO, link(1), 0.5e9);
+        assert_eq!(scans(&mut sim), 3, "a change in B at the same instant rescans B alone");
+        sim.advance(SimTime::from_micros(1));
+        assert_eq!(scans(&mut sim), 5, "a clock move rescans every class");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1412,14 +1697,9 @@ pub(crate) mod tests {
             }
         }
 
-        /// After every step of a random add/complete/degrade history, each
-        /// active flow's rate equals the per-domain oracle's, bit for bit;
-        /// its remaining bytes equal a ledger drained at the oracle's rates;
-        /// and `next_completion` equals a brute-force scan over the active
-        /// flows in arrival order: minimum time, then earliest-started.
-        /// Transfer sizes and time steps come from small sets, so flows of
-        /// one class with equal remaining bytes, and flows drained to zero,
-        /// actually occur.
+        /// Random add/complete/degrade histories over four links checked by
+        /// [`check_history`]. Most routes share a link, so the links
+        /// usually merge into one domain early.
         #[test]
         fn flow_sim_histories_match_reference(
             ops in proptest::collection::vec(
@@ -1434,68 +1714,37 @@ pub(crate) mod tests {
                 1..30,
             ),
         ) {
-            const SIZES: [f64; 4] = [1.0, 64.0, 4096.0, 65536.0];
-            const STEPS_NS: [u64; 4] = [0, 0, 1, 977];
-            let mut sim = FlowSim::new(FlowNet::from_capacities(vec![1e9, 2e9, 0.5e9, 1e9]));
-            let mut seen: Vec<Vec<LinkId>> = Vec::new();
-            // (id, spec, remaining bytes) in arrival order, and the oracle's
-            // rate of each.
-            let mut active: Vec<(FlowId, FlowSpec, f64)> = Vec::new();
-            let mut want: Vec<f64> = Vec::new();
-            let mut t = SimTime::ZERO;
-            for (op, route, capped, v, size, step) in ops {
-                t += SimTime::from_nanos(STEPS_NS[step]);
-                if op == 1 {
-                    match sim.next_completion() {
-                        Some((ct, _)) => t = ct.max(t),
-                        None => continue,
-                    }
+            check_history(vec![1e9, 2e9, 0.5e9, 1e9], ops, |picks| picks.to_vec());
+        }
+
+        /// The same check over twelve links in four disjoint groups of
+        /// three. A route stays inside one group, so several domains stay
+        /// alive with their own cached completions; one route in twelve also
+        /// crosses into the next group, merging two cached domains late.
+        #[test]
+        fn flow_sim_histories_match_reference_across_domains(
+            ops in proptest::collection::vec(
+                (
+                    0u8..3,
+                    proptest::collection::vec(0u32..48, 0..4),
+                    any::<bool>(),
+                    1u64..1_000_000,
+                    0usize..4,
+                    0usize..4,
+                ),
+                1..60,
+            ),
+        ) {
+            let caps = [1e9, 2e9, 0.5e9].repeat(4);
+            check_history(caps, ops, |picks| {
+                let Some(&first) = picks.first() else { return Vec::new() };
+                let group = first % 4;
+                let mut route: Vec<u32> = picks.iter().map(|p| 3 * group + p % 3).collect();
+                if first < 4 {
+                    route.push(3 * ((group + 1) % 4) + first % 3);
                 }
-                // Every operation below first drains the flows up to `t`.
-                let dt = (t - sim.now()).as_secs_f64();
-                if dt > 0.0 {
-                    for ((_, _, remaining), rate) in active.iter_mut().zip(&want) {
-                        *remaining = (*remaining - rate * dt).max(0.0);
-                    }
-                }
-                match op {
-                    0 => {
-                        // Every third add joins the previous flow's class.
-                        let spec = match active.last() {
-                            Some((_, last, _)) if v % 3 == 0 => last.clone(),
-                            _ => random_flow(route, 4, capped, 1e8 + v as f64 * 1e3),
-                        };
-                        seen.push(spec.route.clone());
-                        let id = sim.add_flow(t, spec.clone(), SIZES[size]);
-                        active.push((id, spec, SIZES[size]));
-                    }
-                    1 => {
-                        let (_, id) = sim.next_completion().expect("checked above");
-                        sim.complete(t, id);
-                        active.retain(|&(a, _, _)| a != id);
-                    }
-                    _ => {
-                        let l = route.first().map_or(0, |l| l % 4);
-                        sim.set_capacity(t, link(l), 0.25e9 + v as f64);
-                    }
-                }
-                let specs: Vec<FlowSpec> = active.iter().map(|(_, s, _)| s.clone()).collect();
-                want = reference_rates(sim.net(), &seen, &specs);
-                let mut brute: Option<(SimTime, FlowId)> = None;
-                for ((id, _, remaining), w) in active.iter().zip(&want) {
-                    let g = sim.rate(*id).expect("flow is active");
-                    prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?}: sim={} ref={}", id, g, w);
-                    let r = sim.remaining(*id).expect("flow is active");
-                    prop_assert_eq!(r.to_bits(), remaining.to_bits(), "{:?} remaining", id);
-                    if *w > 0.0 {
-                        let done = sim.now() + SimTime::from_secs_f64(remaining / w);
-                        if brute.is_none_or(|(bt, _)| done < bt) {
-                            brute = Some((done, *id));
-                        }
-                    }
-                }
-                prop_assert_eq!(sim.next_completion(), brute);
-            }
+                route
+            });
         }
     }
 }
