@@ -27,6 +27,14 @@
 //! when the clock has moved since then. Publishing new rates costs nothing
 //! per flow; only [`FlowSim::advance`] still touches every active flow, as
 //! one contiguous subtraction per member.
+//!
+//! A domain solve works per class and per link, not per flow. The oracle
+//! subtracts each round's increment from a link's residual once per flow
+//! crossing it; the solver decides each link's saturation test from an
+//! exact error bound on that chain of subtractions and replays the chain
+//! only when the bound cannot decide, or when a later round of the same
+//! solve reads that link's residual. A solve that ends in one round
+//! replays a chain only where a saturation test lands inside the bound.
 
 use crate::topology::{LinkId, Topology};
 use serde::{Deserialize, Serialize};
@@ -362,8 +370,14 @@ struct DomainScratch {
     /// its stamp equals the current epoch. Never cleared, only outdated.
     link_epoch: Vec<u64>,
     epoch: u64,
-    /// Residual capacity, refreshed per solve on domain links only.
+    /// Residual capacity, refreshed per solve on domain links only. Exact
+    /// (the chain's value) at the start of every round on the links that
+    /// still carry unfrozen members; elsewhere possibly owing subtractions.
     residual: Vec<f64>,
+    /// Subtractions of the round increment a link's `residual` still owes.
+    owed: Vec<usize>,
+    /// Whether a link saturated in the current round (the freeze test).
+    saturated: Vec<bool>,
     /// Unfrozen member count per link; zeroed back after every solve so the
     /// next domain starts clean without a full sweep.
     unfrozen_on: Vec<usize>,
@@ -415,9 +429,48 @@ impl LinkDomains {
     }
 }
 
+/// `r0` after `k` rounded subtractions of `inc`, one at a time: the value
+/// the per-flow oracle leaves on a link that `k` unfrozen flows cross.
+fn subtract_chain(r0: f64, inc: f64, k: usize) -> f64 {
+    let mut r = r0;
+    for _ in 0..k {
+        r -= inc;
+    }
+    r
+}
+
+/// Whether [`subtract_chain`]`(r0, inc, k) <= threshold`, decided without
+/// running the chain: `Some(answer)` when an error bound on the chain
+/// settles it, `None` when the chain must be replayed to tell.
+///
+/// With `u = 2⁻⁵³` and `k ≤ 2³²`, each of the chain's subtractions rounds
+/// off at most `u · |xᵢ − inc| ≤ u · S · (1 + 2⁻²⁰)`, where
+/// `S = |r0| + k·|inc|` (a sum whose result is subnormal is exact). The
+/// closed form `a = r0 − k·inc`, computed with one product and one
+/// difference, is off by at most `2u · S` plus half the smallest subnormal.
+/// So the chain lies within `E = (k + 2) · u · S · (1 + 2⁻²⁰) + 2⁻¹⁰⁷⁴` of
+/// `a`. The bound used, `m = (k + 2) · S · 2u + f64::MIN_POSITIVE`, is
+/// about twice `E` or more, its own rounding included. `d = a − threshold`
+/// rounds with the sign of the exact difference and
+/// `|d| ≤ (1 + u) · |a − threshold|`, so whenever `|d| > m` the chain is on
+/// the same side of `threshold` as `a`. Non-finite intermediates fail
+/// `|d| > m` and fall back to `None`; so do counts above 2³², where `k·u`
+/// stops being negligible.
+fn saturation_decided(r0: f64, inc: f64, k: usize, threshold: f64) -> Option<bool> {
+    if k as u64 > 1 << 32 {
+        return None;
+    }
+    let kf = k as f64;
+    let s = r0.abs() + kf * inc.abs();
+    let m = (kf + 2.0) * s * f64::EPSILON + f64::MIN_POSITIVE;
+    let d = (r0 - kf * inc) - threshold;
+    (d.abs() > m).then_some(d < 0.0)
+}
+
 /// Progressive filling over a single link domain, touching only the
 /// domain's links. `ds.class_ids` names the domain's live classes
-/// (ascending class index); rates land in `class_rate`.
+/// (ascending class index); rates land in `class_rate`. Returns how many
+/// residual chains it replayed.
 ///
 /// Bit-identical to [`FlowNet::max_min_rates_ref`] run on the domain's flows
 /// alone, by construction:
@@ -425,8 +478,15 @@ impl LinkDomains {
 /// * within a round every unfrozen flow receives the *same* increment, so a
 ///   link crossed by `k` unfrozen flows ends the round after `k` identical
 ///   subtractions — the result depends only on `k`, not on which flows or in
-///   what order, and the per-member subtraction loop below replays exactly
-///   that chain;
+///   what order ([`subtract_chain`]);
+/// * the round's residuals are read only by the freeze test
+///   `residual <= EPS * capacity` and, on links still crossed by unfrozen
+///   flows, by the next round's head-room. The freeze test is decided from
+///   an error bound on the chain ([`saturation_decided`]) and the chain is
+///   replayed only when the bound cannot tell; after the freeze pass, the
+///   links that still carry unfrozen flows replay their owed chain before
+///   the next round reads it. Every decided comparison is the chain's own
+///   and every residual read is the chain's value;
 /// * members of a class have bit-equal rates at every round (same start,
 ///   same increments), so tracking one rate per class loses nothing;
 /// * the round increment is a `min` over link head-rooms and demand gaps,
@@ -437,14 +497,16 @@ impl LinkDomains {
 /// Per-link unfrozen counts are maintained incrementally (decremented when a
 /// class freezes) instead of rescanned from the flow list each round, and
 /// the link-indexed scratch vectors are refreshed only on the domain's links
-/// (epoch-stamped dedup), so a solve costs O(domain), independent of the
-/// fabric size.
+/// (epoch-stamped dedup), so a round costs O(domain links + domain classes),
+/// independent of the fabric size and of the member count, plus the length
+/// of any chain it replays.
 fn solve_domain(
     capacity: &[f64],
     classes: &[FlowClass],
     ds: &mut DomainScratch,
     class_rate: &mut [f64],
-) {
+) -> u64 {
+    const EPS: f64 = 1e-9;
     let n = ds.class_ids.len();
     ds.links.clear();
     ds.rate.clear();
@@ -464,6 +526,7 @@ fn solve_domain(
             ds.unfrozen_on[li] += cl.members();
         }
     }
+    let mut replays = 0;
     let mut unfrozen = n;
     while unfrozen > 0 {
         let mut inc = f64::INFINITY;
@@ -486,35 +549,56 @@ fn solve_domain(
             break;
         }
         let inc = inc.max(0.0);
+        // Each link crossed by `k` unfrozen members owes `k` subtractions of
+        // `inc`: settle its freeze test, replaying the chain only if needed.
+        for &li in &ds.links {
+            let k = ds.unfrozen_on[li];
+            if k == 0 {
+                continue;
+            }
+            let threshold = EPS * capacity[li];
+            ds.saturated[li] = match saturation_decided(ds.residual[li], inc, k, threshold) {
+                Some(saturated) => {
+                    debug_assert_eq!(
+                        saturated,
+                        subtract_chain(ds.residual[li], inc, k) <= threshold,
+                        "decided saturation of link {li} differs from the replayed chain"
+                    );
+                    ds.owed[li] = k;
+                    saturated
+                }
+                None => {
+                    ds.residual[li] = subtract_chain(ds.residual[li], inc, k);
+                    ds.owed[li] = 0;
+                    replays += 1;
+                    ds.residual[li] <= threshold
+                }
+            };
+        }
         for k in 0..n {
             if ds.frozen[k] {
                 continue;
             }
             ds.rate[k] += inc;
             let cl = &classes[ds.class_ids[k]];
-            for l in &cl.route {
-                let r = &mut ds.residual[l.index()];
-                for _ in 0..cl.members() {
-                    *r -= inc;
-                }
-            }
-        }
-        const EPS: f64 = 1e-9;
-        for k in 0..n {
-            if ds.frozen[k] {
-                continue;
-            }
-            let cl = &classes[ds.class_ids[k]];
             let at_demand = cl.demand.is_some_and(|d| ds.rate[k] >= d - EPS * d.max(1.0));
-            let on_saturated = cl
-                .route
-                .iter()
-                .any(|l| ds.residual[l.index()] <= EPS * capacity[l.index()]);
+            let on_saturated = cl.route.iter().any(|l| ds.saturated[l.index()]);
             if at_demand || on_saturated {
                 ds.frozen[k] = true;
                 unfrozen -= 1;
                 for l in &cl.route {
                     ds.unfrozen_on[l.index()] -= cl.members();
+                }
+            }
+        }
+        // The next round reads the residual of every link that still
+        // carries unfrozen members: pay what those links owe.
+        if unfrozen > 0 {
+            for &li in &ds.links {
+                if ds.unfrozen_on[li] > 0 && ds.owed[li] > 0 {
+                    ds.residual[li] = subtract_chain(ds.residual[li], inc, ds.owed[li]);
+                    ds.owed[li] = 0;
+                    replays += 1;
                 }
             }
         }
@@ -527,6 +611,7 @@ fn solve_domain(
     for &li in &ds.links {
         ds.unfrozen_on[li] = 0;
     }
+    replays
 }
 
 /// Event-driven finite-transfer simulator over a [`FlowNet`].
@@ -592,6 +677,7 @@ pub struct FlowSim {
     recomputes: u64,
     domain_solves: u64,
     class_scans: u64,
+    residual_replays: u64,
     now: SimTime,
     next_id: u64,
     /// When enabled, every allocator recomputation appends one
@@ -639,6 +725,7 @@ impl FlowSim {
             recomputes: 0,
             domain_solves: 0,
             class_scans: 0,
+            residual_replays: 0,
             now: SimTime::ZERO,
             next_id: 0,
             trace: false,
@@ -682,6 +769,16 @@ impl FlowSim {
     /// [`FlowSim::domain_solves`].
     pub fn class_scans(&self) -> u64 {
         self.class_scans
+    }
+
+    /// Number of per-link residual chains the allocator has replayed so
+    /// far. A solve decides each round's link saturations from an error
+    /// bound and replays a link's chain of subtractions only when the bound
+    /// cannot decide, or when a later round reads the link's residual; a
+    /// solve that ends in one round usually replays none. Exact, like
+    /// [`FlowSim::domain_solves`].
+    pub fn residual_replays(&self) -> u64 {
+        self.residual_replays
     }
 
     /// Enable (or disable) rate-change tracing: each allocator recomputation
@@ -865,6 +962,8 @@ impl FlowSim {
             ds.link_epoch.resize(n_links, 0);
             ds.root_epoch.resize(n_links, 0);
             ds.residual.resize(n_links, 0.0);
+            ds.owed.resize(n_links, 0);
+            ds.saturated.resize(n_links, false);
             ds.unfrozen_on.resize(n_links, 0);
         }
         ds.epoch += 1;
@@ -916,7 +1015,7 @@ impl FlowSim {
                 continue;
             }
             self.domain_solves += 1;
-            solve_domain(
+            self.residual_replays += solve_domain(
                 &self.net.capacity,
                 &self.classes,
                 &mut self.dscratch,
@@ -1213,8 +1312,12 @@ pub(crate) mod tests {
     /// twice at one instant, the second time from the caches alone.
     /// Transfer sizes and time steps come from small sets, so flows of one
     /// class with equal remaining bytes, and flows drained to zero, actually
-    /// occur.
-    fn check_history(caps: Vec<f64>, ops: Vec<HistoryOp>, route: impl Fn(&[u32]) -> Vec<u32>) {
+    /// occur. Returns the simulator as the history left it.
+    fn check_history(
+        caps: Vec<f64>,
+        ops: Vec<HistoryOp>,
+        route: impl Fn(&[u32]) -> Vec<u32>,
+    ) -> FlowSim {
         const SIZES: [f64; 4] = [1.0, 64.0, 4096.0, 65536.0];
         const STEPS_NS: [u64; 4] = [0, 0, 1, 977];
         let links = caps.len() as u32;
@@ -1282,6 +1385,7 @@ pub(crate) mod tests {
             assert_eq!(sim.next_completion(), brute, "repeated query");
             assert_eq!(sim.class_scans(), scans, "a repeated query scans no class");
         }
+        sim
     }
 
     #[test]
@@ -1664,6 +1768,62 @@ pub(crate) mod tests {
         assert_eq!(scans(&mut sim), 5, "a clock move rescans every class");
     }
 
+    #[test]
+    fn single_round_solves_replay_no_chain() {
+        // 700 flows of one class on one link: every solve, up to the one
+        // over 700 members, ends in one round with the link decided as
+        // saturated, so no residual chain is ever replayed.
+        let net = FlowNet::from_capacities(vec![16e9]);
+        let mut sim = FlowSim::new(net.clone());
+        let spec = FlowSpec::new(vec![link(0)]);
+        let ids: Vec<FlowId> =
+            (0..700).map(|_| sim.add_flow(SimTime::ZERO, spec.clone(), 1e6)).collect();
+        assert_eq!(sim.domain_solves(), 700);
+        assert_eq!(sim.residual_replays(), 0);
+        let want = net.max_min_rates_ref(&vec![spec; 700]);
+        assert_eq!(sim.rate(ids[0]).unwrap().to_bits(), want[0].to_bits());
+    }
+
+    #[test]
+    fn multi_round_solves_replay_the_surviving_links() {
+        // Links 0 and 1 carry 8 demand-capped flows and 300 uncapped ones,
+        // all crossing both. Round one freezes the capped class at its
+        // demand and leaves the uncapped class on both links, so both links
+        // replay their chain; round two saturates link 1 and freezes
+        // everything, so nothing more is replayed.
+        let net = FlowNet::from_capacities(vec![2e9, 1e9]);
+        let mut sim = FlowSim::new(net.clone());
+        let capped = FlowSpec::with_demand(vec![link(0), link(1)], 1e6);
+        let open = FlowSpec::new(vec![link(0), link(1)]);
+        let mut specs = vec![capped.clone(); 8];
+        specs.extend(vec![open.clone(); 300]);
+        for spec in &specs[..specs.len() - 1] {
+            sim.add_flow(SimTime::ZERO, spec.clone(), 1e6);
+        }
+        let before = sim.residual_replays();
+        let last = sim.add_flow(SimTime::ZERO, open, 1e6);
+        assert_eq!(sim.residual_replays() - before, 2);
+        let want = net.max_min_rates_ref(&specs);
+        assert_eq!(sim.rate(last).unwrap().to_bits(), want[307].to_bits());
+        assert_eq!(sim.rate(FlowId(0)).unwrap().to_bits(), want[0].to_bits());
+        assert_eq!(want[0], 1e6);
+    }
+
+    #[test]
+    fn realistic_saturations_are_decided() {
+        // A link shared by `k` flows that saturate it lands within a few
+        // ulps of zero, far below `EPS * capacity`; one left well short of
+        // saturation stays far above it. Both are decided without a replay.
+        for k in [1, 2, 3, 7, 100, 999, 4096, 100_000] {
+            for cap in [0.5e9, 1e9, 16e9, 64e9, 3.0] {
+                let threshold = 1e-9 * cap;
+                let inc = cap / k as f64;
+                assert_eq!(saturation_decided(cap, inc, k, threshold), Some(true));
+                assert_eq!(saturation_decided(cap, inc / 2.0, k, threshold), Some(false));
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1745,6 +1905,128 @@ pub(crate) mod tests {
                 }
                 route
             });
+        }
+    }
+
+    proptest! {
+        // Debug builds also cross-check every solve against the oracle, so
+        // they run fewer of these long histories.
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 8 } else { 32 }))]
+
+        /// The same check on a Baseline-shaped server: every route crosses
+        /// root link 0 (a 64 GB/s root complex), alone or after one of
+        /// three narrower branch links. Most adds are uncapped flows on the
+        /// root alone, so that class grows to a few hundred members, and
+        /// one add in eight is demand-capped: caps that bind before the
+        /// root saturates make solves of two or more rounds, which replay
+        /// the surviving links' chains. Degrades hit branch links only.
+        #[test]
+        fn flow_sim_histories_match_reference_on_a_root_complex(
+            ops in proptest::collection::vec(
+                (
+                    0u8..16,
+                    proptest::collection::vec(0u32..16, 0..2),
+                    0u8..8,
+                    1u64..1_000_000,
+                    0usize..4,
+                    0usize..4,
+                ),
+                400..700,
+            ),
+        ) {
+            let ops = ops
+                .into_iter()
+                .map(|(op, picks, capped, v, size, step)| match op {
+                    0..=12 => (0, picks, capped == 0, v, size, step),
+                    13..=14 => (1, picks, false, v, size, step),
+                    _ => (2, vec![1 + (v % 3) as u32], false, v, size, step),
+                })
+                .collect();
+            let sim = check_history(vec![64e9, 1e9, 2e9, 0.5e9], ops, |picks| {
+                match picks.first() {
+                    Some(&p) if p % 4 != 0 => vec![p % 4, 0],
+                    _ => vec![0],
+                }
+            });
+            prop_assert!(sim.residual_replays() > 0, "no multi-round solve occurred");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// [`saturation_decided`] never contradicts the chain it stands in
+        /// for. The inputs are adversarial near-ties: `r0` is a few ulps
+        /// off `k·inc`, so the chain ends near zero, and the threshold sits
+        /// `t_ulps · 2^spread` ulps of `|r0| + k·inc` from the chain's end
+        /// (or from `r0 − k·inc`), on either side of the error bound, so
+        /// both decided and undecided cases occur. The shapes also include
+        /// the solver's own `EPS·capacity` threshold with the chain landing
+        /// next to it, `inc = 0`, `inc > r0`, and subnormal increments.
+        #[test]
+        fn saturation_decisions_match_the_chain(
+            k in 1usize..4000,
+            magnitude in 0usize..8,
+            mantissa in 1.0f64..2.0,
+            shape in 0u8..6,
+            r0_ulps in -8i64..9,
+            t_ulps in -4i64..5,
+            spread in 0i32..40,
+        ) {
+            let step = |x: f64, n: i64| {
+                let next = if n > 0 { f64::next_up } else { f64::next_down };
+                (0..n.unsigned_abs()).fold(x, |x, _| next(x))
+            };
+            let ulp = |x: f64| x.abs().next_up() - x.abs();
+            let kf = k as f64;
+            let offset = t_ulps as f64 * 2f64.powi(spread);
+            let near = |r0: f64, inc: f64, x: f64| x + offset * ulp(r0.abs() + kf * inc);
+            let inc = mantissa * [1e-310, 1e-300, 1e-150, 1e-3, 1.0, 1e3, 1e6, 1e9][magnitude];
+            let (r0, inc, threshold) = match shape {
+                // The chain ends near zero, the threshold near its end.
+                0 => {
+                    let r0 = step(kf * inc, r0_ulps);
+                    (r0, inc, near(r0, inc, subtract_chain(r0, inc, k)))
+                }
+                // The threshold near the closed form instead.
+                1 => {
+                    let r0 = step(kf * inc, r0_ulps);
+                    (r0, inc, near(r0, inc, r0 - kf * inc))
+                }
+                // The solver's threshold, the chain landing near it.
+                2 => {
+                    let (cap, threshold) = (inc, 1e-9 * inc);
+                    let inc = step((cap - threshold - offset * ulp(cap)) / kf, r0_ulps);
+                    (cap, inc, threshold)
+                }
+                // A zero increment: the chain is `r0` itself.
+                3 => (inc, 0.0, near(inc, 0.0, inc)),
+                // An increment larger than `r0`: the chain goes negative.
+                4 => {
+                    let r0 = inc / 3.0;
+                    (r0, inc, near(r0, inc, subtract_chain(r0, inc, k)))
+                }
+                // Subnormal increments, from a subnormal or a tiny normal
+                // residual.
+                _ => {
+                    let inc = f64::from_bits(k as u64 * r0_ulps.unsigned_abs());
+                    let r0 = if magnitude % 2 == 0 {
+                        f64::from_bits(mantissa.to_bits() >> 40)
+                    } else {
+                        inc * 1e300
+                    };
+                    (r0, inc, near(r0, inc, subtract_chain(r0, inc, k)))
+                }
+            };
+            let chain = subtract_chain(r0, inc, k);
+            if let Some(saturated) = saturation_decided(r0, inc, k, threshold) {
+                prop_assert_eq!(
+                    saturated,
+                    chain <= threshold,
+                    "r0={:e} inc={:e} k={} threshold={:e} chain={:e}",
+                    r0, inc, k, threshold, chain
+                );
+            }
         }
     }
 }
