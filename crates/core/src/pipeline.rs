@@ -25,7 +25,7 @@ use trainbox_pcie::boxes::{PrepPoolNet, ServerTopology};
 use trainbox_pcie::flow::{FlowId, FlowNet, FlowSim, FlowSpec};
 use trainbox_pcie::{LinkId, NodeId};
 use trainbox_sim::{
-    Component, Engine, EventKey, FifoServer, ForkTracer, FxHashMap, Model, NoopTracer, Scheduler,
+    Component, Engine, EventKey, FifoServer, ForkTracer, Model, NoopTracer, Scheduler, SeqTable,
     SimError, SimTime, Tracer,
 };
 
@@ -280,11 +280,48 @@ impl Chunk {
     }
 }
 
+/// One class of identical queued devices — the SSDs, the prep devices or
+/// the pool FPGAs — whose service slots own consecutive FIFO lanes of the
+/// engine, from `lane0` on.
+///
+/// A slot's completions are nondecreasing ([`FifoServer::enqueue`]), so
+/// each completion event goes on its slot's lane
+/// ([`Scheduler::schedule_fifo_at`]) and the heap holds one event per busy
+/// slot instead of every completion a prefetch window has queued.
+struct Devices {
+    servers: Vec<FifoServer>,
+    lane0: usize,
+}
+
+impl Devices {
+    /// `n` devices of `slots` service slots each, on lanes from `lane0`.
+    fn new(n: usize, slots: usize, lane0: usize) -> Self {
+        Devices { servers: (0..n).map(|_| FifoServer::new(slots)).collect(), lane0 }
+    }
+
+    fn len(&self) -> usize {
+        self.servers.len()
+    }
+
+    /// First lane past this class's.
+    fn lane_end(&self) -> usize {
+        self.lane0 + self.servers.iter().map(FifoServer::servers).sum::<usize>()
+    }
+
+    /// Admit a job on device `dev`: its completion time and the FIFO lane
+    /// of the slot serving it.
+    fn enqueue(&mut self, dev: usize, arrival: SimTime, service: SimTime) -> (SimTime, usize) {
+        let server = &mut self.servers[dev];
+        let (done, slot) = server.enqueue(arrival, service);
+        (done, self.lane0 + dev * server.servers() + slot)
+    }
+}
+
 /// Ethernet prep-pool state for the DES (its flows run on the Ethernet
 /// [`FlowPlane`]).
 struct EthPool {
     net: PrepPoolNet,
-    pool_servers: Vec<FifoServer>,
+    pool_servers: Devices,
     pool_service: SimTime,
     /// Offload every `period`-th chunk per in-box FPGA (0 = never).
     period: u64,
@@ -314,16 +351,15 @@ struct ArmedCheck {
 /// One flow plane of the DES: the fluid flow simulator of a [`Plane`], its
 /// armed completion check, and the chunk each in-flight flow carries. The
 /// two planes' [`FlowSim`]s have independent flow-id spaces, so each keeps
-/// its own maps.
+/// its own table.
 struct FlowPlane {
     plane: Plane,
     sim: FlowSim,
     /// Outstanding completion check, cancelled when superseded.
     check: Option<ArmedCheck>,
-    cont: FxHashMap<FlowId, u64>,
-    /// Start instant of each in-flight flow; populated only while a real
-    /// tracer is attached (span endpoints for the trace layer).
-    started: FxHashMap<FlowId, SimTime>,
+    /// The chunk each in-flight flow carries and the flow's start instant
+    /// (a trace span's start), by [`FlowId::seq`].
+    cont: SeqTable<(u64, SimTime)>,
 }
 
 impl FlowPlane {
@@ -334,8 +370,7 @@ impl FlowPlane {
             plane,
             sim,
             check: None,
-            cont: FxHashMap::default(),
-            started: FxHashMap::default(),
+            cont: SeqTable::new(),
         }
     }
 
@@ -346,14 +381,10 @@ impl FlowPlane {
         spec: FlowSpec,
         bytes: f64,
         cont: u64,
-        traced: bool,
         sched: &mut Scheduler<Ev>,
     ) {
         let fid = self.sim.add_flow(now, spec, bytes.max(1.0));
-        if traced {
-            self.started.insert(fid, now);
-        }
-        self.cont.insert(fid, cont);
+        self.cont.insert(fid.seq(), (cont, now));
         self.rearm(sched);
     }
 
@@ -374,16 +405,14 @@ impl FlowPlane {
     }
 
     /// Complete the flow the fired check was armed for, returning the chunk
-    /// it carried and (when `traced`) its start instant. Only the latest
-    /// check can fire: superseded ones were cancelled in [`Self::rearm`] and
-    /// dropped by the engine.
-    fn complete(&mut self, traced: bool) -> Option<(u64, Option<SimTime>)> {
+    /// it carried and its start instant. Only the latest check can fire:
+    /// superseded ones were cancelled in [`Self::rearm`] and dropped by the
+    /// engine.
+    fn complete(&mut self) -> Option<(u64, SimTime)> {
         let ArmedCheck { at, flow, .. } = self.check.take()?;
         debug_assert_eq!(self.sim.next_completion(), Some((at, flow)));
         self.sim.complete(at.max(self.sim.now()), flow);
-        let cont = self.cont.remove(&flow).expect("every flow has a continuation");
-        let started = if traced { self.started.remove(&flow) } else { None };
-        Some((cont, started))
+        Some(self.cont.remove(flow.seq()).expect("every flow has a continuation"))
     }
 }
 
@@ -527,11 +556,12 @@ pub(crate) struct PipelineModel<T: Tracer> {
     ethernet: FlowPlane,
     eth: Option<EthPool>,
 
-    ssds: Vec<FifoServer>,
-    preps: Vec<FifoServer>,
+    ssds: Devices,
+    preps: Devices,
     prep_service: SimTime,
 
-    chunks: FxHashMap<u64, Chunk>,
+    /// In-flight chunks, by the id `next_chunk` gave them.
+    chunks: SeqTable<Chunk>,
     next_chunk: u64,
     accels: Vec<AccelState>,
     sync_gen: u64,
@@ -622,6 +652,27 @@ impl<T: Tracer> PipelineModel<T> {
         let n_links = topo.topo.link_count();
         let traced = tracer.enabled();
         let pcie = FlowPlane::new(Plane::Pcie, FlowNet::from_topology(&topo.topo), traced);
+        // Queued devices, one FIFO lane per service slot: the SSDs', then
+        // the prep devices', then (with a pool) the pool FPGAs'.
+        let ssds = Devices::new(topo.ssds.len(), 1, 0);
+        let (preps, prep_service) = match path {
+            Datapath::HostCpu => {
+                // One fluid CPU pool: each chunk occupies one of the 48
+                // core-slots for `chunk x per-sample-core-time`.
+                let per = profile.cpu_secs_per_sample;
+                (
+                    Devices::new(1, DGX2.cpu_cores as usize, ssds.lane_end()),
+                    SimTime::from_secs_f64(cfg.chunk_samples as f64 * per),
+                )
+            }
+            Datapath::HostStagedAccel | Datapath::P2pAccel | Datapath::Clustered => {
+                let per = kind.prep_accel_rate(&profile);
+                (
+                    Devices::new(topo.preps.len(), 1, ssds.lane_end()),
+                    SimTime::from_secs_f64(cfg.chunk_samples as f64 / per),
+                )
+            }
+        };
         // TrainBox-with-pool (the only design whose prep network has pool
         // FPGAs): set up the Ethernet network and the offload cadence from
         // the initializer's deficit analysis.
@@ -641,7 +692,7 @@ impl<T: Tracer> PipelineModel<T> {
                 let frac = ((demand - local) / demand).clamp(0.0, 1.0);
                 let period = (1.0 / frac).round().max(1.0) as u64;
                 Some(EthPool {
-                    pool_servers: net.pool_nics.iter().map(|_| FifoServer::new(1)).collect(),
+                    pool_servers: Devices::new(net.pool_nics.len(), 1, preps.lane_end()),
                     pool_service: SimTime::from_secs_f64(cfg.chunk_samples as f64 / f),
                     period,
                     counters: vec![0; net.box_nics.len()],
@@ -654,25 +705,6 @@ impl<T: Tracer> PipelineModel<T> {
             None => FlowNet::from_capacities(Vec::new()),
         };
         let ethernet = FlowPlane::new(Plane::Eth, eth_net, traced);
-        let ssds: Vec<FifoServer> = topo.ssds.iter().map(|_| FifoServer::new(1)).collect();
-        let (preps, prep_service): (Vec<FifoServer>, SimTime) = match path {
-            Datapath::HostCpu => {
-                // One fluid CPU pool: each chunk occupies one of the 48
-                // core-slots for `chunk x per-sample-core-time`.
-                let per = profile.cpu_secs_per_sample;
-                (
-                    vec![FifoServer::new(DGX2.cpu_cores as usize)],
-                    SimTime::from_secs_f64(cfg.chunk_samples as f64 * per),
-                )
-            }
-            Datapath::HostStagedAccel | Datapath::P2pAccel | Datapath::Clustered => {
-                let per = kind.prep_accel_rate(&profile);
-                (
-                    topo.preps.iter().map(|_| FifoServer::new(1)).collect(),
-                    SimTime::from_secs_f64(cfg.chunk_samples as f64 / per),
-                )
-            }
-        };
 
         let domain = fault_domain(server);
         debug_assert_eq!(domain.n_ssds, ssds.len());
@@ -703,7 +735,7 @@ impl<T: Tracer> PipelineModel<T> {
             ssds,
             preps,
             prep_service,
-            chunks: FxHashMap::default(),
+            chunks: SeqTable::new(),
             next_chunk: 0,
             accels: vec![AccelState::default(); n],
             sync_gen: 0,
@@ -896,7 +928,7 @@ impl<T: Tracer> PipelineModel<T> {
             let read = SimTime::from_secs_f64(
                 samples as f64 * self.sizes.stored / SSD_READ_BYTES_PER_SEC,
             );
-            let done_at = self.ssds[ssd].enqueue(now, read);
+            let (done_at, lane) = self.ssds.enqueue(ssd, now, read);
             if self.tracer.enabled() {
                 // The FIFO server may start the read after `now`; the span
                 // covers the service interval, not the queueing delay.
@@ -908,7 +940,7 @@ impl<T: Tracer> PipelineModel<T> {
                     done_at,
                 );
             }
-            sched.schedule_at(done_at, Ev::SsdDone(id));
+            sched.schedule_fifo_at(lane, done_at, Ev::SsdDone(id));
         }
     }
 
@@ -932,11 +964,11 @@ impl<T: Tracer> PipelineModel<T> {
         } else {
             FlowSpec::new(route)
         };
-        self.pcie.add(now, spec, bytes, cont, self.tracer.enabled(), sched);
+        self.pcie.add(now, spec, bytes, cont, sched);
     }
 
     fn queue_prep(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
-        let chunk = self.chunks[&id];
+        let chunk = self.chunks[id];
         // TrainBox with a pool: ship every period-th chunk of this in-box
         // FPGA to the pool over Ethernet instead of preparing locally.
         if let Some(eth) = self.eth.as_mut() {
@@ -948,14 +980,14 @@ impl<T: Tracer> PipelineModel<T> {
                 let route = eth.net.topo.route(eth.net.box_nics[dev], eth.net.pool_nics[pool_idx]);
                 // The chunk carries its pool device for the pool's service
                 // queue and the return leg.
-                let c = self.chunks.get_mut(&id).expect("chunk exists");
+                let c = &mut self.chunks[id];
                 c.stage = Stage::EthToPool;
                 c.pool_dev = pool_idx;
                 let bytes = chunk.samples as f64 * self.sizes.stored;
                 // Offloaded chunks never touch the local prep queue.
                 self.faults.prep_outstanding[dev] = self.faults.prep_outstanding[dev].saturating_sub(1);
                 let spec = FlowSpec::new(route);
-                self.ethernet.add(now, spec, bytes, id, self.tracer.enabled(), sched);
+                self.ethernet.add(now, spec, bytes, id, sched);
                 return;
             }
         }
@@ -966,7 +998,7 @@ impl<T: Tracer> PipelineModel<T> {
     /// (data re-routed to the least-loaded survivor) and a transiently
     /// failing one (retry with exponential backoff per the plan's policy).
     fn dispatch_prep(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
-        let chunk = self.chunks[&id];
+        let chunk = self.chunks[id];
         let dev = chunk.prep_dev;
         if !self.faults.prep_alive[dev] {
             // The device died while this chunk was in flight toward it: move
@@ -975,7 +1007,7 @@ impl<T: Tracer> PipelineModel<T> {
             self.faults.prep_outstanding[dev] =
                 self.faults.prep_outstanding[dev].saturating_sub(1);
             self.faults.prep_outstanding[new_dev] += 1;
-            let c = self.chunks.get_mut(&id).expect("chunk exists");
+            let c = &mut self.chunks[id];
             c.prep_dev = new_dev;
             c.redispatch();
             self.reroute_to_prep(now, id, dev, sched);
@@ -985,7 +1017,7 @@ impl<T: Tracer> PipelineModel<T> {
             // Request rejected. Retry after timeout + exponential backoff,
             // or give up and re-read the chunk from its SSD.
             let attempt = chunk.attempt;
-            let c = self.chunks.get_mut(&id).expect("chunk exists");
+            let c = &mut self.chunks[id];
             c.redispatch();
             if attempt < self.faults.retry.max_retries {
                 c.stage = Stage::PrepRetryWait;
@@ -1003,17 +1035,17 @@ impl<T: Tracer> PipelineModel<T> {
                 let read = SimTime::from_secs_f64(
                     chunk.samples as f64 * self.sizes.stored / SSD_READ_BYTES_PER_SEC,
                 );
-                let done_at = self.ssds[chunk.ssd].enqueue(now, read);
-                sched.schedule_at(done_at, Ev::SsdDone(id));
+                let (done_at, lane) = self.ssds.enqueue(chunk.ssd, now, read);
+                sched.schedule_fifo_at(lane, done_at, Ev::SsdDone(id));
             }
             return;
         }
-        let c = self.chunks.get_mut(&id).expect("chunk exists");
+        let c = &mut self.chunks[id];
         c.stage = Stage::Prep;
         let generation = c.generation;
         let service =
             SimTime::from_secs_f64(self.prep_service.as_secs_f64() / self.faults.prep_speed[dev]);
-        let done = self.preps[dev].enqueue(now, service);
+        let (done, lane) = self.preps.enqueue(dev, now, service);
         if self.tracer.enabled() {
             self.tracer.span(
                 Component::Pipeline,
@@ -1023,7 +1055,7 @@ impl<T: Tracer> PipelineModel<T> {
                 done,
             );
         }
-        sched.schedule_at(done, Ev::PrepDone(id, generation));
+        sched.schedule_fifo_at(lane, done, Ev::PrepDone(id, generation));
     }
 
     /// Model the data movement that re-dispatching a chunk from crashed
@@ -1048,7 +1080,7 @@ impl<T: Tracer> PipelineModel<T> {
 
     /// A retry backoff elapsed: re-pick the best target and dispatch again.
     fn on_prep_retry(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
-        let Some(&chunk) = self.chunks.get(&id) else { return };
+        let Some(&chunk) = self.chunks.get(id) else { return };
         debug_assert_eq!(chunk.stage, Stage::PrepRetryWait);
         // Prefer a healthy (alive, not flaky) device; if all survivors are
         // flaky the dispatch fails again and backs off further.
@@ -1065,19 +1097,19 @@ impl<T: Tracer> PipelineModel<T> {
             self.faults.prep_outstanding[chunk.prep_dev] =
                 self.faults.prep_outstanding[chunk.prep_dev].saturating_sub(1);
             self.faults.prep_outstanding[target] += 1;
-            self.chunks.get_mut(&id).expect("chunk exists").prep_dev = target;
+            self.chunks[id].prep_dev = target;
         }
         self.dispatch_prep(now, id, sched);
     }
 
     fn on_eth_flow_done(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
-        let chunk = self.chunks[&id];
+        let chunk = self.chunks[id];
         match chunk.stage {
             Stage::EthToPool => {
-                self.chunks.get_mut(&id).expect("chunk exists").stage = Stage::PoolPrep;
+                self.chunks[id].stage = Stage::PoolPrep;
                 let eth = self.eth.as_mut().expect("ethernet pool active");
                 let service = eth.pool_service;
-                let done = eth.pool_servers[chunk.pool_dev].enqueue(now, service);
+                let (done, lane) = eth.pool_servers.enqueue(chunk.pool_dev, now, service);
                 if self.tracer.enabled() {
                     self.tracer.span(
                         Component::Pipeline,
@@ -1087,7 +1119,7 @@ impl<T: Tracer> PipelineModel<T> {
                         done,
                     );
                 }
-                sched.schedule_at(done, Ev::PoolPrepDone(id));
+                sched.schedule_fifo_at(lane, done, Ev::PoolPrepDone(id));
             }
             // Back at the in-box FPGA: on to the post-prep legs.
             Stage::EthFromPool => self.start_leg(now, id, self.n_pre_legs(), sched),
@@ -1096,13 +1128,13 @@ impl<T: Tracer> PipelineModel<T> {
     }
 
     fn on_pool_prep_done(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
-        let chunk = self.chunks[&id];
+        let chunk = self.chunks[id];
         let net = &self.eth.as_ref().expect("ethernet pool active").net;
         let route = net.topo.route(net.pool_nics[chunk.pool_dev], net.box_nics[chunk.prep_dev]);
         let tensor = chunk.samples as f64 * self.sizes.tensor;
-        self.chunks.get_mut(&id).expect("chunk exists").stage = Stage::EthFromPool;
+        self.chunks[id].stage = Stage::EthFromPool;
         let spec = FlowSpec::new(route);
-        self.ethernet.add(now, spec, tensor, id, self.tracer.enabled(), sched);
+        self.ethernet.add(now, spec, tensor, id, sched);
     }
 
     /// Legs before preparation; leg `n_pre_legs()` is the first after it.
@@ -1136,7 +1168,7 @@ impl<T: Tracer> PipelineModel<T> {
 
     /// Start chunk `id` on leg `k` from the leg's own source.
     fn start_leg(&mut self, now: SimTime, id: u64, k: usize, sched: &mut Scheduler<Ev>) {
-        let c = self.chunks[&id];
+        let c = self.chunks[id];
         let from = site_node(&self.topo, self.leg(k).0, c.ssd, c.prep_dev, c.acc);
         self.send(now, id, k, from, sched);
     }
@@ -1144,7 +1176,7 @@ impl<T: Tracer> PipelineModel<T> {
     /// Move chunk `id` over leg `k`, leaving from node `from`: the stored
     /// sample before preparation, the prepared tensor after.
     fn send(&mut self, now: SimTime, id: u64, k: usize, from: NodeId, sched: &mut Scheduler<Ev>) {
-        let c = self.chunks.get_mut(&id).expect("chunk exists");
+        let c = &mut self.chunks[id];
         c.stage = Stage::Leg(k as u8);
         let c = *c;
         let per_sample = if k < self.n_pre_legs() {
@@ -1159,7 +1191,7 @@ impl<T: Tracer> PipelineModel<T> {
     /// A PCIe leg completed: start the next one, hand the chunk to its prep
     /// device after the last pre-leg, or deliver it after the last post-leg.
     fn on_flow_done(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
-        let Stage::Leg(k) = self.chunks[&id].stage else {
+        let Stage::Leg(k) = self.chunks[id].stage else {
             unreachable!("PCIe flows carry chunks on datapath legs")
         };
         let k = usize::from(k);
@@ -1180,7 +1212,7 @@ impl<T: Tracer> PipelineModel<T> {
         generation: u32,
         sched: &mut Scheduler<Ev>,
     ) {
-        let Some(&chunk) = self.chunks.get(&id) else { return };
+        let Some(&chunk) = self.chunks.get(id) else { return };
         if chunk.generation != generation {
             // A completion from before this chunk was re-dispatched (its
             // device crashed with the chunk queued): stale, ignore.
@@ -1192,7 +1224,7 @@ impl<T: Tracer> PipelineModel<T> {
     }
 
     fn deliver(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
-        let chunk = self.chunks.remove(&id).expect("chunk exists");
+        let chunk = self.chunks.remove(id).expect("chunk exists");
         let st = &mut self.accels[chunk.acc];
         st.in_flight -= chunk.samples;
         if !self.faults.accel_alive[chunk.acc] {
@@ -1387,7 +1419,8 @@ impl<T: Tracer> PipelineModel<T> {
             FaultKind::SsdStall { ssd, secs } => {
                 // The stall occupies the device queue like a zero-value job:
                 // reads already queued finish first, later ones wait it out.
-                let _ = self.ssds[ssd].enqueue(now, SimTime::from_secs_f64(secs));
+                // It schedules no event, so the slot's lane stays monotone.
+                let _ = self.ssds.enqueue(ssd, now, SimTime::from_secs_f64(secs));
                 downtime(secs, &mut self.faults.stats);
             }
             FaultKind::PrepCrash { dev } => {
@@ -1400,20 +1433,20 @@ impl<T: Tracer> PipelineModel<T> {
                 downtime(f64::NAN, &mut self.faults.stats);
                 // Re-dispatch the chunks queued on the dead device to the
                 // least-loaded survivors (greedy max-min water-filling).
-                // Sorted ids keep the event sequence deterministic.
-                let mut stranded: Vec<u64> = self
+                // The table yields ids in ascending order, which keeps the
+                // event sequence deterministic.
+                let stranded: Vec<u64> = self
                     .chunks
                     .iter()
                     .filter(|(_, c)| c.prep_dev == dev && c.stage == Stage::Prep)
-                    .map(|(&id, _)| id)
+                    .map(|(id, _)| id)
                     .collect();
-                stranded.sort_unstable();
                 for id in stranded {
                     let new_dev = self.faults.least_loaded_prep();
                     self.faults.prep_outstanding[dev] =
                         self.faults.prep_outstanding[dev].saturating_sub(1);
                     self.faults.prep_outstanding[new_dev] += 1;
-                    let c = self.chunks.get_mut(&id).expect("chunk exists");
+                    let c = &mut self.chunks[id];
                     c.prep_dev = new_dev;
                     c.redispatch(); // stale the old completion
                     self.reroute_to_prep(now, id, dev, sched);
@@ -1508,10 +1541,9 @@ impl<T: Tracer> Model for PipelineModel<T> {
             }
             Ev::SsdDone(id) => self.start_leg(now, id, 0, sched),
             Ev::FlowCheck(plane) => {
-                let traced = self.tracer.enabled();
-                let Some((cont, started)) = self.plane(plane).complete(traced) else { return };
-                if let Some(start) = started {
-                    let (name, track) = match (self.chunks.get(&cont), plane) {
+                let Some((cont, start)) = self.plane(plane).complete() else { return };
+                if self.tracer.enabled() {
+                    let (name, track) = match (self.chunks.get(cont), plane) {
                         (Some(c), Plane::Pcie) => (self.xfer_name(c.stage), c.acc as u32),
                         (Some(c), Plane::Eth) => (self.xfer_name(c.stage), c.pool_dev as u32),
                         (None, Plane::Pcie) => ("xfer", 0),
@@ -1626,7 +1658,8 @@ impl std::error::Error for DesFailure {}
 /// # Panics
 ///
 /// Panics on invalid input — `cfg.warmup_batches == 0`,
-/// `cfg.batches <= cfg.warmup_batches` or an invalid fault plan (see
+/// `cfg.batches <= cfg.warmup_batches`, `cfg.chunk_samples == 0` or an
+/// invalid fault plan (see
 /// [`FaultPlan::validate`]) — and if every prep device or accelerator is
 /// lost to faults.
 pub(crate) fn try_simulate_traced_deadline<T: ForkTracer + Send>(
@@ -1720,10 +1753,12 @@ pub(crate) fn simulate_solo<T: Tracer>(
 }
 
 /// The measured window needs a closed warm-up generation to start from and
-/// at least one generation after it.
+/// at least one generation after it, and the pipeline needs chunks that
+/// carry samples (a zero-sample chunk never fills the prefetch window).
 pub(crate) fn check_window(cfg: &SimConfig) {
     assert!(cfg.warmup_batches >= 1, "need at least one warmup batch");
     assert!(cfg.batches > cfg.warmup_batches, "need batches after warmup");
+    assert!(cfg.chunk_samples >= 1, "need at least one sample per chunk");
 }
 
 /// Steady-state throughput and closed fault accounting over the measured
@@ -2240,6 +2275,15 @@ mod tests {
         let w = Workload::resnet50();
         let server = ServerConfig::new(ServerKind::Baseline, 8).build();
         let cfg = SimConfig { batches: 2, warmup_batches: 2, ..quick_cfg() };
+        run(&server, &w, &cfg, &FaultPlan::empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one sample per chunk")]
+    fn zero_sample_chunks_rejected() {
+        let w = Workload::resnet50();
+        let server = ServerConfig::new(ServerKind::Baseline, 8).build();
+        let cfg = SimConfig { chunk_samples: 0, ..quick_cfg() };
         run(&server, &w, &cfg, &FaultPlan::empty());
     }
 

@@ -652,8 +652,8 @@ impl SimRequest {
     }
 
     /// The checks both DES paths share: a warm-up batch to measure from, at
-    /// least one measured batch after it, and a fault plan (empty when
-    /// absent) that fits one `server`.
+    /// least one measured batch after it, at least one sample per chunk,
+    /// and a fault plan (empty when absent) that fits one `server`.
     fn validated_plan(&self, server: &Server, cfg: &SimConfig) -> Result<FaultPlan, SimError> {
         if cfg.warmup_batches == 0 || cfg.batches <= cfg.warmup_batches {
             return Err(SimError::InvalidSim(format!(
@@ -661,6 +661,13 @@ impl SimRequest {
                  (batches = {}, warmup_batches = {})",
                 cfg.batches, cfg.warmup_batches
             )));
+        }
+        if cfg.chunk_samples == 0 {
+            // A zero-sample chunk never fills the prefetch window, so the
+            // pipeline would create chunks forever inside one event.
+            return Err(SimError::InvalidSim(
+                "chunk_samples must be at least 1".to_string(),
+            ));
         }
         let plan = self.faults.clone().unwrap_or_default();
         plan.validate(&fault_domain(server)).map_err(SimError::InvalidPlan)?;
@@ -1097,6 +1104,19 @@ mod tests {
             SimRequest::des(ServerKind::TrainBox, 16, Workload::vgg19(), cold),
             SimRequest::des(ServerKind::TrainBoxNoPool, 16, Workload::vgg19(), cold),
             SimRequest::des(ServerKind::TrainBoxNoPool, 16, Workload::vgg19(), cold)
+                .with_cluster(ClusterSpec::rack_default(2)),
+        ] {
+            let err = req.run().unwrap_err();
+            assert!(matches!(err, SimError::InvalidSim(_)), "{err:?}");
+            assert_eq!(err.field(), "sim");
+        }
+        // A zero-sample chunk is refused before any event runs, on every
+        // DES path.
+        let empty = SimConfig { chunk_samples: 0, ..SimConfig::default() };
+        for req in [
+            SimRequest::des(ServerKind::Baseline, 8, Workload::vgg19(), empty),
+            SimRequest::des(ServerKind::TrainBoxNoPool, 16, Workload::vgg19(), empty),
+            SimRequest::des(ServerKind::TrainBoxNoPool, 16, Workload::vgg19(), empty)
                 .with_cluster(ClusterSpec::rack_default(2)),
         ] {
             let err = req.run().unwrap_err();

@@ -39,11 +39,20 @@
 use crate::topology::{LinkId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use trainbox_sim::{FxHashMap, SimTime};
+use trainbox_sim::{FxHashMap, SeqTable, SimTime};
 
 /// Identifier of an active flow in a [`FlowSim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct FlowId(u64);
+
+impl FlowId {
+    /// Sequence number: a [`FlowSim`] numbers its flows 0, 1, 2, … in the
+    /// order they are added, so callers can keep per-flow state in a
+    /// [`SeqTable`].
+    pub fn seq(self) -> u64 {
+        self.0
+    }
+}
 
 /// Specification of one flow for a rate computation.
 #[derive(Debug, Clone, PartialEq)]
@@ -273,9 +282,10 @@ struct ClassKey {
 }
 
 impl ClassKey {
-    fn of(spec: &FlowSpec) -> Self {
+    /// The key of `spec`'s class, taking over its route.
+    fn of(spec: FlowSpec) -> Self {
         ClassKey {
-            route: spec.route.clone(),
+            route: spec.route,
             // All NaN/None collisions are impossible: demand is validated
             // finite-positive, and u64::MAX is not a finite f64's bit pattern.
             demand_bits: spec.demand.map_or(u64::MAX, f64::to_bits),
@@ -646,8 +656,8 @@ pub struct FlowSim {
     classes: Vec<FlowClass>,
     class_index: FxHashMap<ClassKey, usize>,
     free_classes: Vec<usize>,
-    /// Class of each active flow.
-    flow_class: FxHashMap<FlowId, usize>,
+    /// Class of each active flow, by [`FlowId::seq`].
+    flow_class: SeqTable<usize>,
     /// Set when the flow set or a capacity changed since the last
     /// recomputation; a clean simulator skips the allocator entirely.
     dirty: bool,
@@ -712,7 +722,7 @@ impl FlowSim {
             classes: Vec::new(),
             class_index: FxHashMap::default(),
             free_classes: Vec::new(),
-            flow_class: FxHashMap::default(),
+            flow_class: SeqTable::new(),
             dirty: false,
             domains: LinkDomains::new(n_links),
             records: vec![DomainRecord::new(usize::MAX)],
@@ -802,17 +812,20 @@ impl FlowSim {
     /// class's domain dirty and merges the route's links into one domain
     /// (they now share a potential bottleneck). The caller queues the member.
     fn intern_class(&mut self, spec: FlowSpec) -> usize {
-        let key = ClassKey::of(&spec);
+        let demand = spec.demand;
+        // The key takes the route: a flow joining an existing class, the
+        // common case, copies nothing.
+        let key = ClassKey::of(spec);
         if let Some(&c) = self.class_index.get(&key) {
             self.mark_route_dirty(c);
             return c;
         }
-        if let Some((&first, rest)) = spec.route.split_first() {
+        if let Some((&first, rest)) = key.route.split_first() {
             for l in rest {
                 self.join(first.index(), l.index());
             }
         }
-        let rec = self.record_for(spec.route.first().copied());
+        let rec = self.record_for(key.route.first().copied());
         let c = match self.free_classes.pop() {
             Some(slot) => {
                 // Keep the slot's (empty) queue and its allocation. The slot
@@ -828,14 +841,14 @@ impl FlowSim {
                     listed.insert(at, slot);
                 }
                 let cl = &mut self.classes[slot];
-                cl.route = spec.route;
-                cl.demand = spec.demand;
+                cl.route.clone_from(&key.route);
+                cl.demand = demand;
                 slot
             }
             None => {
                 self.classes.push(FlowClass {
-                    route: spec.route,
-                    demand: spec.demand,
+                    route: key.route.clone(),
+                    demand,
                     queue: VecDeque::new(),
                 });
                 // The newest slot is the largest: the list stays ascending.
@@ -1090,7 +1103,7 @@ impl FlowSim {
         let queue = &mut self.classes[class].queue;
         let at = queue.partition_point(|&(_, remaining)| remaining <= bytes);
         queue.insert(at, (id, bytes));
-        self.flow_class.insert(id, class);
+        self.flow_class.insert(id.0, class);
         self.recompute();
         id
     }
@@ -1134,7 +1147,7 @@ impl FlowSim {
 
     /// Remaining bytes of a flow (`None` if unknown/completed).
     pub fn remaining(&self, id: FlowId) -> Option<f64> {
-        let c = *self.flow_class.get(&id)?;
+        let c = *self.flow_class.get(id.0)?;
         self.classes[c]
             .queue
             .iter()
@@ -1144,7 +1157,7 @@ impl FlowSim {
 
     /// Current rate of a flow in bytes/s (`None` if unknown).
     pub fn rate(&self, id: FlowId) -> Option<f64> {
-        self.flow_class.get(&id).map(|&c| self.class_rate[c])
+        self.flow_class.get(id.0).map(|&c| self.class_rate[c])
     }
 
     /// The earliest `(time, flow)` completion under current rates, if any
@@ -1204,7 +1217,7 @@ impl FlowSim {
     /// Panics if `id` is not active or `now` is in the past.
     pub fn complete(&mut self, now: SimTime, id: FlowId) {
         self.advance(now);
-        let Some(c) = self.flow_class.remove(&id) else {
+        let Some(c) = self.flow_class.remove(id.0) else {
             panic!("unknown flow {id:?}")
         };
         let queue = &mut self.classes[c].queue;

@@ -265,21 +265,22 @@ impl Topology {
     /// Returns an empty route when `src == dst`.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
         let lca = self.lca(src, dst);
-        let mut up = Vec::new();
+        let hops = self.depth(src) + self.depth(dst) - 2 * self.depth(lca);
+        let mut route = Vec::with_capacity(hops as usize);
         let mut n = src;
         while n != lca {
-            up.push(self.nodes[n.index()].up_link.expect("non-root has up link"));
+            route.push(self.nodes[n.index()].up_link.expect("non-root has up link"));
             n = self.parent(n).expect("non-root has parent");
         }
-        let mut down = Vec::new();
+        // Down-links are found walking up from `dst`; reverse them in place.
+        let split = route.len();
         let mut n = dst;
         while n != lca {
-            down.push(self.nodes[n.index()].down_link.expect("non-root has down link"));
+            route.push(self.nodes[n.index()].down_link.expect("non-root has down link"));
             n = self.parent(n).expect("non-root has parent");
         }
-        down.reverse();
-        up.extend(down);
-        up
+        route[split..].reverse();
+        route
     }
 
     /// Does the route from `src` to `dst` pass **through** the root complex

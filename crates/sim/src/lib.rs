@@ -17,6 +17,12 @@
 //!   clock and hands each popped event back to the model together with a
 //!   [`Scheduler`] for follow-up events. This avoids `Rc<RefCell<...>>`
 //!   callback graphs entirely — the model is plain owned data.
+//! * Events whose times arrive in order on some stream — the completions of
+//!   one FIFO server slot — can be put on a numbered **FIFO lane**
+//!   ([`Scheduler::schedule_fifo_at`]). Only a lane's head sits in the binary
+//!   heap; the rest wait in the lane's deque at O(1) per event. Every event
+//!   keeps the sequence number it was scheduled with, so lanes change the
+//!   queue's cost, never the `(time, seq)` firing order.
 //!
 //! # Example
 //!
@@ -60,7 +66,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use hash::{FxHashMap, FxHashSet};
+pub use hash::{FxHashMap, FxHashSet, SeqTable};
 pub use par::{imbalance, run_windows, work_span_speedup, Coordinator, RunStats, WindowedLp};
 pub use queue::FifoServer;
 pub use stats::{Gauge, Histogram};
@@ -154,13 +160,24 @@ pub trait Model {
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
+/// What kind of event a queue entry is: which bookkeeping firing it needs.
+#[derive(Clone, Copy)]
+enum Origin {
+    /// Neither cancellable nor on a lane.
+    Plain,
+    /// Cancellable through its key.
+    Keyed(EventKey),
+    /// The head of FIFO lane `n`: firing it promotes the lane's next event.
+    Lane(usize),
+}
+
 /// One deferred scheduling operation recorded by a [`Scheduler`]. Ops are
 /// replayed by the engine in recording order after the handler returns, so a
 /// cancel-then-reschedule sequence inside one handler behaves as written.
 enum SchedOp<E> {
     Schedule {
         at: SimTime,
-        key: Option<EventKey>,
+        origin: Origin,
         event: E,
     },
     Cancel(EventKey),
@@ -194,7 +211,18 @@ impl<E> Scheduler<E> {
     /// The engine panics when draining this scheduler if `at` is earlier than
     /// the current simulation time.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        self.ops.push(SchedOp::Schedule { at, key: None, event });
+        self.ops.push(SchedOp::Schedule { at, origin: Origin::Plain, event });
+    }
+
+    /// Schedule `event` at absolute time `at` on FIFO lane `lane`; see
+    /// [`Engine::schedule_fifo_at`].
+    ///
+    /// # Panics
+    ///
+    /// The engine panics when draining this scheduler if `at` is in the past
+    /// or earlier than the lane's previous event.
+    pub fn schedule_fifo_at(&mut self, lane: usize, at: SimTime, event: E) {
+        self.ops.push(SchedOp::Schedule { at, origin: Origin::Lane(lane), event });
     }
 
     /// Schedule `event` to fire `delay` after `now`.
@@ -213,7 +241,7 @@ impl<E> Scheduler<E> {
     pub fn schedule_keyed_at(&mut self, at: SimTime, event: E) -> EventKey {
         let key = EventKey(self.next_key);
         self.next_key += 1;
-        self.ops.push(SchedOp::Schedule { at, key: Some(key), event });
+        self.ops.push(SchedOp::Schedule { at, origin: Origin::Keyed(key), event });
         key
     }
 
@@ -247,8 +275,31 @@ impl<E> Scheduler<E> {
 struct QueueEntry<E> {
     at: SimTime,
     seq: u64,
-    key: Option<EventKey>,
+    origin: Origin,
     event: E,
+}
+
+/// A FIFO lane: events scheduled in nondecreasing time order, of which only
+/// the head is in the engine's heap.
+struct Lane<E> {
+    /// Events behind the head as `(at, seq, event)`, in scheduling order
+    /// (and so in time order). Their origin is this lane, so they leave it
+    /// out: that keeps a waiting event two words smaller than a heap entry.
+    waiting: std::collections::VecDeque<(SimTime, u64, E)>,
+    /// Time of the lane's latest event; the next one may not be earlier.
+    last_at: SimTime,
+    /// Whether the lane's head is in the heap (the lane holds any event).
+    head_queued: bool,
+}
+
+impl<E> Default for Lane<E> {
+    fn default() -> Self {
+        Lane {
+            waiting: std::collections::VecDeque::new(),
+            last_at: SimTime::ZERO,
+            head_queued: false,
+        }
+    }
 }
 
 impl<E> PartialEq for QueueEntry<E> {
@@ -277,6 +328,10 @@ pub struct Engine<M: Model> {
     seq: u64,
     events_processed: u64,
     queue: BinaryHeap<Reverse<QueueEntry<M::Event>>>,
+    /// FIFO lanes, indexed by lane number and grown on first use.
+    lanes: Vec<Lane<M::Event>>,
+    /// Events waiting behind their lane's head (outside the heap).
+    lane_held: usize,
     /// Latched when any relative schedule overflowed `SimTime::MAX`; run
     /// methods report it as [`SimError::TimeOverflow`].
     overflowed: bool,
@@ -299,6 +354,7 @@ impl<M: Model> std::fmt::Debug for Engine<M> {
             .field("now", &self.now)
             .field("queued", &self.queued())
             .field("queue_len", &self.queue_len())
+            .field("lane_held", &self.lane_held)
             .field("stale_in_queue", &self.stale_in_queue)
             .field("stale_dropped", &self.stale_dropped)
             .field("events_processed", &self.events_processed)
@@ -315,6 +371,8 @@ impl<M: Model> Engine<M> {
             seq: 0,
             events_processed: 0,
             queue: BinaryHeap::new(),
+            lanes: Vec::new(),
+            lane_held: 0,
             overflowed: false,
             live: FxHashSet::default(),
             next_key: 0,
@@ -349,13 +407,15 @@ impl<M: Model> Engine<M> {
         self.model
     }
 
-    /// Number of *live* events currently queued (stale cancelled entries are
-    /// excluded; see [`Engine::queue_len`] for the raw heap size).
+    /// Number of *live* events currently queued, on FIFO lanes included
+    /// (stale cancelled entries are excluded; see [`Engine::queue_len`] for
+    /// the raw heap size).
     pub fn queued(&self) -> usize {
-        self.queue.len() - self.stale_in_queue
+        self.queue.len() - self.stale_in_queue + self.lane_held
     }
 
     /// Raw heap size, including lazily-cancelled entries not yet dropped.
+    /// Events waiting behind a FIFO lane's head are not in the heap.
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }
@@ -376,7 +436,24 @@ impl<M: Model> Engine<M> {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_at(&mut self, at: SimTime, event: M::Event) {
-        self.push_entry(at, None, event);
+        self.push_entry(at, Origin::Plain, event);
+    }
+
+    /// Schedule an event at absolute time `at` on FIFO lane `lane`.
+    ///
+    /// A lane's events must be scheduled in nondecreasing time order, as a
+    /// FIFO server slot's completions are. Then only the lane's head needs
+    /// a heap slot: the others wait in the lane's deque and are promoted
+    /// one at a time as the head fires, at O(1) each. They fire exactly
+    /// where plain events would, in `(time, seq)` order. Lanes are numbered
+    /// from 0 and need no registration; keep the numbers dense.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past or earlier than the lane's previous
+    /// event.
+    pub fn schedule_fifo_at(&mut self, lane: usize, at: SimTime, event: M::Event) {
+        self.push_entry(at, Origin::Lane(lane), event);
     }
 
     /// Schedule an event `delay` after the current time.
@@ -399,7 +476,7 @@ impl<M: Model> Engine<M> {
         let key = EventKey(self.next_key);
         self.next_key += 1;
         self.live.insert(key);
-        self.push_entry(at, Some(key), event);
+        self.push_entry(at, Origin::Keyed(key), event);
         key
     }
 
@@ -446,7 +523,7 @@ impl<M: Model> Engine<M> {
         was_live
     }
 
-    fn push_entry(&mut self, at: SimTime, key: Option<EventKey>, event: M::Event) {
+    fn push_entry(&mut self, at: SimTime, origin: Origin, event: M::Event) {
         assert!(
             at >= self.now,
             "cannot schedule event in the past: at={at:?} now={:?}",
@@ -454,15 +531,35 @@ impl<M: Model> Engine<M> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(QueueEntry { at, seq, key, event }));
+        if let Origin::Lane(n) = origin {
+            if n >= self.lanes.len() {
+                self.lanes.resize_with(n + 1, Lane::default);
+            }
+            let lane = &mut self.lanes[n];
+            assert!(
+                at >= lane.last_at,
+                "FIFO lane {n} went backwards: at={at:?} after {:?}",
+                lane.last_at
+            );
+            lane.last_at = at;
+            if lane.head_queued {
+                // Behind the head in both time and seq: it cannot fire
+                // before the head does, so it waits outside the heap.
+                lane.waiting.push_back((at, seq, event));
+                self.lane_held += 1;
+                return;
+            }
+            lane.head_queued = true;
+        }
+        self.queue.push(Reverse(QueueEntry { at, seq, origin, event }));
     }
 
     /// Drop cancelled entries off the front of the heap so `peek`/emptiness
     /// reflect live events only.
     fn purge_stale_front(&mut self) {
         while let Some(Reverse(entry)) = self.queue.peek() {
-            match entry.key {
-                Some(k) if !self.live.contains(&k) => {
+            match entry.origin {
+                Origin::Keyed(k) if !self.live.contains(&k) => {
                     self.queue.pop();
                     self.stale_in_queue -= 1;
                     self.stale_dropped += 1;
@@ -479,8 +576,24 @@ impl<M: Model> Engine<M> {
         let Some(Reverse(entry)) = self.queue.pop() else {
             return false;
         };
-        if let Some(k) = entry.key {
-            self.live.remove(&k);
+        match entry.origin {
+            Origin::Plain => {}
+            Origin::Keyed(k) => {
+                self.live.remove(&k);
+            }
+            Origin::Lane(n) => {
+                // The lane's next event, if any, becomes its head: the
+                // earliest of the lane's events in `(time, seq)` order.
+                let lane = &mut self.lanes[n];
+                match lane.waiting.pop_front() {
+                    Some((at, seq, event)) => {
+                        self.lane_held -= 1;
+                        let origin = entry.origin;
+                        self.queue.push(Reverse(QueueEntry { at, seq, origin, event }));
+                    }
+                    None => lane.head_queued = false,
+                }
+            }
         }
         debug_assert!(entry.at >= self.now, "event queue yielded past event");
         self.now = entry.at;
@@ -496,11 +609,11 @@ impl<M: Model> Engine<M> {
         let mut ops = sched.ops;
         for op in ops.drain(..) {
             match op {
-                SchedOp::Schedule { at, key, event } => {
-                    if let Some(k) = key {
+                SchedOp::Schedule { at, origin, event } => {
+                    if let Origin::Keyed(k) = origin {
                         self.live.insert(k);
                     }
-                    self.push_entry(at, key, event);
+                    self.push_entry(at, origin, event);
                 }
                 SchedOp::Cancel(key) => {
                     self.cancel(key);
@@ -893,8 +1006,258 @@ mod tests {
         assert_eq!(e.stale_dropped(), 2);
     }
 
+    #[test]
+    fn queued_counts_lane_held_events() {
+        let mut e = engine();
+        for i in 0..5 {
+            e.schedule_fifo_at(0, SimTime::from_nanos(10 + i), i as u32);
+        }
+        e.schedule_at(SimTime::from_nanos(1), 99);
+        assert_eq!(e.queue_len(), 2, "the heap holds the lane's head and the plain event");
+        assert_eq!(e.queued(), 6, "lane-held events are queued events");
+        assert!(e.step());
+        assert!(e.step());
+        assert_eq!((e.queue_len(), e.queued()), (1, 4));
+        e.run().unwrap();
+        assert_eq!(e.queued(), 0);
+        let fired: Vec<u32> = e.model().log.iter().map(|&(_, ev)| ev).collect();
+        assert_eq!(fired, vec![99, 0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn deadline_error_counts_lane_held_events() {
+        let mut e = engine();
+        for i in 0..3 {
+            e.schedule_fifo_at(7, SimTime::from_nanos(i), i as u32);
+        }
+        let err = e
+            .run_while_deadline(u64::MAX, Some(std::time::Instant::now()), |_| false)
+            .unwrap_err();
+        assert_eq!(err, SimError::DeadlineExceeded { events: 0, queued: 3 });
+    }
+
+    #[test]
+    #[should_panic(expected = "FIFO lane 3 went backwards")]
+    fn lane_going_back_in_time_is_rejected() {
+        let mut e = engine();
+        e.schedule_fifo_at(3, SimTime::from_nanos(20), 0);
+        e.schedule_fifo_at(3, SimTime::from_nanos(10), 1);
+    }
+
+    /// Four lanes of 1 000 events each, interleaved with plain events: the
+    /// heap never holds more than one event per lane plus the plain ones.
+    #[test]
+    fn lanes_keep_the_heap_at_one_entry_per_lane() {
+        struct Watch {
+            fired: Vec<u32>,
+        }
+        impl Model for Watch {
+            type Event = u32;
+            fn handle(&mut self, _now: SimTime, ev: u32, _s: &mut Scheduler<u32>) {
+                self.fired.push(ev);
+            }
+        }
+        let mut e = Engine::new(Watch { fired: Vec::new() });
+        let plain = 10;
+        for i in 0..1000u64 {
+            for lane in 0..4 {
+                let tag = (i * 4 + lane) as u32;
+                e.schedule_fifo_at(lane as usize, SimTime::from_nanos(i * 3 + lane), tag);
+            }
+        }
+        for p in 0..plain {
+            e.schedule_at(SimTime::from_nanos(p * 400), 10_000 + p as u32);
+        }
+        assert_eq!(e.queued(), 4000 + plain as usize);
+        while e.queued() > 0 {
+            assert!(e.queue_len() <= 4 + plain as usize, "heap {} too long", e.queue_len());
+            assert!(e.step());
+        }
+        let fired = &e.model().fired;
+        assert_eq!(fired.len(), 4010);
+        let lane_order: Vec<u32> = fired.iter().copied().filter(|&t| t < 10_000).collect();
+        assert_eq!(lane_order, (0..4000).collect::<Vec<_>>());
+    }
+
+    /// One scheduling decision of [`Script`].
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Plain(u64),
+        Keyed(u64),
+        Fifo(usize, u64),
+        /// Cancel a pending keyed event, picked by index.
+        Cancel(usize),
+    }
+
+    /// A scheduling request [`Script::react`] makes.
+    #[derive(Clone, Copy, Debug)]
+    enum Req {
+        Plain(SimTime, u32),
+        Keyed(SimTime, u32),
+        Fifo(usize, SimTime, u32),
+        Cancel(u32),
+    }
+
+    /// The decisions shared by the engine under test and the reference
+    /// queue: when an event fires, run the next block of ops.
+    #[derive(Clone)]
+    struct Script {
+        blocks: Vec<Vec<Op>>,
+        next_block: usize,
+        next_tag: u32,
+        lane_last: Vec<SimTime>,
+        /// Tags of keyed events neither fired nor cancelled.
+        pending_keyed: Vec<u32>,
+    }
+
+    impl Script {
+        fn react(&mut self, now: SimTime, fired: Option<u32>) -> Vec<Req> {
+            if let Some(t) = fired {
+                self.pending_keyed.retain(|&p| p != t);
+            }
+            let Some(block) = self.blocks.get(self.next_block) else {
+                return Vec::new();
+            };
+            self.next_block += 1;
+            let mut reqs = Vec::new();
+            for &op in block {
+                let tag = self.next_tag;
+                match op {
+                    Op::Plain(d) => reqs.push(Req::Plain(now + SimTime::from_nanos(d), tag)),
+                    Op::Keyed(d) => {
+                        self.pending_keyed.push(tag);
+                        reqs.push(Req::Keyed(now + SimTime::from_nanos(d), tag));
+                    }
+                    Op::Fifo(lane, d) => {
+                        let at = now.max(self.lane_last[lane]) + SimTime::from_nanos(d);
+                        self.lane_last[lane] = at;
+                        reqs.push(Req::Fifo(lane, at, tag));
+                    }
+                    Op::Cancel(i) => {
+                        if !self.pending_keyed.is_empty() {
+                            let t = self.pending_keyed.remove(i % self.pending_keyed.len());
+                            reqs.push(Req::Cancel(t));
+                        }
+                        continue;
+                    }
+                }
+                self.next_tag += 1;
+            }
+            reqs
+        }
+    }
+
+    struct Scripted {
+        script: Script,
+        keys: FxHashMap<u32, EventKey>,
+        log: Vec<(SimTime, u32)>,
+    }
+
+    impl Model for Scripted {
+        type Event = u32;
+        fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
+            self.log.push((now, ev));
+            for req in self.script.react(now, Some(ev)) {
+                match req {
+                    Req::Plain(at, t) => sched.schedule_at(at, t),
+                    Req::Keyed(at, t) => {
+                        self.keys.insert(t, sched.schedule_keyed_at(at, t));
+                    }
+                    Req::Fifo(lane, at, t) => sched.schedule_fifo_at(lane, at, t),
+                    Req::Cancel(t) => sched.cancel(self.keys[&t]),
+                }
+            }
+        }
+    }
+
+    /// The firing order by definition: repeatedly fire the live event with
+    /// the least `(time, schedule order)`, by a linear scan.
+    fn reference_order(mut script: Script) -> Vec<(SimTime, u32)> {
+        // (at, seq, tag, live)
+        let mut pending: Vec<(SimTime, u64, u32, bool)> = Vec::new();
+        let mut seq = 0u64;
+        let mut log = Vec::new();
+        let mut apply = |reqs: Vec<Req>, pending: &mut Vec<(SimTime, u64, u32, bool)>| {
+            for req in reqs {
+                match req {
+                    Req::Plain(at, t) | Req::Keyed(at, t) | Req::Fifo(_, at, t) => {
+                        pending.push((at, seq, t, true));
+                        seq += 1;
+                    }
+                    Req::Cancel(t) => {
+                        let p = pending.iter_mut().find(|p| p.2 == t).expect("pending");
+                        p.3 = false;
+                    }
+                }
+            }
+        };
+        apply(script.react(SimTime::ZERO, None), &mut pending);
+        while let Some(i) = (0..pending.len())
+            .filter(|&i| pending[i].3)
+            .min_by_key(|&i| (pending[i].0, pending[i].1))
+        {
+            let (at, _, tag, _) = pending.swap_remove(i);
+            log.push((at, tag));
+            apply(script.react(at, Some(tag)), &mut pending);
+        }
+        log
+    }
+
+    /// Decode a generated `(kind, lane or index, delay)` triple.
+    fn op_of((kind, n, d): (u8, usize, u64)) -> Op {
+        match kind {
+            0 => Op::Plain(d),
+            1 => Op::Keyed(d),
+            2 => Op::Fifo(n % 3, d),
+            _ => Op::Cancel(n),
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The engine fires events exactly in `(time, schedule order)`:
+        /// plain, keyed and FIFO-lane events, cancellations, ties at equal
+        /// instants, and events scheduled from inside handlers, compared
+        /// unsorted against a linear-scan reference queue.
+        #[test]
+        fn firing_order_is_time_then_schedule_order(
+            blocks in collection::vec(collection::vec((0u8..4, 0usize..8, 0u64..4), 0..5), 1..40),
+        ) {
+            let script = Script {
+                blocks: blocks.into_iter().map(|b| b.into_iter().map(op_of).collect()).collect(),
+                next_block: 0,
+                next_tag: 0,
+                lane_last: vec![SimTime::ZERO; 3],
+                pending_keyed: Vec::new(),
+            };
+            let expected = reference_order(script.clone());
+            let mut e = Engine::new(Scripted {
+                script,
+                keys: FxHashMap::default(),
+                log: Vec::new(),
+            });
+            // The first block is scheduled from outside any handler.
+            let first = e.model_mut().script.react(SimTime::ZERO, None);
+            for req in first {
+                match req {
+                    Req::Plain(at, t) => e.schedule_at(at, t),
+                    Req::Keyed(at, t) => {
+                        let k = e.schedule_keyed_at(at, t);
+                        e.model_mut().keys.insert(t, k);
+                    }
+                    Req::Fifo(lane, at, t) => e.schedule_fifo_at(lane, at, t),
+                    Req::Cancel(t) => {
+                        let k = e.model().keys[&t];
+                        prop_assert!(e.cancel(k));
+                    }
+                }
+            }
+            e.run().unwrap();
+            prop_assert_eq!(&e.model().log, &expected);
+            prop_assert_eq!(e.queued(), 0);
+            prop_assert_eq!(e.queue_len(), 0);
+        }
 
         /// Satellite property: adversarial schedules — including deltas that
         /// push far past `SimTime::MAX` — never panic the engine. A run ends

@@ -19,10 +19,14 @@ use crate::SimTime;
 /// let mut s = FifoServer::new(2);
 /// let svc = SimTime::from_nanos(10);
 /// let t0 = SimTime::ZERO;
-/// assert_eq!(s.enqueue(t0, svc), SimTime::from_nanos(10)); // slot 0
-/// assert_eq!(s.enqueue(t0, svc), SimTime::from_nanos(10)); // slot 1
-/// assert_eq!(s.enqueue(t0, svc), SimTime::from_nanos(20)); // waits for slot 0
+/// assert_eq!(s.enqueue(t0, svc), (SimTime::from_nanos(10), 0));
+/// assert_eq!(s.enqueue(t0, svc), (SimTime::from_nanos(10), 1));
+/// assert_eq!(s.enqueue(t0, svc), (SimTime::from_nanos(20), 0)); // waits for slot 0
 /// ```
+///
+/// One slot's completions never go back in time: a job starts no earlier
+/// than the slot's previous completion. So a slot's completion events can
+/// share one FIFO lane of the engine ([`crate::Scheduler::schedule_fifo_at`]).
 #[derive(Debug, Clone)]
 pub struct FifoServer {
     /// Time at which each slot becomes free.
@@ -52,8 +56,9 @@ impl FifoServer {
     }
 
     /// Admit a job arriving at `arrival` needing `service` time; returns its
-    /// completion time.
-    pub fn enqueue(&mut self, arrival: SimTime, service: SimTime) -> SimTime {
+    /// completion time and the slot serving it. Each slot's completions are
+    /// nondecreasing in admission order.
+    pub fn enqueue(&mut self, arrival: SimTime, service: SimTime) -> (SimTime, usize) {
         let slot = self
             .free_at
             .iter()
@@ -69,7 +74,7 @@ impl FifoServer {
         self.free_at[slot] = done;
         self.busy_total = self.busy_total.saturating_add(service);
         self.jobs += 1;
-        done
+        (done, slot)
     }
 
     /// Total busy time summed over all slots.
@@ -102,12 +107,12 @@ mod tests {
     fn single_server_serializes_jobs() {
         let mut s = FifoServer::new(1);
         let svc = SimTime::from_nanos(5);
-        assert_eq!(s.enqueue(SimTime::ZERO, svc), SimTime::from_nanos(5));
-        assert_eq!(s.enqueue(SimTime::ZERO, svc), SimTime::from_nanos(10));
+        assert_eq!(s.enqueue(SimTime::ZERO, svc), (SimTime::from_nanos(5), 0));
+        assert_eq!(s.enqueue(SimTime::ZERO, svc), (SimTime::from_nanos(10), 0));
         // A job arriving after the backlog drains starts immediately.
         assert_eq!(
             s.enqueue(SimTime::from_nanos(100), svc),
-            SimTime::from_nanos(105)
+            (SimTime::from_nanos(105), 0)
         );
         assert_eq!(s.jobs(), 3);
         assert_eq!(s.busy_total(), SimTime::from_nanos(15));
@@ -117,16 +122,19 @@ mod tests {
     fn parallel_slots_overlap() {
         let mut s = FifoServer::new(3);
         let svc = SimTime::from_nanos(10);
-        for _ in 0..3 {
-            assert_eq!(s.enqueue(SimTime::ZERO, svc), SimTime::from_nanos(10));
+        for slot in 0..3 {
+            assert_eq!(
+                s.enqueue(SimTime::ZERO, svc),
+                (SimTime::from_nanos(10), slot)
+            );
         }
-        assert_eq!(s.enqueue(SimTime::ZERO, svc), SimTime::from_nanos(20));
+        assert_eq!(s.enqueue(SimTime::ZERO, svc), (SimTime::from_nanos(20), 0));
     }
 
     #[test]
     fn utilization_accounts_all_slots() {
         let mut s = FifoServer::new(2);
-        s.enqueue(SimTime::ZERO, SimTime::from_nanos(10));
+        let _ = s.enqueue(SimTime::ZERO, SimTime::from_nanos(10));
         // One slot busy 10ns out of 2 slots * 10ns horizon = 50%.
         assert!((s.utilization(SimTime::from_nanos(10)) - 0.5).abs() < 1e-12);
     }
@@ -140,8 +148,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         /// Conservation: total busy time equals jobs x service, completion
-        /// times never precede arrivals, and drain time is bounded by the
-        /// perfectly-balanced and fully-serialized extremes.
+        /// times never precede arrivals, each slot's completions are
+        /// nondecreasing, and drain time is bounded by the fully-serialized
+        /// extreme.
         #[test]
         fn fifo_server_invariants(
             servers in 1usize..6,
@@ -152,10 +161,14 @@ mod tests {
             let mut drain = SimTime::ZERO;
             let mut sorted = jobs.clone();
             sorted.sort_by_key(|&(a, _)| a);
+            let mut slot_last = vec![SimTime::ZERO; servers];
             for &(arrival, service) in &sorted {
                 let (at, svc) = (SimTime::from_nanos(arrival), SimTime::from_nanos(service));
-                let done = s.enqueue(at, svc);
+                let (done, slot) = s.enqueue(at, svc);
                 prop_assert!(done >= at + svc, "completion precedes arrival+service");
+                // The FIFO-lane invariant: a slot's completions never go back.
+                prop_assert!(done >= slot_last[slot], "slot {} went backwards", slot);
+                slot_last[slot] = done;
                 total_service += svc;
                 drain = drain.max(done);
             }
@@ -174,7 +187,7 @@ mod tests {
         let mut s = FifoServer::new(4);
         let mut drain = SimTime::ZERO;
         for _ in 0..1000 {
-            drain = drain.max(s.enqueue(SimTime::ZERO, SimTime::from_micros(1)));
+            drain = drain.max(s.enqueue(SimTime::ZERO, SimTime::from_micros(1)).0);
         }
         assert_eq!(drain, SimTime::from_micros(250));
     }

@@ -41,26 +41,31 @@ impl SimTime {
     pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from picoseconds.
+    #[inline]
     pub const fn from_picos(ps: u64) -> Self {
         SimTime(ps)
     }
 
     /// Construct from nanoseconds.
+    #[inline]
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns * PS_PER_NS)
     }
 
     /// Construct from microseconds.
+    #[inline]
     pub const fn from_micros(us: u64) -> Self {
         SimTime(us * PS_PER_US)
     }
 
     /// Construct from milliseconds.
+    #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimTime(ms * PS_PER_MS)
     }
 
     /// Construct from whole seconds.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * PS_PER_S)
     }
@@ -70,6 +75,7 @@ impl SimTime {
     /// # Panics
     ///
     /// Panics if `s` is negative, NaN, or too large to represent.
+    #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
         assert!(s.is_finite() && s >= 0.0, "invalid duration: {s}");
         let ps = s * PS_PER_S as f64;
@@ -78,63 +84,75 @@ impl SimTime {
     }
 
     /// The raw picosecond count.
+    #[inline]
     pub const fn as_picos(self) -> u64 {
         self.0
     }
 
     /// This time as fractional nanoseconds.
+    #[inline]
     pub fn as_nanos_f64(self) -> f64 {
         self.0 as f64 / PS_PER_NS as f64
     }
 
     /// This time as fractional microseconds.
+    #[inline]
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
     }
 
     /// This time as fractional milliseconds.
+    #[inline]
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / PS_PER_MS as f64
     }
 
     /// This time as fractional seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / PS_PER_S as f64
     }
 
     /// Saturating subtraction: returns zero instead of underflowing.
+    #[inline]
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
     }
 
     /// Checked addition.
+    #[inline]
     pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
         self.0.checked_add(rhs.0).map(SimTime)
     }
 
     /// Saturating addition: clamps to [`SimTime::MAX`] instead of
     /// overflowing.
+    #[inline]
     pub fn saturating_add(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_add(rhs.0))
     }
 
     /// Checked subtraction.
+    #[inline]
     pub fn checked_sub(self, rhs: SimTime) -> Option<SimTime> {
         self.0.checked_sub(rhs.0).map(SimTime)
     }
 
     /// Checked multiplication by a scalar.
+    #[inline]
     pub fn checked_mul(self, rhs: u64) -> Option<SimTime> {
         self.0.checked_mul(rhs).map(SimTime)
     }
 
     /// Saturating multiplication by a scalar: clamps to [`SimTime::MAX`]
     /// instead of overflowing.
+    #[inline]
     pub fn saturating_mul(self, rhs: u64) -> SimTime {
         SimTime(self.0.saturating_mul(rhs))
     }
 
     /// The larger of two times.
+    #[inline]
     pub fn max(self, rhs: SimTime) -> SimTime {
         if self >= rhs {
             self
@@ -144,6 +162,7 @@ impl SimTime {
     }
 
     /// The smaller of two times.
+    #[inline]
     pub fn min(self, rhs: SimTime) -> SimTime {
         if self <= rhs {
             self
@@ -155,12 +174,14 @@ impl SimTime {
 
 impl Add for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.checked_add(rhs.0).expect("SimTime overflow"))
     }
 }
 
 impl AddAssign for SimTime {
+    #[inline]
     fn add_assign(&mut self, rhs: SimTime) {
         *self = *self + rhs;
     }
@@ -168,12 +189,14 @@ impl AddAssign for SimTime {
 
 impl Sub for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.checked_sub(rhs.0).expect("SimTime underflow"))
     }
 }
 
 impl SubAssign for SimTime {
+    #[inline]
     fn sub_assign(&mut self, rhs: SimTime) {
         *self = *self - rhs;
     }
@@ -181,6 +204,7 @@ impl SubAssign for SimTime {
 
 impl Mul<u64> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn mul(self, rhs: u64) -> SimTime {
         SimTime(self.0.checked_mul(rhs).expect("SimTime overflow"))
     }
@@ -188,12 +212,14 @@ impl Mul<u64> for SimTime {
 
 impl Div<u64> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn div(self, rhs: u64) -> SimTime {
         SimTime(self.0 / rhs)
     }
 }
 
 impl Sum for SimTime {
+    #[inline]
     fn sum<I: Iterator<Item = SimTime>>(iter: I) -> SimTime {
         iter.fold(SimTime::ZERO, Add::add)
     }
