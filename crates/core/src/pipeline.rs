@@ -25,7 +25,7 @@ use trainbox_pcie::boxes::{PrepPoolNet, ServerTopology};
 use trainbox_pcie::flow::{FlowId, FlowNet, FlowSim, FlowSpec};
 use trainbox_pcie::{LinkId, NodeId};
 use trainbox_sim::{
-    Component, Engine, EventKey, FifoServer, ForkTracer, Model, NoopTracer, Scheduler, SeqTable,
+    Component, Engine, FifoServer, ForkTracer, Model, NoopTracer, Scheduler, SeqTable,
     SimError, SimTime, Tracer,
 };
 
@@ -338,25 +338,17 @@ pub(crate) enum Plane {
     Eth,
 }
 
-/// A keyed completion-check event and the completion it was armed for.
-/// Every mutation of the checked [`FlowSim`] re-arms the check, so when the
-/// event fires `(at, flow)` is still that simulator's next completion.
-#[derive(Debug, Clone, Copy)]
-struct ArmedCheck {
-    key: EventKey,
-    at: SimTime,
-    flow: FlowId,
-}
-
 /// One flow plane of the DES: the fluid flow simulator of a [`Plane`], its
-/// armed completion check, and the chunk each in-flight flow carries. The
-/// two planes' [`FlowSim`]s have independent flow-id spaces, so each keeps
-/// its own table.
+/// completion check (armed on the engine timer numbered by the plane), and
+/// the chunk each in-flight flow carries. The two planes' [`FlowSim`]s have
+/// independent flow-id spaces, so each keeps its own table.
 struct FlowPlane {
     plane: Plane,
     sim: FlowSim,
-    /// Outstanding completion check, cancelled when superseded.
-    check: Option<ArmedCheck>,
+    /// The completion `(at, flow)` the plane's timer is armed for. Every
+    /// mutation of `sim` re-arms the timer, so when its `FlowCheck` fires
+    /// this is still the simulator's next completion.
+    check: Option<(SimTime, FlowId)>,
     /// The chunk each in-flight flow carries and the flow's start instant
     /// (a trace span's start), by [`FlowId::seq`].
     cont: SeqTable<(u64, SimTime)>,
@@ -388,28 +380,21 @@ impl FlowPlane {
         self.rearm(sched);
     }
 
-    /// Re-arm the earliest flow completion under the current rate set. The
-    /// previous check (if still pending) is superseded: lazily cancelled so
-    /// the engine drops it unfired instead of delivering a stale event.
+    /// Re-arm the plane's timer for the earliest flow completion under the
+    /// current rate set. The previous check (if still pending) is
+    /// superseded: the engine drops it unfired instead of delivering a
+    /// stale event.
     fn rearm(&mut self, sched: &mut Scheduler<Ev>) {
-        if let Some(old) = self.check.take() {
-            sched.cancel(old.key);
-        }
-        if let Some((at, flow)) = self.sim.next_completion() {
-            self.check = Some(ArmedCheck {
-                key: sched.schedule_keyed_at(at, Ev::FlowCheck(self.plane)),
-                at,
-                flow,
-            });
-        }
+        self.check = self.sim.next_completion();
+        let next = self.check.map(|(at, _)| (at, Ev::FlowCheck(self.plane)));
+        sched.rearm(self.plane as usize, next);
     }
 
     /// Complete the flow the fired check was armed for, returning the chunk
     /// it carried and its start instant. Only the latest check can fire:
-    /// superseded ones were cancelled in [`Self::rearm`] and dropped by the
-    /// engine.
+    /// [`Self::rearm`] superseded the others.
     fn complete(&mut self) -> Option<(u64, SimTime)> {
-        let ArmedCheck { at, flow, .. } = self.check.take()?;
+        let (at, flow) = self.check.take()?;
         debug_assert_eq!(self.sim.next_completion(), Some((at, flow)));
         self.sim.complete(at.max(self.sim.now()), flow);
         Some(self.cont.remove(flow.seq()).expect("every flow has a continuation"))
@@ -436,8 +421,8 @@ pub(crate) enum Ev {
     Start,
     /// An SSD finished reading a chunk.
     SsdDone(u64),
-    /// Re-examine a flow plane (keyed; superseded checks are lazily
-    /// cancelled and never fire).
+    /// Re-examine a flow plane (on the plane's timer; superseded checks
+    /// never fire).
     FlowCheck(Plane),
     /// A prep-pool FPGA finished a chunk.
     PoolPrepDone(u64),

@@ -1,11 +1,11 @@
 //! Fast, deterministic tables for simulator-internal state.
 //!
 //! The DES hot loop looks up per-event state by id: chunks, flows and their
-//! continuations, the engine's live keys. Most of those ids are handed
-//! out sequentially and retired roughly in that order, so [`SeqTable`] keeps
-//! them in a sliding window indexed by `id - base`: no hashing, no rehash,
-//! and iteration in ascending id order. Keys that are not sequential
-//! (structs, sparse ids) use the Fx maps below.
+//! continuations. Most of those ids are handed out sequentially and retired
+//! roughly in that order, so [`SeqTable`] keeps them in a sliding window
+//! indexed by `id - base`: no hashing, no rehash, and iteration in ascending
+//! id order. Keys that are not sequential (structs, sparse ids) use the Fx
+//! map below.
 //!
 //! `std`'s default SipHash is keyed and DoS-resistant — properties
 //! simulator-internal keys don't need — and measurably slower. This module
@@ -13,7 +13,7 @@
 //! cycles per word, deterministic across runs and platforms for our
 //! fixed-width keys.
 //!
-//! Only use these maps for *internal* state keyed by trusted values (ids,
+//! Only use the map for *internal* state keyed by trusted values (ids,
 //! small structs). Nothing here may affect simulation results beyond timing:
 //! every result-bearing iteration in the simulator walks an explicitly
 //! ordered `Vec` (or a [`SeqTable`], in id order), never a hash map, so the
@@ -228,9 +228,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// Drop-in `HashMap` with the Fx hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// Drop-in `HashSet` with the Fx hasher.
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,16 +244,12 @@ mod tests {
     }
 
     #[test]
-    fn maps_and_sets_work() {
+    fn maps_work() {
         let mut m: FxHashMap<u64, &str> = FxHashMap::default();
         m.insert(1, "one");
         m.insert(u64::MAX, "max");
         assert_eq!(m.get(&1), Some(&"one"));
         assert_eq!(m.get(&u64::MAX), Some(&"max"));
-        let mut s: FxHashSet<(u32, u32)> = FxHashSet::default();
-        assert!(s.insert((7, 9)));
-        assert!(!s.insert((7, 9)));
-        assert!(s.remove(&(7, 9)));
     }
 
     #[test]

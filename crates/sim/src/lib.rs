@@ -23,6 +23,12 @@
 //!   heap; the rest wait in the lane's deque at O(1) per event. Every event
 //!   keeps the sequence number it was scheduled with, so lanes change the
 //!   queue's cost, never the `(time, seq)` firing order.
+//! * A model's revisable estimate — the next flow completion of a
+//!   bandwidth-shared network — is armed on a numbered **timer**
+//!   ([`Scheduler::rearm`]). A timer holds at most one pending event, and
+//!   re-arming it supersedes that event in O(1): the engine keeps the
+//!   sequence number of each timer's pending event and drops the timer's
+//!   other heap entries unfired when they reach the front.
 //!
 //! # Example
 //!
@@ -45,18 +51,18 @@
 //!
 //! let mut engine = Engine::new(Counter { fired: 0 });
 //! engine.schedule_at(SimTime::ZERO, "tick");
-//! engine.run().expect("no overflow");
+//! engine.run_while_deadline(u64::MAX, None, |_| false).expect("no overflow");
 //! assert_eq!(engine.model().fired, 3);
 //! assert_eq!(engine.now(), SimTime::from_nanos(10));
 //! ```
 //!
 //! # Errors
 //!
-//! Relative scheduling (`schedule_in`/`schedule_keyed_in`) can push past
+//! Relative scheduling ([`Scheduler::schedule_in`]) can push past
 //! [`SimTime::MAX`]; instead of panicking mid-run, the engine latches an
-//! overflow flag and the run methods return [`SimError::TimeOverflow`].
-//! Scheduling an event in the *past* remains a panic — that is a model bug,
-//! not an input condition.
+//! overflow flag and [`Engine::run_while_deadline`] returns
+//! [`SimError::TimeOverflow`]. Scheduling an event in the *past* remains a
+//! panic — that is a model bug, not an input condition.
 
 pub mod hash;
 pub mod json;
@@ -66,8 +72,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use hash::{FxHashMap, FxHashSet, SeqTable};
-pub use par::{imbalance, run_windows, work_span_speedup, Coordinator, RunStats, WindowedLp};
+pub use hash::{FxHashMap, SeqTable};
 pub use queue::FifoServer;
 pub use stats::{Gauge, Histogram};
 pub use time::SimTime;
@@ -82,7 +87,7 @@ use std::time::Instant;
 
 /// Why a simulation run could not complete normally.
 ///
-/// Returned by [`Engine::run`] / [`Engine::run_while`]
+/// Returned by [`Engine::run_while_deadline`] and the runners built on it,
 /// so that adversarial configurations (fault storms, enormous service times)
 /// surface as typed errors rather than aborting the process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,16 +139,6 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Generation-stamped handle to a cancellable scheduled event.
-///
-/// Returned by [`Engine::schedule_keyed_at`] / [`Scheduler::schedule_keyed_at`]
-/// and accepted by the matching `cancel` methods. Keys are unique for the
-/// lifetime of an engine (a monotonically increasing generation counter), so a
-/// stale handle can never accidentally cancel a newer event that reused its
-/// queue slot — there are no slots to reuse.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventKey(u64);
-
 /// A simulation model: owns all mutable simulation state and interprets events.
 ///
 /// The engine calls [`Model::handle`] once per popped event, in nondecreasing
@@ -163,32 +158,30 @@ pub trait Model {
 /// What kind of event a queue entry is: which bookkeeping firing it needs.
 #[derive(Clone, Copy)]
 enum Origin {
-    /// Neither cancellable nor on a lane.
+    /// Neither a timer's event nor on a lane.
     Plain,
-    /// Cancellable through its key.
-    Keyed(EventKey),
+    /// Timer `n`'s event: live while the timer still holds its `seq`.
+    Timer(usize),
     /// The head of FIFO lane `n`: firing it promotes the lane's next event.
     Lane(usize),
 }
 
 /// One deferred scheduling operation recorded by a [`Scheduler`]. Ops are
-/// replayed by the engine in recording order after the handler returns, so a
-/// cancel-then-reschedule sequence inside one handler behaves as written.
+/// replayed by the engine in recording order after the handler returns, so
+/// several re-arms of one timer inside one handler behave as written.
 enum SchedOp<E> {
     Schedule {
         at: SimTime,
         origin: Origin,
         event: E,
     },
-    Cancel(EventKey),
+    /// Timer `n` supersedes its pending event and arms none.
+    Disarm(usize),
 }
 
 /// Handle used by a [`Model`] to schedule follow-up events during handling.
 pub struct Scheduler<E> {
     ops: Vec<SchedOp<E>>,
-    /// Next key generation; seeded from the engine so keys allocated here are
-    /// globally unique, and adopted back by the engine after the handler.
-    next_key: u64,
     /// Set when a relative schedule overflowed `SimTime::MAX`; adopted by the
     /// engine after the handler, which then fails the run with
     /// [`SimError::TimeOverflow`].
@@ -236,37 +229,25 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Schedule a cancellable `event` at absolute time `at`; see
-    /// [`Engine::schedule_keyed_at`].
-    pub fn schedule_keyed_at(&mut self, at: SimTime, event: E) -> EventKey {
-        let key = EventKey(self.next_key);
-        self.next_key += 1;
-        self.ops.push(SchedOp::Schedule { at, origin: Origin::Keyed(key), event });
-        key
-    }
-
-    /// Schedule a cancellable `event` to fire `delay` after `now`.
+    /// Re-arm timer `timer`: its pending event, if it has one, is
+    /// superseded and never fires, and `next`, if given, becomes its pending
+    /// event. `None` disarms the timer.
     ///
-    /// On overflow of `now + delay` the event is dropped (the run will fail
-    /// with [`SimError::TimeOverflow`]); the returned key is valid but inert —
-    /// cancelling it is a harmless no-op.
-    pub fn schedule_keyed_in(&mut self, now: SimTime, delay: SimTime, event: E) -> EventKey {
-        match now.checked_add(delay) {
-            Some(at) => self.schedule_keyed_at(at, event),
-            None => {
-                self.overflowed = true;
-                let key = EventKey(self.next_key);
-                self.next_key += 1;
-                key
-            }
-        }
-    }
-
-    /// Lazily cancel a keyed event; see [`Engine::cancel`]. The cancellation
-    /// takes effect when the engine replays this scheduler's operations, in
-    /// order with any schedules recorded around it.
-    pub fn cancel(&mut self, key: EventKey) {
-        self.ops.push(SchedOp::Cancel(key));
+    /// A timer suits an estimate that later changes revise, such as the
+    /// next flow completion under the current rates. The armed event takes
+    /// a fresh sequence number like any other schedule, so it fires where
+    /// a plain event scheduled instead would. Timers are numbered from 0
+    /// and need no registration; keep the numbers dense.
+    ///
+    /// # Panics
+    ///
+    /// The engine panics when draining this scheduler if `next`'s time is
+    /// in the past.
+    pub fn rearm(&mut self, timer: usize, next: Option<(SimTime, E)>) {
+        self.ops.push(match next {
+            Some((at, event)) => SchedOp::Schedule { at, origin: Origin::Timer(timer), event },
+            None => SchedOp::Disarm(timer),
+        });
     }
 }
 
@@ -332,17 +313,16 @@ pub struct Engine<M: Model> {
     lanes: Vec<Lane<M::Event>>,
     /// Events waiting behind their lane's head (outside the heap).
     lane_held: usize,
-    /// Latched when any relative schedule overflowed `SimTime::MAX`; run
-    /// methods report it as [`SimError::TimeOverflow`].
+    /// Latched when a handler's relative schedule overflowed
+    /// `SimTime::MAX`; the run loop reports it as [`SimError::TimeOverflow`].
     overflowed: bool,
-    /// Keys of keyed events that have been scheduled but neither fired nor
-    /// cancelled. A keyed queue entry whose key is absent here is stale.
-    live: FxHashSet<EventKey>,
-    next_key: u64,
-    /// Cancelled entries still sitting in the heap (lazy cancellation).
+    /// Sequence number of each timer's pending event, indexed by timer
+    /// number and grown on first use; `None` while the timer is idle. A
+    /// timer's heap entry with any other `seq` has been superseded.
+    timers: Vec<Option<u64>>,
+    /// Superseded timer entries still in the heap: they are dropped when
+    /// they reach its front, not searched for when superseded.
     stale_in_queue: usize,
-    /// Cancelled entries popped and dropped so far.
-    stale_dropped: u64,
     /// Recycled op buffer handed to each [`Scheduler`], so handling an event
     /// costs no allocation once the buffer has grown to the working set.
     ops_scratch: Vec<SchedOp<M::Event>>,
@@ -353,10 +333,9 @@ impl<M: Model> std::fmt::Debug for Engine<M> {
         f.debug_struct("Engine")
             .field("now", &self.now)
             .field("queued", &self.queued())
-            .field("queue_len", &self.queue_len())
+            .field("queue_len", &self.queue.len())
             .field("lane_held", &self.lane_held)
             .field("stale_in_queue", &self.stale_in_queue)
-            .field("stale_dropped", &self.stale_dropped)
             .field("events_processed", &self.events_processed)
             .finish()
     }
@@ -374,10 +353,8 @@ impl<M: Model> Engine<M> {
             lanes: Vec::new(),
             lane_held: 0,
             overflowed: false,
-            live: FxHashSet::default(),
-            next_key: 0,
+            timers: Vec::new(),
             stale_in_queue: 0,
-            stale_dropped: 0,
             ops_scratch: Vec::new(),
         }
     }
@@ -407,27 +384,10 @@ impl<M: Model> Engine<M> {
         self.model
     }
 
-    /// Number of *live* events currently queued, on FIFO lanes included
-    /// (stale cancelled entries are excluded; see [`Engine::queue_len`] for
-    /// the raw heap size).
+    /// Number of *live* events currently queued, on FIFO lanes included;
+    /// superseded timer entries still in the heap are excluded.
     pub fn queued(&self) -> usize {
         self.queue.len() - self.stale_in_queue + self.lane_held
-    }
-
-    /// Raw heap size, including lazily-cancelled entries not yet dropped.
-    /// Events waiting behind a FIFO lane's head are not in the heap.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Cancelled entries still occupying heap slots (lazy cancellation debt).
-    pub fn stale_in_queue(&self) -> usize {
-        self.stale_in_queue
-    }
-
-    /// Total cancelled entries popped and dropped over the engine's lifetime.
-    pub fn stale_dropped(&self) -> u64 {
-        self.stale_dropped
     }
 
     /// Schedule an event at absolute time `at`.
@@ -456,53 +416,6 @@ impl<M: Model> Engine<M> {
         self.push_entry(at, Origin::Lane(lane), event);
     }
 
-    /// Schedule an event `delay` after the current time.
-    ///
-    /// If `now + delay` overflows [`SimTime::MAX`] the event is dropped and
-    /// the next run call returns [`SimError::TimeOverflow`].
-    pub fn schedule_in(&mut self, delay: SimTime, event: M::Event) {
-        match self.now.checked_add(delay) {
-            Some(at) => self.schedule_at(at, event),
-            None => self.overflowed = true,
-        }
-    }
-
-    /// Schedule a cancellable event at absolute time `at`, returning a handle
-    /// that [`Engine::cancel`] (or [`Scheduler::cancel`]) accepts.
-    ///
-    /// Keyed events cost one `HashSet` insert over plain ones; use them for
-    /// completion estimates that may be superseded (rate changes, faults).
-    pub fn schedule_keyed_at(&mut self, at: SimTime, event: M::Event) -> EventKey {
-        let key = EventKey(self.next_key);
-        self.next_key += 1;
-        self.live.insert(key);
-        self.push_entry(at, Origin::Keyed(key), event);
-        key
-    }
-
-    /// Schedule a cancellable event `delay` after the current time.
-    ///
-    /// On overflow of `now + delay` the event is dropped (the run will fail
-    /// with [`SimError::TimeOverflow`]); the returned key is valid but inert —
-    /// cancelling it is a harmless no-op.
-    pub fn schedule_keyed_in(&mut self, delay: SimTime, event: M::Event) -> EventKey {
-        match self.now.checked_add(delay) {
-            Some(at) => self.schedule_keyed_at(at, event),
-            None => {
-                self.overflowed = true;
-                let key = EventKey(self.next_key);
-                self.next_key += 1;
-                key
-            }
-        }
-    }
-
-    /// Whether a relative schedule has overflowed [`SimTime::MAX`]. Latched;
-    /// the run methods surface it as [`SimError::TimeOverflow`].
-    pub fn overflowed(&self) -> bool {
-        self.overflowed
-    }
-
     fn check_overflow(&self) -> Result<(), SimError> {
         if self.overflowed {
             Err(SimError::TimeOverflow { at: self.now })
@@ -511,16 +424,15 @@ impl<M: Model> Engine<M> {
         }
     }
 
-    /// Lazily cancel a keyed event. Returns `true` if the event was still
-    /// pending (it will never fire), `false` if it already fired or was
-    /// already cancelled. O(1): the heap entry is dropped when popped, not
-    /// searched for now.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        let was_live = self.live.remove(&key);
-        if was_live {
+    /// Supersede timer `n`'s pending event, if it has one. The entry stays
+    /// in the heap until [`Self::purge_stale_front`] meets it.
+    fn disarm(&mut self, n: usize) {
+        if n >= self.timers.len() {
+            self.timers.resize(n + 1, None);
+        }
+        if self.timers[n].take().is_some() {
             self.stale_in_queue += 1;
         }
-        was_live
     }
 
     fn push_entry(&mut self, at: SimTime, origin: Origin, event: M::Event) {
@@ -531,38 +443,44 @@ impl<M: Model> Engine<M> {
         );
         let seq = self.seq;
         self.seq += 1;
-        if let Origin::Lane(n) = origin {
-            if n >= self.lanes.len() {
-                self.lanes.resize_with(n + 1, Lane::default);
+        match origin {
+            Origin::Plain => {}
+            Origin::Timer(n) => {
+                self.disarm(n);
+                self.timers[n] = Some(seq);
             }
-            let lane = &mut self.lanes[n];
-            assert!(
-                at >= lane.last_at,
-                "FIFO lane {n} went backwards: at={at:?} after {:?}",
-                lane.last_at
-            );
-            lane.last_at = at;
-            if lane.head_queued {
-                // Behind the head in both time and seq: it cannot fire
-                // before the head does, so it waits outside the heap.
-                lane.waiting.push_back((at, seq, event));
-                self.lane_held += 1;
-                return;
+            Origin::Lane(n) => {
+                if n >= self.lanes.len() {
+                    self.lanes.resize_with(n + 1, Lane::default);
+                }
+                let lane = &mut self.lanes[n];
+                assert!(
+                    at >= lane.last_at,
+                    "FIFO lane {n} went backwards: at={at:?} after {:?}",
+                    lane.last_at
+                );
+                lane.last_at = at;
+                if lane.head_queued {
+                    // Behind the head in both time and seq: it cannot fire
+                    // before the head does, so it waits outside the heap.
+                    lane.waiting.push_back((at, seq, event));
+                    self.lane_held += 1;
+                    return;
+                }
+                lane.head_queued = true;
             }
-            lane.head_queued = true;
         }
         self.queue.push(Reverse(QueueEntry { at, seq, origin, event }));
     }
 
-    /// Drop cancelled entries off the front of the heap so `peek`/emptiness
-    /// reflect live events only.
+    /// Drop superseded timer entries off the front of the heap so
+    /// `peek`/emptiness reflect live events only.
     fn purge_stale_front(&mut self) {
         while let Some(Reverse(entry)) = self.queue.peek() {
             match entry.origin {
-                Origin::Keyed(k) if !self.live.contains(&k) => {
+                Origin::Timer(n) if self.timers[n] != Some(entry.seq) => {
                     self.queue.pop();
                     self.stale_in_queue -= 1;
-                    self.stale_dropped += 1;
                 }
                 _ => break,
             }
@@ -570,7 +488,7 @@ impl<M: Model> Engine<M> {
     }
 
     /// Pop and handle a single live event. Returns `false` if no live events
-    /// remain (stale cancelled entries are discarded, not delivered).
+    /// remain (superseded timer entries are discarded, not delivered).
     pub fn step(&mut self) -> bool {
         self.purge_stale_front();
         let Some(Reverse(entry)) = self.queue.pop() else {
@@ -578,9 +496,7 @@ impl<M: Model> Engine<M> {
         };
         match entry.origin {
             Origin::Plain => {}
-            Origin::Keyed(k) => {
-                self.live.remove(&k);
-            }
+            Origin::Timer(n) => self.timers[n] = None,
             Origin::Lane(n) => {
                 // The lane's next event, if any, becomes its head: the
                 // earliest of the lane's events in `(time, seq)` order.
@@ -600,79 +516,38 @@ impl<M: Model> Engine<M> {
         self.events_processed += 1;
         let mut sched = Scheduler {
             ops: std::mem::take(&mut self.ops_scratch),
-            next_key: self.next_key,
             overflowed: false,
         };
         self.model.handle(self.now, entry.event, &mut sched);
-        self.next_key = sched.next_key;
         self.overflowed |= sched.overflowed;
         let mut ops = sched.ops;
         for op in ops.drain(..) {
             match op {
-                SchedOp::Schedule { at, origin, event } => {
-                    if let Origin::Keyed(k) = origin {
-                        self.live.insert(k);
-                    }
-                    self.push_entry(at, origin, event);
-                }
-                SchedOp::Cancel(key) => {
-                    self.cancel(key);
-                }
+                SchedOp::Schedule { at, origin, event } => self.push_entry(at, origin, event),
+                SchedOp::Disarm(n) => self.disarm(n),
             }
         }
         self.ops_scratch = ops;
         true
     }
 
-    /// Run until the queue is empty.
+    /// Run until `predicate(model)` becomes true after handling some event,
+    /// the queue empties, `max_events` are processed, or the optional
+    /// wall-clock `deadline` expires. Returns `true` if the predicate fired.
     ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TimeOverflow`] if any relative schedule pushed
-    /// past [`SimTime::MAX`]; events already queued before the overflow keep
-    /// their effects on the model (the run stops at the first check after
-    /// the overflowing handler).
-    pub fn run(&mut self) -> Result<(), SimError> {
-        loop {
-            self.check_overflow()?;
-            if !self.step() {
-                break;
-            }
-        }
-        self.check_overflow()?;
-        Ok(())
-    }
-
-    /// Run until `predicate(model)` becomes true after handling some event, the
-    /// queue empties, or `max_events` are processed. Returns `true` if the
-    /// predicate fired.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::TimeOverflow`] on scheduling overflow; see
-    /// [`Engine::run`].
-    pub fn run_while(
-        &mut self,
-        max_events: u64,
-        predicate: impl FnMut(&M) -> bool,
-    ) -> Result<bool, SimError> {
-        self.run_while_deadline(max_events, None, predicate)
-    }
-
-    /// [`Engine::run_while`] under an optional wall-clock deadline.
-    ///
-    /// One step loop serves both: with `deadline: None` the clock is never
-    /// read. With a deadline, the clock is consulted before the first event
-    /// and then once every [`Self::DEADLINE_CHECK_INTERVAL`] events
-    /// (amortizing the `Instant::now` syscall to noise), and the run is
-    /// cancelled cooperatively once it expires. The model keeps whatever
-    /// state it had reached, so callers can report partial statistics.
+    /// With `deadline: None` the clock is never read. With a deadline, the
+    /// clock is consulted before the first event and then once every
+    /// [`Self::DEADLINE_CHECK_INTERVAL`] events (amortizing the
+    /// `Instant::now` syscall to noise), and the run is cancelled
+    /// cooperatively once it expires. The model keeps whatever state it had
+    /// reached, so callers can report partial statistics.
     ///
     /// # Errors
     ///
     /// [`SimError::DeadlineExceeded`] when the deadline expires mid-run;
-    /// [`SimError::TimeOverflow`] on scheduling overflow (see
-    /// [`Engine::run`]).
+    /// [`SimError::TimeOverflow`] when a handler's relative schedule pushed
+    /// past [`SimTime::MAX`]. The run stops right after that handler, and
+    /// the events handled before it keep their effects on the model.
     pub fn run_while_deadline(
         &mut self,
         max_events: u64,
@@ -744,13 +619,18 @@ mod tests {
         Engine::new(Recorder { log: Vec::new() })
     }
 
+    /// Run `e` until its queue empties.
+    fn run<M: Model>(e: &mut Engine<M>) -> Result<(), SimError> {
+        e.run_while_deadline(u64::MAX, None, |_| false).map(drop)
+    }
+
     #[test]
     fn events_fire_in_time_order() {
         let mut e = engine();
         e.schedule_at(SimTime::from_nanos(30), 3);
         e.schedule_at(SimTime::from_nanos(10), 1);
         e.schedule_at(SimTime::from_nanos(20), 2);
-        e.run().unwrap();
+        run(&mut e).unwrap();
         assert_eq!(
             e.model().log,
             vec![
@@ -767,7 +647,7 @@ mod tests {
         for i in 0..100 {
             e.schedule_at(SimTime::from_nanos(5), i);
         }
-        e.run().unwrap();
+        run(&mut e).unwrap();
         let order: Vec<u32> = e.model().log.iter().map(|&(_, ev)| ev).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
@@ -776,7 +656,7 @@ mod tests {
     fn follow_up_events_fire() {
         let mut e = engine();
         e.schedule_at(SimTime::from_nanos(10), 100);
-        e.run().unwrap();
+        run(&mut e).unwrap();
         assert_eq!(e.model().log.len(), 3);
         assert_eq!(e.model().log[1], (SimTime::from_nanos(11), 101));
         assert_eq!(e.model().log[2], (SimTime::from_nanos(11), 102));
@@ -788,7 +668,7 @@ mod tests {
     fn scheduling_in_the_past_panics() {
         let mut e = engine();
         e.schedule_at(SimTime::from_nanos(10), 0);
-        e.run().unwrap();
+        run(&mut e).unwrap();
         e.schedule_at(SimTime::from_nanos(5), 1);
     }
 
@@ -798,10 +678,10 @@ mod tests {
         for i in 0..10 {
             e.schedule_at(SimTime::from_nanos(i), i as u32);
         }
-        let hit = e.run_while(u64::MAX, |m| m.log.len() == 4).unwrap();
+        let hit = e.run_while_deadline(u64::MAX, None, |m| m.log.len() == 4).unwrap();
         assert!(hit);
         assert_eq!(e.model().log.len(), 4);
-        let hit = e.run_while(2, |m| m.log.len() == 100).unwrap();
+        let hit = e.run_while_deadline(2, None, |m| m.log.len() == 100).unwrap();
         assert!(!hit);
         assert_eq!(e.model().log.len(), 6);
     }
@@ -809,99 +689,36 @@ mod tests {
     #[test]
     fn empty_engine_runs_to_completion() {
         let mut e = engine();
-        e.run().unwrap();
+        run(&mut e).unwrap();
         assert_eq!(e.now(), SimTime::ZERO);
         assert_eq!(e.events_processed(), 0);
         assert!(!e.step());
     }
 
-    #[test]
-    fn cancelled_event_never_fires() {
-        let mut e = engine();
-        let k = e.schedule_keyed_at(SimTime::from_nanos(10), 7);
-        e.schedule_at(SimTime::from_nanos(20), 8);
-        assert_eq!(e.queued(), 2);
-        assert!(e.cancel(k));
-        assert!(!e.cancel(k), "double-cancel reports not-pending");
-        assert_eq!(e.queued(), 1, "live count excludes the stale entry");
-        assert_eq!(e.queue_len(), 2, "heap still holds it (lazy)");
-        assert_eq!(e.stale_in_queue(), 1);
-        e.run().unwrap();
-        assert_eq!(e.model().log, vec![(SimTime::from_nanos(20), 8)]);
-        assert_eq!(e.stale_dropped(), 1);
-        assert_eq!(e.stale_in_queue(), 0);
-        assert_eq!(e.events_processed(), 1, "stale entries are not events");
-    }
-
-    #[test]
-    fn cancel_after_fire_is_a_noop() {
-        let mut e = engine();
-        let k = e.schedule_keyed_at(SimTime::from_nanos(1), 1);
-        e.run().unwrap();
-        assert_eq!(e.model().log.len(), 1);
-        assert!(!e.cancel(k));
-        assert_eq!(e.stale_in_queue(), 0);
-    }
-
-    #[test]
-    fn engine_schedule_in_overflow_is_reported_not_panicked() {
-        let mut e = engine();
-        e.schedule_at(SimTime::from_nanos(1), 1);
-        e.run().unwrap(); // advance the clock off zero
-        e.schedule_at(SimTime::from_nanos(10), 2);
-        e.schedule_in(SimTime::MAX, 3); // 1ns + MAX overflows
-        assert!(e.overflowed());
-        let err = e.run().unwrap_err();
-        assert!(matches!(err, SimError::TimeOverflow { .. }));
-        // The queued non-overflowing event was never delivered: the run
-        // failed fast instead of silently continuing.
-        assert_eq!(e.model().log.len(), 1);
-    }
-
-    #[test]
-    fn engine_keyed_overflow_key_is_inert() {
-        let mut e = engine();
-        e.schedule_at(SimTime::from_nanos(1), 1);
-        e.run().unwrap(); // advance the clock off zero
-        let k = e.schedule_keyed_in(SimTime::MAX, 9);
-        assert!(e.overflowed());
-        assert!(!e.cancel(k), "overflow key was never live");
-        assert_eq!(e.stale_in_queue(), 0);
-        assert!(matches!(e.run(), Err(SimError::TimeOverflow { .. })));
-    }
-
+    /// Its first event schedules one event 1 ns later and one past
+    /// `SimTime::MAX`.
     struct OverflowModel;
 
     impl Model for OverflowModel {
         type Event = u8;
         fn handle(&mut self, now: SimTime, ev: u8, sched: &mut Scheduler<u8>) {
             if ev == 0 {
-                sched.schedule_in(now, SimTime::MAX, 1);
-            } else if ev == 2 {
-                let _ = sched.schedule_keyed_in(now, SimTime::MAX, 3);
+                sched.schedule_in(now, SimTime::from_nanos(1), 1);
+                sched.schedule_in(now, SimTime::MAX, 2);
             }
         }
     }
 
     #[test]
     fn scheduler_overflow_inside_handler_fails_the_run() {
-        for trigger in [0u8, 2u8] {
-            let mut e = Engine::new(OverflowModel);
-            e.schedule_at(SimTime::from_nanos(1), trigger);
-            let err = e.run().unwrap_err();
-            assert_eq!(err, SimError::TimeOverflow { at: SimTime::from_nanos(1) });
-            assert_eq!(e.events_processed(), 1);
-        }
-    }
-
-    #[test]
-    fn run_while_reports_overflow() {
         let mut e = Engine::new(OverflowModel);
         e.schedule_at(SimTime::from_nanos(1), 0);
-        assert!(matches!(
-            e.run_while(u64::MAX, |_| false),
-            Err(SimError::TimeOverflow { .. })
-        ));
+        let err = run(&mut e).unwrap_err();
+        assert_eq!(err, SimError::TimeOverflow { at: SimTime::from_nanos(1) });
+        // The queued non-overflowing event was never delivered: the run
+        // failed fast instead of silently continuing.
+        assert_eq!(e.events_processed(), 1);
+        assert_eq!(e.queued(), 1);
     }
 
     #[test]
@@ -912,22 +729,6 @@ mod tests {
         assert!(s.to_string().contains("stalled"));
         let d = SimError::DeadlineExceeded { events: 5, queued: 1 };
         assert!(d.to_string().contains("deadline"));
-    }
-
-    #[test]
-    fn run_while_deadline_none_matches_run_while() {
-        let mut timed = engine();
-        let mut plain = engine();
-        for e in [&mut timed, &mut plain] {
-            for i in 0..10 {
-                e.schedule_at(SimTime::from_nanos(i * 3), i as u32);
-            }
-        }
-        let hit = timed.run_while_deadline(u64::MAX, None, |m| m.log.len() == 7).unwrap();
-        assert!(hit);
-        plain.run_while(u64::MAX, |m| m.log.len() == 7).unwrap();
-        assert_eq!(timed.model().log, plain.model().log, "None must be the untimed path");
-        assert_eq!(timed.now(), plain.now());
     }
 
     /// An event loop that reschedules itself forever: without the deadline
@@ -972,38 +773,65 @@ mod tests {
         assert!(e.model().log.is_empty(), "no event fired past the dead deadline");
     }
 
-    struct Rescheduler {
-        fired: Vec<u32>,
-        pending: Option<EventKey>,
-    }
-
-    impl Model for Rescheduler {
-        type Event = u32;
-        fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
-            self.fired.push(ev);
-            if ev == 0 {
-                // Supersede the previously scheduled completion estimate.
-                if let Some(k) = self.pending.take() {
-                    sched.cancel(k);
-                }
-                self.pending = Some(sched.schedule_keyed_in(now, SimTime::from_nanos(100), 99));
-            }
-        }
-    }
-
+    /// Re-arming a timer three times inside one handler leaves one live
+    /// event, at the last time; the superseded entries stay in the heap but
+    /// are neither queued nor counted as events.
     #[test]
-    fn scheduler_cancel_and_reschedule_within_handler() {
-        let mut e = Engine::new(Rescheduler { fired: Vec::new(), pending: None });
-        let k0 = e.schedule_keyed_at(SimTime::from_nanos(500), 99);
-        e.model_mut().pending = Some(k0);
-        e.schedule_at(SimTime::from_nanos(1), 0);
-        e.schedule_at(SimTime::from_nanos(2), 0);
-        e.run().unwrap();
-        // The two triggers each cancel the outstanding 99 and schedule a new
-        // one; exactly one 99 fires, at 2+100.
-        assert_eq!(e.model().fired, vec![0, 0, 99]);
-        assert_eq!(e.now(), SimTime::from_nanos(102));
-        assert_eq!(e.stale_dropped(), 2);
+    fn rearmed_timer_fires_once_at_its_last_time() {
+        let mut e = scripted(vec![vec![
+            Op::Rearm(0, Some(10)),
+            Op::Rearm(0, Some(5)),
+            Op::Plain(30),
+            Op::Rearm(0, Some(20)),
+        ]]);
+        assert!(e.step());
+        assert_eq!(e.queue.len(), 4, "superseded entries stay in the heap");
+        assert_eq!(e.queued(), 2, "but are not queued events");
+        assert_eq!(e.stale_in_queue, 2);
+        run(&mut e).unwrap();
+        assert_eq!(
+            e.model().log,
+            vec![(SimTime::ZERO, START), (SimTime::from_nanos(20), 3), (SimTime::from_nanos(30), 2)]
+        );
+        assert_eq!(e.events_processed(), 3, "superseded entries are not events");
+        assert_eq!((e.queue.len(), e.stale_in_queue, e.queued()), (0, 0, 0));
+        assert_eq!(e.timers, vec![None]);
+    }
+
+    /// Disarming supersedes the pending event without arming another;
+    /// disarming an idle timer supersedes nothing.
+    #[test]
+    fn disarmed_timer_fires_nothing() {
+        let mut e = scripted(vec![
+            vec![Op::Rearm(1, Some(10)), Op::Plain(5), Op::Rearm(2, None)],
+            vec![Op::Rearm(1, None)],
+        ]);
+        assert!(e.step());
+        assert_eq!(e.stale_in_queue, 0, "timer 2 was idle");
+        assert!(e.step(), "the plain event at 5 ns disarms timer 1");
+        assert_eq!((e.queued(), e.queue.len()), (0, 1));
+        run(&mut e).unwrap();
+        assert_eq!(e.model().log, vec![(SimTime::ZERO, START), (SimTime::from_nanos(5), 1)]);
+        assert_eq!(e.events_processed(), 2);
+        assert_eq!((e.queue.len(), e.stale_in_queue), (0, 0));
+    }
+
+    /// A timer whose event fired is idle: disarming it then is a no-op, and
+    /// re-arming it arms a new event that fires in turn.
+    #[test]
+    fn fired_timer_is_idle_until_rearmed() {
+        let mut e = scripted(vec![
+            vec![Op::Rearm(0, Some(3))],
+            vec![Op::Rearm(0, None), Op::Rearm(0, Some(4))],
+        ]);
+        assert!(e.step());
+        assert!(e.step(), "the timer fires at 3 ns and re-arms itself");
+        assert_eq!((e.stale_in_queue, e.queued()), (0, 1));
+        run(&mut e).unwrap();
+        assert_eq!(
+            e.model().log,
+            vec![(SimTime::ZERO, START), (SimTime::from_nanos(3), 0), (SimTime::from_nanos(7), 2)]
+        );
     }
 
     #[test]
@@ -1013,12 +841,12 @@ mod tests {
             e.schedule_fifo_at(0, SimTime::from_nanos(10 + i), i as u32);
         }
         e.schedule_at(SimTime::from_nanos(1), 99);
-        assert_eq!(e.queue_len(), 2, "the heap holds the lane's head and the plain event");
+        assert_eq!(e.queue.len(), 2, "the heap holds the lane's head and the plain event");
         assert_eq!(e.queued(), 6, "lane-held events are queued events");
         assert!(e.step());
         assert!(e.step());
-        assert_eq!((e.queue_len(), e.queued()), (1, 4));
-        e.run().unwrap();
+        assert_eq!((e.queue.len(), e.queued()), (1, 4));
+        run(&mut e).unwrap();
         assert_eq!(e.queued(), 0);
         let fired: Vec<u32> = e.model().log.iter().map(|&(_, ev)| ev).collect();
         assert_eq!(fired, vec![99, 0, 1, 2, 3, 4]);
@@ -1070,7 +898,7 @@ mod tests {
         }
         assert_eq!(e.queued(), 4000 + plain as usize);
         while e.queued() > 0 {
-            assert!(e.queue_len() <= 4 + plain as usize, "heap {} too long", e.queue_len());
+            assert!(e.queue.len() <= 4 + plain as usize, "heap {} too long", e.queue.len());
             assert!(e.step());
         }
         let fired = &e.model().fired;
@@ -1079,69 +907,62 @@ mod tests {
         assert_eq!(lane_order, (0..4000).collect::<Vec<_>>());
     }
 
-    /// One scheduling decision of [`Script`].
+    /// One scheduling decision of [`Script`], with a delay in nanoseconds.
     #[derive(Clone, Copy, Debug)]
     enum Op {
         Plain(u64),
-        Keyed(u64),
         Fifo(usize, u64),
-        /// Cancel a pending keyed event, picked by index.
-        Cancel(usize),
+        /// Re-arm a timer `delay` from now, or disarm it.
+        Rearm(usize, Option<u64>),
     }
 
     /// A scheduling request [`Script::react`] makes.
     #[derive(Clone, Copy, Debug)]
     enum Req {
         Plain(SimTime, u32),
-        Keyed(SimTime, u32),
         Fifo(usize, SimTime, u32),
-        Cancel(u32),
+        Rearm(usize, Option<(SimTime, u32)>),
     }
 
+    /// Tag of the plain event at t = 0 that runs a script's first block.
+    const START: u32 = u32::MAX;
+
     /// The decisions shared by the engine under test and the reference
-    /// queue: when an event fires, run the next block of ops.
+    /// queue: each fired event runs the next block of ops. Every op takes
+    /// the next tag, in order.
     #[derive(Clone)]
     struct Script {
         blocks: Vec<Vec<Op>>,
         next_block: usize,
         next_tag: u32,
         lane_last: Vec<SimTime>,
-        /// Tags of keyed events neither fired nor cancelled.
-        pending_keyed: Vec<u32>,
     }
 
     impl Script {
-        fn react(&mut self, now: SimTime, fired: Option<u32>) -> Vec<Req> {
-            if let Some(t) = fired {
-                self.pending_keyed.retain(|&p| p != t);
-            }
+        fn new(blocks: Vec<Vec<Op>>) -> Self {
+            Script { blocks, next_block: 0, next_tag: 0, lane_last: vec![SimTime::ZERO; 3] }
+        }
+
+        fn react(&mut self, now: SimTime) -> Vec<Req> {
             let Some(block) = self.blocks.get(self.next_block) else {
                 return Vec::new();
             };
             self.next_block += 1;
-            let mut reqs = Vec::new();
+            let mut reqs = Vec::with_capacity(block.len());
             for &op in block {
                 let tag = self.next_tag;
-                match op {
-                    Op::Plain(d) => reqs.push(Req::Plain(now + SimTime::from_nanos(d), tag)),
-                    Op::Keyed(d) => {
-                        self.pending_keyed.push(tag);
-                        reqs.push(Req::Keyed(now + SimTime::from_nanos(d), tag));
-                    }
+                self.next_tag += 1;
+                reqs.push(match op {
+                    Op::Plain(d) => Req::Plain(now + SimTime::from_nanos(d), tag),
                     Op::Fifo(lane, d) => {
                         let at = now.max(self.lane_last[lane]) + SimTime::from_nanos(d);
                         self.lane_last[lane] = at;
-                        reqs.push(Req::Fifo(lane, at, tag));
+                        Req::Fifo(lane, at, tag)
                     }
-                    Op::Cancel(i) => {
-                        if !self.pending_keyed.is_empty() {
-                            let t = self.pending_keyed.remove(i % self.pending_keyed.len());
-                            reqs.push(Req::Cancel(t));
-                        }
-                        continue;
+                    Op::Rearm(timer, d) => {
+                        Req::Rearm(timer, d.map(|d| (now + SimTime::from_nanos(d), tag)))
                     }
-                }
-                self.next_tag += 1;
+                });
             }
             reqs
         }
@@ -1149,7 +970,6 @@ mod tests {
 
     struct Scripted {
         script: Script,
-        keys: FxHashMap<u32, EventKey>,
         log: Vec<(SimTime, u32)>,
     }
 
@@ -1157,59 +977,72 @@ mod tests {
         type Event = u32;
         fn handle(&mut self, now: SimTime, ev: u32, sched: &mut Scheduler<u32>) {
             self.log.push((now, ev));
-            for req in self.script.react(now, Some(ev)) {
+            for req in self.script.react(now) {
                 match req {
                     Req::Plain(at, t) => sched.schedule_at(at, t),
-                    Req::Keyed(at, t) => {
-                        self.keys.insert(t, sched.schedule_keyed_at(at, t));
-                    }
                     Req::Fifo(lane, at, t) => sched.schedule_fifo_at(lane, at, t),
-                    Req::Cancel(t) => sched.cancel(self.keys[&t]),
+                    Req::Rearm(timer, next) => sched.rearm(timer, next),
                 }
             }
         }
     }
 
-    /// The firing order by definition: repeatedly fire the live event with
-    /// the least `(time, schedule order)`, by a linear scan.
-    fn reference_order(mut script: Script) -> Vec<(SimTime, u32)> {
-        // (at, seq, tag, live)
-        let mut pending: Vec<(SimTime, u64, u32, bool)> = Vec::new();
-        let mut seq = 0u64;
-        let mut log = Vec::new();
-        let mut apply = |reqs: Vec<Req>, pending: &mut Vec<(SimTime, u64, u32, bool)>| {
-            for req in reqs {
-                match req {
-                    Req::Plain(at, t) | Req::Keyed(at, t) | Req::Fifo(_, at, t) => {
-                        pending.push((at, seq, t, true));
-                        seq += 1;
-                    }
-                    Req::Cancel(t) => {
-                        let p = pending.iter_mut().find(|p| p.2 == t).expect("pending");
-                        p.3 = false;
-                    }
-                }
-            }
-        };
-        apply(script.react(SimTime::ZERO, None), &mut pending);
-        while let Some(i) = (0..pending.len())
-            .filter(|&i| pending[i].3)
-            .min_by_key(|&i| (pending[i].0, pending[i].1))
-        {
+    /// An engine that runs `blocks` from a plain `START` event at t = 0.
+    fn scripted(blocks: Vec<Vec<Op>>) -> Engine<Scripted> {
+        let mut e = Engine::new(Scripted { script: Script::new(blocks), log: Vec::new() });
+        e.schedule_at(SimTime::ZERO, START);
+        e
+    }
+
+    /// The firing order by definition: repeatedly fire the pending event
+    /// with the least `(time, schedule order)`, by a linear scan; a re-arm
+    /// removes its timer's pending event. Also returns the number of
+    /// pending events after each fired event's reactions.
+    fn reference_order(mut script: Script) -> (Vec<(SimTime, u32)>, Vec<usize>) {
+        // (at, seq, tag, timer)
+        let mut pending: Vec<(SimTime, u64, u32, Option<usize>)> =
+            vec![(SimTime::ZERO, 0, START, None)];
+        let mut seq = 1u64;
+        let (mut log, mut queued) = (Vec::new(), Vec::new());
+        while let Some(i) = (0..pending.len()).min_by_key(|&i| (pending[i].0, pending[i].1)) {
             let (at, _, tag, _) = pending.swap_remove(i);
             log.push((at, tag));
-            apply(script.react(at, Some(tag)), &mut pending);
+            for req in script.react(at) {
+                let (at, tag, timer) = match req {
+                    Req::Plain(at, t) | Req::Fifo(_, at, t) => (at, t, None),
+                    Req::Rearm(n, next) => {
+                        pending.retain(|p| p.3 != Some(n));
+                        let Some((at, t)) = next else { continue };
+                        (at, t, Some(n))
+                    }
+                };
+                pending.push((at, seq, tag, timer));
+                seq += 1;
+            }
+            queued.push(pending.len());
         }
-        log
+        (log, queued)
     }
 
-    /// Decode a generated `(kind, lane or index, delay)` triple.
+    /// Decode a generated `(kind, lane or timer, delay)` triple.
     fn op_of((kind, n, d): (u8, usize, u64)) -> Op {
         match kind {
             0 => Op::Plain(d),
-            1 => Op::Keyed(d),
-            2 => Op::Fifo(n % 3, d),
-            _ => Op::Cancel(n),
+            1 => Op::Fifo(n % 3, d),
+            2 | 3 => Op::Rearm(n % 3, Some(d)),
+            _ => Op::Rearm(n % 3, None),
+        }
+    }
+
+    /// Its first event schedules every delay, relative to its time.
+    struct Burst(Vec<SimTime>);
+
+    impl Model for Burst {
+        type Event = ();
+        fn handle(&mut self, now: SimTime, _: (), sched: &mut Scheduler<()>) {
+            for d in self.0.drain(..) {
+                sched.schedule_in(now, d, ());
+            }
         }
     }
 
@@ -1217,120 +1050,57 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The engine fires events exactly in `(time, schedule order)`:
-        /// plain, keyed and FIFO-lane events, cancellations, ties at equal
-        /// instants, and events scheduled from inside handlers, compared
-        /// unsorted against a linear-scan reference queue.
+        /// plain, timer and FIFO-lane events, re-arms and disarms (several
+        /// of one timer in one handler among them), ties at equal instants,
+        /// all scheduled from inside handlers, compared unsorted against a
+        /// linear-scan reference queue. `queued()` matches the reference's
+        /// pending count after every event.
         #[test]
         fn firing_order_is_time_then_schedule_order(
-            blocks in collection::vec(collection::vec((0u8..4, 0usize..8, 0u64..4), 0..5), 1..40),
+            blocks in collection::vec(collection::vec((0u8..5, 0usize..8, 0u64..4), 0..6), 1..40),
         ) {
-            let script = Script {
-                blocks: blocks.into_iter().map(|b| b.into_iter().map(op_of).collect()).collect(),
-                next_block: 0,
-                next_tag: 0,
-                lane_last: vec![SimTime::ZERO; 3],
-                pending_keyed: Vec::new(),
-            };
-            let expected = reference_order(script.clone());
-            let mut e = Engine::new(Scripted {
-                script,
-                keys: FxHashMap::default(),
-                log: Vec::new(),
-            });
-            // The first block is scheduled from outside any handler.
-            let first = e.model_mut().script.react(SimTime::ZERO, None);
-            for req in first {
-                match req {
-                    Req::Plain(at, t) => e.schedule_at(at, t),
-                    Req::Keyed(at, t) => {
-                        let k = e.schedule_keyed_at(at, t);
-                        e.model_mut().keys.insert(t, k);
-                    }
-                    Req::Fifo(lane, at, t) => e.schedule_fifo_at(lane, at, t),
-                    Req::Cancel(t) => {
-                        let k = e.model().keys[&t];
-                        prop_assert!(e.cancel(k));
-                    }
-                }
+            let mut e = scripted(
+                blocks.into_iter().map(|b| b.into_iter().map(op_of).collect()).collect(),
+            );
+            let (expected, expected_queued) = reference_order(e.model().script.clone());
+            let mut queued = Vec::new();
+            while e.step() {
+                queued.push(e.queued());
             }
-            e.run().unwrap();
             prop_assert_eq!(&e.model().log, &expected);
-            prop_assert_eq!(e.queued(), 0);
-            prop_assert_eq!(e.queue_len(), 0);
+            prop_assert_eq!(queued, expected_queued);
+            prop_assert_eq!((e.queue.len(), e.stale_in_queue, e.lane_held), (0, 0, 0));
+            prop_assert!(e.timers.iter().all(Option::is_none));
         }
 
-        /// Satellite property: adversarial schedules — including deltas that
-        /// push far past `SimTime::MAX` — never panic the engine. A run ends
-        /// in `Ok` or in a typed `SimError::TimeOverflow`, and overflow is
-        /// reported exactly when some relative schedule overflowed.
+        /// Adversarial schedules — including deltas that push far past
+        /// `SimTime::MAX` — never panic the engine. A run ends in `Ok` or in
+        /// a typed `SimError::TimeOverflow`, and overflow is reported exactly
+        /// when some relative schedule overflowed.
         #[test]
         fn adversarial_schedules_never_panic(
             start in 1u64..=u64::MAX,
             deltas in collection::vec(0u64..=u64::MAX, 1..30),
         ) {
-            let mut e = engine();
-            // Advance the clock off zero so `now + delta` can actually
-            // overflow the u64 nanosecond domain.
+            // Start the clock off zero so `now + delta` can actually
+            // overflow the u64 picosecond domain.
             let now = SimTime::from_picos(start);
-            e.schedule_at(now, 0);
-            e.run().unwrap();
-            for (i, &d) in deltas.iter().enumerate() {
-                // Relative scheduling only: absolute past-scheduling is a
-                // documented programming-error panic, not an input error.
-                e.schedule_in(SimTime::from_picos(d), i as u32 + 1);
-            }
+            let delays = deltas.iter().map(|&d| SimTime::from_picos(d)).collect();
+            let mut e = Engine::new(Burst(delays));
+            e.schedule_at(now, ());
             let would_overflow =
                 deltas.iter().any(|&d| now.checked_add(SimTime::from_picos(d)).is_none());
-            prop_assert_eq!(e.overflowed(), would_overflow);
-            match e.run() {
-                Ok(()) => prop_assert!(!would_overflow),
-                Err(SimError::TimeOverflow { .. }) => prop_assert!(would_overflow),
+            match run(&mut e) {
+                Ok(()) => {
+                    prop_assert!(!would_overflow);
+                    prop_assert_eq!(e.events_processed(), 1 + deltas.len() as u64);
+                }
+                Err(SimError::TimeOverflow { at }) => {
+                    prop_assert!(would_overflow);
+                    prop_assert_eq!((at, e.events_processed()), (now, 1));
+                }
                 Err(other) => prop_assert!(false, "unexpected error: {other:?}"),
             }
-        }
-
-        /// Lazy-cancelled events never fire, regardless of the interleaving of
-        /// keyed/unkeyed schedules and cancels, and live events all do.
-        #[test]
-        fn cancelled_events_never_fire(
-            ops in collection::vec((0u8..3, 0u64..1000), 1..60),
-        ) {
-            let mut e = engine();
-            let mut keys: Vec<(EventKey, u32)> = Vec::new();
-            let mut expected: Vec<(SimTime, u32)> = Vec::new();
-            let mut tag = 0u32;
-            for &(op, v) in &ops {
-                match op {
-                    0 => {
-                        let at = SimTime::from_nanos(v);
-                        e.schedule_at(at, tag);
-                        expected.push((at, tag));
-                        tag += 1;
-                    }
-                    1 => {
-                        let at = SimTime::from_nanos(v);
-                        let k = e.schedule_keyed_at(at, tag);
-                        keys.push((k, tag));
-                        expected.push((at, tag));
-                        tag += 1;
-                    }
-                    _ => {
-                        if keys.is_empty() {
-                            continue;
-                        }
-                        let (k, t) = keys.remove((v as usize) % keys.len());
-                        prop_assert!(e.cancel(k));
-                        expected.retain(|&(_, et)| et != t);
-                    }
-                }
-            }
-            e.run().unwrap();
-            expected.sort_by_key(|&(at, t)| (at, t));
-            let mut fired = e.model().log.clone();
-            fired.sort_by_key(|&(at, t)| (at, t));
-            prop_assert_eq!(fired, expected);
-            prop_assert_eq!(e.stale_in_queue(), 0);
-            prop_assert_eq!(e.queue_len(), 0);
         }
     }
 }

@@ -177,11 +177,10 @@ pub trait ForkTracer: Tracer + Sized {
     /// private stream.
     fn fork(&self) -> Self;
 
-    /// Merge per-LP streams (index order) back into `self`. Records are
-    /// interleaved by [`merge_lp_records`]: LP `i`'s tracks are offset by
-    /// `i * track_stride` and the merged sequence is sorted by
-    /// `(time, lp, position)` — deterministic regardless of how many
-    /// workers produced the streams. Any record bound applies per LP: the
+    /// Merge per-LP streams (index order) back into `self`. LP `i`'s
+    /// tracks are offset by `i * track_stride` and the merged sequence is
+    /// sorted by `(time, lp, position)` — deterministic regardless of how
+    /// many workers produced the streams. Any record bound applies per LP: the
     /// merge keeps everything the parts retained.
     fn absorb(&mut self, parts: Vec<Self>, track_stride: u32);
 }
@@ -216,10 +215,9 @@ impl ForkTracer for NoopTracer {
 
 /// A bounded FIFO ring buffer: pushing past `capacity` evicts the oldest
 /// entry and counts it, so truncation is observable instead of silent.
-///
-/// Shared by [`RingTracer`] and the engine's debug event trace.
+/// [`RingTracer`]'s storage.
 #[derive(Debug, Clone)]
-pub struct Ring<T> {
+pub(crate) struct Ring<T> {
     capacity: usize,
     buf: VecDeque<T>,
     dropped: u64,
@@ -369,27 +367,6 @@ impl ForkTracer for RingTracer {
     }
 }
 
-/// A forwarding impl so `&mut T` can be handed to helpers without giving up
-/// the tracer.
-impl<T: Tracer + ?Sized> Tracer for &mut T {
-    #[inline]
-    fn enabled(&self) -> bool {
-        (**self).enabled()
-    }
-    #[inline]
-    fn span(&mut self, c: Component, n: &'static str, t: u32, s: SimTime, e: SimTime) {
-        (**self).span(c, n, t, s, e)
-    }
-    #[inline]
-    fn instant(&mut self, c: Component, n: &'static str, t: u32, at: SimTime) {
-        (**self).instant(c, n, t, at)
-    }
-    #[inline]
-    fn counter(&mut self, c: Component, n: &'static str, at: SimTime, v: f64) {
-        (**self).counter(c, n, at, v)
-    }
-}
-
 fn ts_micros(t: SimTime) -> f64 {
     t.as_micros_f64()
 }
@@ -514,7 +491,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
 /// a cluster) stay distinguishable in the Chrome export; pass 0 to collapse
 /// lanes across LPs. The sort is stable, so equal keys preserve (lp, position)
 /// order by construction.
-pub fn merge_lp_records(per_lp: Vec<Vec<TraceRecord>>, track_stride: u32) -> Vec<TraceRecord> {
+pub(crate) fn merge_lp_records(per_lp: Vec<Vec<TraceRecord>>, track_stride: u32) -> Vec<TraceRecord> {
     let total: usize = per_lp.iter().map(Vec::len).sum();
     let mut decorated: Vec<(SimTime, usize, TraceRecord)> = Vec::with_capacity(total);
     for (lp, records) in per_lp.into_iter().enumerate() {
@@ -742,20 +719,6 @@ mod tests {
         let recs = tr.into_records();
         assert_eq!(recs[0].at(), t(3), "oldest retained is the 4th span");
         assert_eq!(recs[1].at(), t(4));
-    }
-
-    #[test]
-    fn mut_ref_forwards() {
-        let mut tr = RingTracer::new(8);
-        {
-            let r = &mut tr;
-            assert!(Tracer::enabled(&r));
-            fn record(mut t2: impl Tracer) {
-                t2.instant(Component::Engine, "evt", 0, SimTime::ZERO);
-            }
-            record(r);
-        }
-        assert_eq!(tr.len(), 1);
     }
 
     #[test]
