@@ -4,8 +4,8 @@
 //! Both partitions cut a run along the gradient synchronization, the only
 //! point where their parts interact. Each part is one logical process (a
 //! private engine over a [`PipelineModel`] in a [`BarrierMode`]) that runs
-//! until it parks at the barrier; the coordinator then releases every part
-//! at `max(arrivals) + hold`:
+//! until it parks at the barrier; `sim::par::run_windows` then releases
+//! every part at `max(arrivals) + hold`:
 //!
 //! * **Lanes** (`crate::intraserver`) — half a train box each. A lane parks
 //!   before its sync starts, because the ring spans every lane; `hold` is
@@ -15,13 +15,12 @@
 //!   ring sync, then parks; `hold` is the cross-server phase
 //!   ([`ClusterSpec::cross_sync_secs`]).
 //!
-//! Determinism discipline is inherited wholesale from `sim::par`: offers are
-//! folded and grants applied in LP-index order at every barrier, and per-LP
-//! trace streams merge in LP-index order, so `parallel_workers: 0` is
-//! byte-identical to any worker count by construction (pinned by
+//! Determinism discipline is inherited wholesale from `sim::par`: park
+//! times are folded and releases applied in LP-index order at every barrier,
+//! and per-LP trace streams merge in LP-index order, so `parallel_workers: 0`
+//! is byte-identical to any worker count by construction (pinned by
 //! `crates/core/tests/parallel_equivalence.rs`).
 
-use std::marker::PhantomData;
 use std::time::Instant;
 
 use crate::arch::Server;
@@ -32,8 +31,8 @@ use crate::pipeline::{
 };
 use crate::scaleout::{ClusterResult, ClusterSpec, CLUSTER_TRACK_STRIDE};
 use trainbox_nn::Workload;
-use trainbox_sim::par::{self, Coordinator, RunStats, WindowedLp};
-use trainbox_sim::{Engine, ForkTracer, SimError, SimTime, Tracer};
+use trainbox_sim::par::{self, RunStats};
+use trainbox_sim::{Engine, SimError, SimTime, Tracer};
 
 /// Simulate one server with its pipeline partitioned into lanes. Called
 /// for every eligible `(server, plan)`; `cfg.parallel_workers` only selects
@@ -42,7 +41,7 @@ use trainbox_sim::{Engine, ForkTracer, SimError, SimTime, Tracer};
 /// # Errors
 ///
 /// A [`DesFailure`] exactly like the single-engine path's.
-pub(crate) fn simulate_lanes<T: ForkTracer + Send>(
+pub(crate) fn simulate_lanes<T: Tracer + Send>(
     server: &Server,
     workload: &Workload,
     cfg: &SimConfig,
@@ -104,7 +103,7 @@ pub(crate) fn simulate_lanes<T: ForkTracer + Send>(
 /// Under the conditions of [`crate::pipeline::try_simulate_traced_deadline`]
 /// (invalid config or fault plan), or if `cluster` fails
 /// [`ClusterSpec::validate`].
-pub(crate) fn simulate_cluster<T: ForkTracer + Send>(
+pub(crate) fn simulate_cluster<T: Tracer + Send>(
     server: &Server,
     workload: &Workload,
     cfg: &SimConfig,
@@ -146,7 +145,7 @@ pub(crate) fn simulate_cluster<T: ForkTracer + Send>(
 
 /// A finished barrier run, merged over its logical processes.
 struct BarrierRun {
-    /// The coordinator's release of every generation.
+    /// The barrier's release of every generation.
     batch_done_at: Vec<SimTime>,
     /// Steady-state throughput over the measured window, all LPs.
     samples_per_sec: f64,
@@ -165,7 +164,7 @@ struct BarrierRun {
 /// `max(arrivals) + hold`, then merge them — fault statistics (LP-index
 /// order) through `merge_faults` — and fold their trace streams back into
 /// `tracer` in LP-index order.
-fn run<T: ForkTracer + Send>(
+fn run<T: Tracer + Send>(
     models: Vec<PipelineModel<T>>,
     hold: SimTime,
     cfg: &SimConfig,
@@ -174,17 +173,16 @@ fn run<T: ForkTracer + Send>(
     merge_faults: impl FnOnce(Vec<FaultStats>) -> FaultStats,
 ) -> Result<BarrierRun, DesFailure> {
     check_window(cfg);
-    let mut lps: Vec<BarrierLp<T>> = models
+    let mut lps: Vec<LpEngine<T>> = models
         .into_iter()
         .map(|model| {
             let mut engine = Engine::new(model);
             engine.schedule_at(SimTime::ZERO, Ev::Start);
-            BarrierLp { engine, max_events: cfg.max_events, deadline }
+            LpEngine { engine, max_events: cfg.max_events, deadline }
         })
         .collect();
-    let mut coord = BarrierCoord::<T> { hold, releases: Vec::new(), _lp: PhantomData };
-    let stats = match par::run_windows(&mut coord, &mut lps, cfg.parallel_workers) {
-        Ok(stats) => stats,
+    let (stats, releases) = match par::run_windows(&mut lps, hold, cfg.parallel_workers) {
+        Ok(run) => run,
         Err(error) => {
             let events = lps.iter().map(|lp| lp.engine.events_processed()).sum();
             let partial = merge_faults(
@@ -193,7 +191,6 @@ fn run<T: ForkTracer + Send>(
             return Err(DesFailure { error, events, partial_faults: partial });
         }
     };
-    let releases = coord.releases;
     debug_assert_eq!(releases.len() as u64, cfg.batches, "one release per generation");
 
     let models: Vec<PipelineModel<T>> =
@@ -248,30 +245,19 @@ pub(crate) fn merge_fault_stats(parts: Vec<FaultStats>) -> FaultStats {
     merged
 }
 
-/// One barrier-parking partition as a logical process: a private engine plus
-/// its share of the global event budget and the shared wall-clock deadline.
-struct BarrierLp<T: Tracer> {
+/// One barrier-parking partition as a logical process: a private engine,
+/// the event budget (each LP may process up to `cfg.max_events` events of
+/// its own) and the shared wall-clock deadline.
+struct LpEngine<T: Tracer> {
     engine: Engine<PipelineModel<T>>,
     max_events: u64,
     deadline: Option<Instant>,
 }
 
-/// What a partition reports at a window boundary.
-enum LpOffer {
-    /// Parked at the barrier at local time `now`.
-    Barrier(SimTime),
-    /// All generations closed.
-    Done,
-}
-
-impl<T: Tracer + Send> WindowedLp for BarrierLp<T> {
-    type Offer = LpOffer;
-    /// The coordinator's global release time (`None` for already-done LPs).
-    type Grant = Option<SimTime>;
-
-    fn advance(&mut self) -> Result<LpOffer, SimError> {
+impl<T: Tracer + Send> par::BarrierLp for LpEngine<T> {
+    fn advance(&mut self) -> Result<Option<SimTime>, SimError> {
         if self.engine.model().is_done() {
-            return Ok(LpOffer::Done);
+            return Ok(None);
         }
         let budget = self.max_events.saturating_sub(self.engine.events_processed());
         let hit = self.engine.run_while_deadline(budget, self.deadline, |m| {
@@ -283,64 +269,17 @@ impl<T: Tracer + Send> WindowedLp for BarrierLp<T> {
                 queued: self.engine.queued(),
             });
         }
-        if self.engine.model_mut().take_barrier() {
-            Ok(LpOffer::Barrier(self.engine.now()))
-        } else {
-            Ok(LpOffer::Done)
-        }
+        // Identical target batches keep the partitions in generation
+        // lockstep: every LP parks, or every LP is done.
+        Ok(self.engine.model_mut().take_barrier().then(|| self.engine.now()))
     }
 
-    fn apply(&mut self, grant: Option<SimTime>) -> Result<(), SimError> {
-        if let Some(release) = grant {
-            self.engine.schedule_at(release, Ev::Release);
-        }
-        Ok(())
+    fn release(&mut self, at: SimTime) {
+        self.engine.schedule_at(at, Ev::Release);
     }
 
     fn events_processed(&self) -> u64 {
         self.engine.events_processed()
-    }
-}
-
-/// The synchronization barrier: every generation closes at
-/// `max(arrivals) + hold` across all partitions.
-struct BarrierCoord<T: Tracer> {
-    hold: SimTime,
-    releases: Vec<SimTime>,
-    _lp: PhantomData<fn(T)>,
-}
-
-impl<T: Tracer + Send> Coordinator for BarrierCoord<T> {
-    type Lp = BarrierLp<T>;
-
-    fn exchange(
-        &mut self,
-        offers: Vec<LpOffer>,
-    ) -> Result<Option<Vec<Option<SimTime>>>, SimError> {
-        let latest = offers
-            .iter()
-            .filter_map(|o| match o {
-                LpOffer::Barrier(now) => Some(*now),
-                LpOffer::Done => None,
-            })
-            .max();
-        let Some(latest) = latest else {
-            return Ok(None); // every partition closed its final generation
-        };
-        // Identical target batches keep the partitions in generation
-        // lockstep, so a mixed Barrier/Done window would be a protocol bug;
-        // done LPs simply receive no grant.
-        let release = latest.saturating_add(self.hold);
-        self.releases.push(release);
-        Ok(Some(
-            offers
-                .iter()
-                .map(|o| match o {
-                    LpOffer::Barrier(_) => Some(release),
-                    LpOffer::Done => None,
-                })
-                .collect(),
-        ))
     }
 }
 

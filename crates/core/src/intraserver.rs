@@ -21,9 +21,11 @@
 //! them. A completion query examines few classes in either engine, since
 //! each link domain caches its earliest completion, but
 //! [`FlowSim::advance`] drains every class of the simulator on every
-//! event, and a lane's simulator holds one lane's flows, not the server's:
-//! at 0 workers the 256-accelerator ResNet-50 server runs 2.5–3× and
-//! the 64-accelerator DLRM one about 1.8× faster lane-partitioned.
+//! event, and a lane's simulator holds one lane's flows, not the server's.
+//! At 0 workers on a 2-vCPU host (median of seven alternating runs), the
+//! 256-accelerator ResNet-50 server takes 487–499 ms lane-partitioned
+//! against 987–993 ms through the single engine (about 2×), and the
+//! 64-accelerator DLRM one 100–118 ms against 141–177 ms (1.4–1.5×).
 //!
 //! [`FlowSim`]: trainbox_pcie::flow::FlowSim
 //! [`FlowSim::advance`]: trainbox_pcie::flow::FlowSim::advance

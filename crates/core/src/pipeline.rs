@@ -11,8 +11,9 @@
 //! a prototype, §VI-A).
 //!
 //! Granularity: samples move in chunks (default 256 samples) to bound the
-//! event count; each accelerator may prefetch up to two batches ahead, the
-//! overlap discipline of §II-B.
+//! event count. Each accelerator keeps at most `prefetch_batches × batch`
+//! samples buffered or in flight ([`SimConfig::prefetch_batches`], one batch
+//! by default): the next-batch prefetching, the overlap discipline of §II-B.
 
 use crate::arch::Server;
 use crate::calib::{SampleSizes, DGX2, SSD_READ_BYTES_PER_SEC};
@@ -25,7 +26,7 @@ use trainbox_pcie::boxes::{PrepPoolNet, ServerTopology};
 use trainbox_pcie::flow::{FlowId, FlowNet, FlowSim, FlowSpec};
 use trainbox_pcie::{LinkId, NodeId};
 use trainbox_sim::{
-    Component, Engine, FifoServer, ForkTracer, Model, NoopTracer, Scheduler, SeqTable,
+    Component, Engine, FifoServer, Model, NoopTracer, Scheduler, SeqTable,
     SimError, SimTime, Tracer,
 };
 
@@ -41,7 +42,11 @@ pub struct SimConfig {
     /// Prefetch credit per accelerator, in batches (1 = the paper's
     /// next-batch prefetching).
     pub prefetch_batches: u64,
-    /// Safety valve on total processed events.
+    /// Safety valve on processed events, per engine: the single engine stops
+    /// after this many, and in a partitioned run (cluster servers,
+    /// intra-server lanes) each logical process may process this many of
+    /// its own, so the run as a whole may process up to `max_events` times
+    /// the partition count.
     pub max_events: u64,
     /// Worker threads for the parallel DES runner (`trainbox_sim::par`).
     /// `0` or `1` selects the sequential reference; any value produces
@@ -439,8 +444,8 @@ pub(crate) enum Ev {
     FaultRecover(usize),
     /// Backoff elapsed: re-dispatch the chunk's prep request.
     PrepRetry(u64),
-    /// Barrier modes only: the coordinator released the synchronization
-    /// barrier — close the generation at the granted global time.
+    /// Barrier modes only: the barrier runner released the synchronization
+    /// barrier — close the generation at the global release time.
     Release,
 }
 
@@ -452,11 +457,11 @@ pub(crate) enum BarrierMode {
     /// One lane of a partitioned server: drive only these accelerators
     /// (plus their nominally assigned SSD and prep device) and park once
     /// they arrive, *before* any [`Ev::SyncDone`] — the ring spans every
-    /// lane, so the coordinator's release (`max(arrivals) + t_sync`)
+    /// lane, so the runner's release (`max(arrivals) + t_sync`)
     /// stands in for the sync.
     Lane(std::ops::Range<usize>),
     /// One server of a cluster: run the local ring sync, then park until
-    /// the coordinator's release (`max(arrivals) + cross_sync`).
+    /// the runner's release (`max(arrivals) + cross_sync`).
     Cluster,
 }
 
@@ -1277,36 +1282,37 @@ impl<T: Tracer> PipelineModel<T> {
             if matches!(self.barrier, BarrierMode::Lane(_)) {
                 // Lane mode: the ring spans *all* lanes, so this lane cannot
                 // know when the sync completes — park at the barrier and let
-                // the coordinator grant max(lane arrivals) + t_sync, exactly
+                // the runner release it at max(lane arrivals) + t_sync, exactly
                 // what the solo path's SyncDone would compute.
                 self.at_barrier = true;
                 return;
             }
             sched.schedule_in(now, self.t_sync, Ev::SyncDone);
-            if self.tracer.enabled() {
-                self.tracer.span(
-                    Component::Collective,
-                    self.sync.span_label(),
-                    0,
-                    now,
-                    now.saturating_add(self.t_sync),
-                );
-                // Per-step spans of the synchronization over the surviving
-                // devices; boundaries come from the same analytic model that
-                // produced t_sync, so they partition the span exactly.
-                let survivors = self.faults.alive_accels();
-                let mut prev = 0.0;
-                for b in self.sync.steps(self.model_bytes, survivors) {
-                    self.tracer.span(
-                        Component::Collective,
-                        self.sync.step_label(),
-                        1,
-                        now.saturating_add(SimTime::from_secs_f64(prev)),
-                        now.saturating_add(SimTime::from_secs_f64(b)),
-                    );
-                    prev = b;
-                }
-            }
+            self.trace_sync(now);
+        }
+    }
+
+    /// Trace one synchronization that starts at `start`: the whole span, then
+    /// per-step spans over the surviving devices. Step boundaries come from
+    /// the same analytic model that produced `t_sync`, so they partition the
+    /// span exactly.
+    fn trace_sync(&mut self, start: SimTime) {
+        if !self.tracer.enabled() {
+            return;
+        }
+        let end = start.saturating_add(self.t_sync);
+        self.tracer.span(Component::Collective, self.sync.span_label(), 0, start, end);
+        let survivors = self.faults.alive_accels();
+        let mut prev = 0.0;
+        for b in self.sync.steps(self.model_bytes, survivors) {
+            self.tracer.span(
+                Component::Collective,
+                self.sync.step_label(),
+                1,
+                start.saturating_add(SimTime::from_secs_f64(prev)),
+                start.saturating_add(SimTime::from_secs_f64(b)),
+            );
+            prev = b;
         }
     }
 
@@ -1316,7 +1322,7 @@ impl<T: Tracer> PipelineModel<T> {
             // The local (intra-server) ring reduction is done, but in a
             // cluster the generation only closes once every server has
             // finished and the cross-server phase has run — park at the
-            // barrier and let the coordinator grant the resume time.
+            // barrier and let the runner release it.
             self.at_barrier = true;
             return;
         }
@@ -1325,8 +1331,8 @@ impl<T: Tracer> PipelineModel<T> {
 
     /// Close the current generation at `now`: record it, and either finish
     /// the run or start the next generation's compute. In solo mode `now` is
-    /// the local sync completion; in cluster mode it is the coordinator's
-    /// global release time.
+    /// the local sync completion; in barrier modes it is the runner's global
+    /// release time.
     fn finish_generation(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         self.sync_gen += 1;
         if self.tracer.enabled() {
@@ -1352,7 +1358,7 @@ impl<T: Tracer> PipelineModel<T> {
         }
     }
 
-    /// A coordinator release arrived ([`Ev::Release`]).
+    /// The barrier runner's release arrived ([`Ev::Release`]).
     ///
     /// Cluster mode: the local sync already completed (`on_sync_done` parked
     /// at the barrier), so this just closes the generation at the global
@@ -1364,23 +1370,10 @@ impl<T: Tracer> PipelineModel<T> {
     fn on_resume(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         if matches!(self.barrier, BarrierMode::Lane(_)) {
             self.sync_in_progress = false;
-            if self.tracer.enabled() && self.lane_range().start == 0 {
+            if self.lane_range().start == 0 {
                 // `now - t_sync` is exactly the global max arrival: the same
-                // span the solo path records when the last device arrives.
-                let start = now.saturating_sub(self.t_sync);
-                self.tracer.span(Component::Collective, self.sync.span_label(), 0, start, now);
-                let survivors = self.faults.alive_accels();
-                let mut prev = 0.0;
-                for b in self.sync.steps(self.model_bytes, survivors) {
-                    self.tracer.span(
-                        Component::Collective,
-                        self.sync.step_label(),
-                        1,
-                        start.saturating_add(SimTime::from_secs_f64(prev)),
-                        start.saturating_add(SimTime::from_secs_f64(b)),
-                    );
-                    prev = b;
-                }
+                // sync the solo path traces when the last device arrives.
+                self.trace_sync(now.saturating_sub(self.t_sync));
             }
         }
         self.finish_generation(now, sched);
@@ -1647,7 +1640,7 @@ impl std::error::Error for DesFailure {}
 /// invalid fault plan (see
 /// [`FaultPlan::validate`]) — and if every prep device or accelerator is
 /// lost to faults.
-pub(crate) fn try_simulate_traced_deadline<T: ForkTracer + Send>(
+pub(crate) fn try_simulate_traced_deadline<T: Tracer + Send>(
     server: &Server,
     workload: &Workload,
     cfg: &SimConfig,

@@ -48,7 +48,7 @@ use crate::scaleout::{ClusterResult, ClusterSpec, ClusterThroughput};
 use serde::{Deserialize, Serialize};
 use trainbox_collective::RingModel;
 use trainbox_nn::Workload;
-use trainbox_sim::{ForkTracer, NoopTracer, RingTracer, TraceSummary};
+use trainbox_sim::{NoopTracer, RingTracer, TraceSummary, Tracer};
 
 /// The server half of a request: which design, at what scale, with which
 /// overrides. Mirrors [`ServerConfig`]'s builder knobs as plain data.
@@ -600,7 +600,7 @@ impl SimRequest {
     ///
     /// As [`Self::run`]; additionally [`SimError::InvalidSim`] when the
     /// request's mode is analytic.
-    pub fn run_des_with_tracer<T: ForkTracer + Send>(
+    pub fn run_des_with_tracer<T: Tracer + Send>(
         &self,
         tracer: T,
     ) -> Result<(SimResult, T), SimError> {
@@ -617,7 +617,7 @@ impl SimRequest {
     }
 
     /// Validate everything the engine would otherwise assert on, then run.
-    fn checked_des<T: ForkTracer + Send>(
+    fn checked_des<T: Tracer + Send>(
         &self,
         server: &Server,
         cfg: &SimConfig,
@@ -633,7 +633,7 @@ impl SimRequest {
     /// server of the request's cluster as a logical process under the
     /// parallel runner. A cluster's fault plan is validated against one
     /// server's domain — it replays on server 0 only.
-    fn des_outcome<T: ForkTracer + Send>(
+    fn des_outcome<T: Tracer + Send>(
         &self,
         server: &Server,
         cfg: &SimConfig,

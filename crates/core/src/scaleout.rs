@@ -312,7 +312,7 @@ pub struct ClusterResult {
     /// samples/s (all servers).
     pub samples_per_sec: f64,
     /// Global completion time of every generation (after the cross-server
-    /// phase) — the coordinator's barrier release times.
+    /// phase) — the barrier runner's release times.
     pub batch_done_at: Vec<SimTime>,
     /// Events processed across all servers.
     pub events: u64,

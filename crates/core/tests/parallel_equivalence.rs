@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use trainbox_core::arch::ServerKind;
 use trainbox_core::faults::{FaultDomain, FaultKind, FaultPlan};
 use trainbox_core::pipeline::{fault_domain, SimConfig};
-use trainbox_core::request::{SimError, SimRequest, SimOutcome};
+use trainbox_core::request::{SimError, SimMode, SimOutcome, SimRequest};
 use trainbox_core::scaleout::ClusterSpec;
 use trainbox_nn::Workload;
 
@@ -194,4 +194,50 @@ fn solo_expired_deadline_is_typed_at_any_worker_count() {
         );
         assert!(!err.is_client_error());
     }
+}
+
+/// `req` with its DES event budget set to `max_events`.
+fn budgeted(mut req: SimRequest, max_events: u64) -> SimRequest {
+    let SimMode::Des(cfg) = &mut req.sim else {
+        panic!("DES request expected");
+    };
+    cfg.max_events = max_events;
+    req
+}
+
+/// A partitioned run that exhausts its event budget stalls with the same
+/// typed error at every worker count — the cluster (one LP per server) and
+/// the lane-partitioned single server alike.
+#[test]
+fn budget_stalls_are_worker_invariant() {
+    let kind = ServerKind::TrainBoxNoPool;
+    for workers in [0usize, 1, 2, 3, 8] {
+        let cluster = cluster_request(kind, workers, None);
+        let lanes = solo_request(kind, workers, None, false);
+        for (name, req, queued) in [("cluster", cluster, 1), ("lanes", lanes, 2)] {
+            let err = budgeted(req, 50).run().unwrap_err();
+            let expected = format!(
+                "simulation stalled: event budget exhausted after 50 events with {queued} still queued"
+            );
+            assert_eq!(err, SimError::Engine(expected), "{name}: workers={workers}");
+        }
+    }
+}
+
+/// `max_events` bounds each logical process, not the run: a cluster
+/// completes with the budget set to its busiest server's event count, though
+/// the servers process more events than that in all, and stalls one below.
+#[test]
+fn event_budget_applies_per_logical_process() {
+    let kind = ServerKind::TrainBoxNoPool;
+    let run = |max_events| budgeted(cluster_request(kind, 2, None), max_events).run();
+    let full = run(quick_cfg(0).max_events).expect("default budget completes");
+    let SimOutcome::Cluster(reference) = &full.outcome else {
+        panic!("expected a cluster DES outcome");
+    };
+    let busiest = *reference.server_events.iter().max().expect("3 servers");
+    assert!(reference.events > busiest, "{reference:?}");
+    let tight = run(busiest).expect("one server's count is enough");
+    assert_eq!(tight.outcome, full.outcome);
+    run(busiest - 1).expect_err("one event short stalls");
 }

@@ -77,7 +77,7 @@ pub use queue::FifoServer;
 pub use stats::{Gauge, Histogram};
 pub use time::SimTime;
 pub use trace::{
-    chrome_trace_json, Component, ForkTracer, NoopTracer, RingTracer,
+    chrome_trace_json, Component, NoopTracer, RingTracer,
     TraceRecord, TraceSummary, Tracer,
 };
 

@@ -1,24 +1,22 @@
-//! Conservative parallel DES: window-synchronized logical processes with a
+//! Conservative parallel DES: barrier-synchronized logical processes with a
 //! byte-identical sequential reference.
 //!
 //! The engine in [`crate::Engine`] is strictly sequential: one event queue,
 //! one clock. This module scales that engine across cores **conservatively**
 //! — no speculation, no rollback — by partitioning the simulated system into
-//! *logical processes* (LPs), each owning a private engine, and running them
-//! in lockstep windows:
+//! *logical processes* (LPs), each owning a private engine, that interact
+//! only at a shared barrier. [`run_windows`] runs them in lockstep windows:
 //!
-//! 1. **Advance.** Every LP runs its own event queue forward until it reaches
-//!    a window boundary (a point where it could next interact with another
-//!    LP) and emits an *offer* describing its state at the boundary. LPs
-//!    share nothing while advancing, so this phase parallelizes freely.
-//! 2. **Exchange.** A coordinator folds the offers — **always in LP-index
-//!    order, regardless of which worker finished first** — and produces one
-//!    *grant* per LP (e.g. the global time at which all may resume).
-//! 3. **Apply.** Each grant is applied to its LP sequentially, again in index
-//!    order, scheduling the cross-LP events inside the LP's own queue.
+//! 1. **Advance.** Every LP runs its own event queue forward until it parks
+//!    at the barrier or finishes. LPs share nothing while advancing, so this
+//!    phase parallelizes freely.
+//! 2. **Release.** The runner folds the park times — **always in LP-index
+//!    order, regardless of which worker finished first** — into one release
+//!    time, `max(park times) + hold`, and hands it to every parked LP, again
+//!    in index order. A window in which no LP parked ends the run.
 //!
 //! Determinism falls out of the structure rather than from locking: the only
-//! inter-LP communication happens in `exchange`/`apply`, which observe offers
+//! inter-LP communication is the release, computed from park times observed
 //! in index order no matter how many workers advanced them. A run with
 //! `workers == 0` (the sequential reference, same discipline as
 //! `max_min_rates_ref` in `trainbox-pcie`) therefore produces *byte-identical*
@@ -32,55 +30,35 @@
 //! could achieve — what a perfectly parallel host would measure, and the
 //! number to compare wall-clock scaling against).
 
-use crate::SimError;
+use crate::{SimError, SimTime};
 
-/// One logical process: a private simulation that can run to a window
-/// boundary on its own and accept cross-partition grants between windows.
+/// One logical process: a private simulation that runs on its own until it
+/// parks at the barrier, and resumes when the runner releases it.
 ///
 /// Implementations wrap an [`crate::Engine`] plus whatever bookkeeping the
 /// partition needs (event budget, deadline). `Send` is required so the
 /// parallel path can hand disjoint LPs to scoped worker threads.
-pub trait WindowedLp: Send {
-    /// What the LP reports at a window boundary (e.g. "blocked at the
-    /// all-reduce barrier at local time t" or "finished").
-    type Offer: Send;
-    /// What the coordinator hands back (e.g. "resume at global time t").
-    type Grant;
-
-    /// Run the private event queue to the next window boundary.
+pub trait BarrierLp: Send {
+    /// Run the private event queue until the LP parks at the barrier
+    /// (`Some(local time)`) or has finished (`None`).
     ///
     /// Must be deterministic given the LP's state — wall-clock effects
     /// (deadline cancellation) may only surface as an `Err`.
-    fn advance(&mut self) -> Result<Self::Offer, SimError>;
+    fn advance(&mut self) -> Result<Option<SimTime>, SimError>;
 
-    /// Apply a cross-partition grant, scheduling any induced events.
-    fn apply(&mut self, grant: Self::Grant) -> Result<(), SimError>;
+    /// Resume a parked LP at global time `at`, scheduling the release
+    /// inside its own queue.
+    fn release(&mut self, at: SimTime);
 
     /// Total events this LP has processed so far (monotone; used for the
     /// per-window load accounting in [`RunStats`]).
     fn events_processed(&self) -> u64;
 }
 
-/// The synchronization authority: folds index-ordered offers into per-LP
-/// grants at each window boundary.
-pub trait Coordinator {
-    /// The logical-process type this coordinator synchronizes.
-    type Lp: WindowedLp;
-
-    /// Observe this window's offers (index `i` belongs to `lps[i]`) and
-    /// either grant every LP its resume instruction (`Some`, length must
-    /// equal the LP count) or declare the simulation finished (`None`).
-    #[allow(clippy::type_complexity)]
-    fn exchange(
-        &mut self,
-        offers: Vec<<Self::Lp as WindowedLp>::Offer>,
-    ) -> Result<Option<Vec<<Self::Lp as WindowedLp>::Grant>>, SimError>;
-}
-
 /// Load/progress accounting from a [`run_windows`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
-    /// Window boundaries crossed (coordinator `exchange` calls).
+    /// Windows advanced (every release, plus the final all-done window).
     pub windows: u64,
     /// Final per-LP event totals, index-aligned with the LP slice.
     pub lp_events: Vec<u64>,
@@ -147,14 +125,16 @@ pub fn work_span_speedup(window_events: &[Vec<u64>], workers: usize) -> f64 {
 /// thousands of events and stay on the threaded path.
 const CHEAP_WINDOW_EVENTS: u64 = 2048;
 
-/// Run `lps` to completion under `coord`'s window protocol.
+/// Run `lps` to completion, releasing every parked LP at
+/// `max(park times) + hold` after each window. Returns the load accounting
+/// and the release time of every window that had one.
 ///
 /// `workers <= 1` is the sequential reference: each window advances LPs one
 /// by one in index order on the calling thread. `workers >= 2` advances them
 /// on that many scoped threads (LPs dealt round-robin by index), then merges
-/// offers back into index order before the exchange — so the coordinator
-/// observes the exact same sequence either way, and results are
-/// byte-identical by construction.
+/// park times back into index order before the fold — so the release sees
+/// the exact same sequence either way, and results are byte-identical by
+/// construction.
 ///
 /// A window whose predecessor processed fewer than `CHEAP_WINDOW_EVENTS`
 /// runs inline even with `workers >= 2` (the first window always takes the
@@ -164,16 +144,17 @@ const CHEAP_WINDOW_EVENTS: u64 = 2048;
 ///
 /// Errors are deterministic modulo wall-clock deadline cancellation: the
 /// error of the smallest-index failing LP in the failing window propagates.
-pub fn run_windows<C: Coordinator>(
-    coord: &mut C,
-    lps: &mut [C::Lp],
+pub fn run_windows<L: BarrierLp>(
+    lps: &mut [L],
+    hold: SimTime,
     workers: usize,
-) -> Result<RunStats, SimError> {
+) -> Result<(RunStats, Vec<SimTime>), SimError> {
     let n = lps.len();
     let mut stats =
         RunStats { windows: 0, lp_events: vec![0; n], window_events: Vec::new() };
+    let mut releases = Vec::new();
     if n == 0 {
-        return Ok(stats);
+        return Ok((stats, releases));
     }
     // The first window has no history; assume it is worth parallelizing.
     let mut prev_window_events = u64::MAX;
@@ -196,52 +177,42 @@ pub fn run_windows<C: Coordinator>(
         for (slot, lp) in stats.lp_events.iter_mut().zip(lps.iter()) {
             *slot = lp.events_processed();
         }
-        let offers = advanced?;
-        match coord.exchange(offers)? {
-            None => break,
-            Some(grants) => {
-                assert_eq!(
-                    grants.len(),
-                    n,
-                    "coordinator must grant every LP exactly once per window"
-                );
-                for (lp, grant) in lps.iter_mut().zip(grants) {
-                    lp.apply(grant)?;
-                }
+        let parked = advanced?;
+        // Every LP finished its last generation: nothing left to release.
+        let Some(latest) = parked.iter().flatten().max() else {
+            break;
+        };
+        let release = latest.saturating_add(hold);
+        releases.push(release);
+        for (lp, at) in lps.iter_mut().zip(&parked) {
+            if at.is_some() {
+                lp.release(release);
             }
         }
     }
-    Ok(stats)
+    Ok((stats, releases))
 }
 
 /// The sequential reference path: index order, calling thread.
-fn advance_sequential<L: WindowedLp>(lps: &mut [L]) -> Result<Vec<L::Offer>, SimError> {
-    let mut offers = Vec::with_capacity(lps.len());
-    for lp in lps.iter_mut() {
-        offers.push(lp.advance()?);
-    }
-    Ok(offers)
+fn advance_sequential<L: BarrierLp>(lps: &mut [L]) -> Result<Vec<Option<SimTime>>, SimError> {
+    lps.iter_mut().map(BarrierLp::advance).collect()
 }
 
-/// One worker's share of an advance phase: `(lp_index, offer_or_error)`.
-type AdvanceOut<L> = Vec<(usize, Result<<L as WindowedLp>::Offer, SimError>)>;
-
 /// The parallel path: deal LPs round-robin to `workers` scoped threads, then
-/// re-assemble offers into index order so downstream observes the same
+/// re-assemble park times into index order so downstream observes the same
 /// sequence the sequential path produces.
-fn advance_parallel<L: WindowedLp>(
+fn advance_parallel<L: BarrierLp>(
     lps: &mut [L],
     workers: usize,
-) -> Result<Vec<L::Offer>, SimError> {
+) -> Result<Vec<Option<SimTime>>, SimError> {
     let n = lps.len();
     let k = workers.min(n);
     let mut buckets: Vec<Vec<(usize, &mut L)>> = (0..k).map(|_| Vec::new()).collect();
     for (i, lp) in lps.iter_mut().enumerate() {
         buckets[i % k].push((i, lp));
     }
-    let mut slots: Vec<Option<Result<L::Offer, SimError>>> = Vec::new();
-    slots.resize_with(n, || None);
-    let outs: Vec<AdvanceOut<L>> = std::thread::scope(|scope| {
+    let mut slots: Vec<Option<Result<Option<SimTime>, SimError>>> = vec![None; n];
+    std::thread::scope(|scope| {
         let handles: Vec<_> = buckets
             .into_iter()
             .map(|bucket| {
@@ -253,31 +224,25 @@ fn advance_parallel<L: WindowedLp>(
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(out) => out,
+        for h in handles {
+            match h.join() {
+                Ok(out) => {
+                    for (i, r) in out {
+                        slots[i] = Some(r);
+                    }
+                }
                 // An LP panic is a model bug; re-raise it on the caller so it
                 // is never silently swallowed by the scope.
                 Err(payload) => std::panic::resume_unwind(payload),
-            })
-            .collect()
+            }
+        }
     });
-    for out in outs {
-        for (i, r) in out {
-            slots[i] = Some(r);
-        }
-    }
-    // Index-order scan: the first error seen is the smallest-index failure,
-    // matching what the sequential reference would have returned.
-    let mut offers = Vec::with_capacity(n);
-    for slot in slots {
-        match slot.expect("every LP is dealt to exactly one bucket") {
-            Ok(offer) => offers.push(offer),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(offers)
+    // Index-order collect: the first error seen is the smallest-index
+    // failure, matching what the sequential reference would have returned.
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("every LP is dealt to exactly one bucket"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -301,11 +266,8 @@ mod tests {
         inline: Vec<bool>,
     }
 
-    impl WindowedLp for ToyLp {
-        type Offer = Option<u64>; // Some(local clock) at barrier, None when done
-        type Grant = u64; // global resume time
-
-        fn advance(&mut self) -> Result<Self::Offer, SimError> {
+    impl BarrierLp for ToyLp {
+        fn advance(&mut self) -> Result<Option<SimTime>, SimError> {
             self.inline.push(thread::current().id() == self.caller);
             if self.done_steps >= self.steps {
                 return Ok(None);
@@ -315,14 +277,14 @@ mod tests {
             }
             self.events += self.cost;
             self.clock += self.id + 1;
-            Ok(Some(self.clock))
+            Ok(Some(SimTime::from_picos(self.clock)))
         }
 
-        fn apply(&mut self, grant: Self::Grant) -> Result<(), SimError> {
-            assert!(grant >= self.clock, "grant must not travel backwards");
-            self.clock = grant;
+        fn release(&mut self, at: SimTime) {
+            let at = at.as_picos();
+            assert!(at >= self.clock, "a release must not travel backwards");
+            self.clock = at;
             self.done_steps += 1;
-            Ok(())
         }
 
         fn events_processed(&self) -> u64 {
@@ -330,32 +292,8 @@ mod tests {
         }
     }
 
-    /// Barrier coordinator: release everyone at max(local clocks) + 1.
-    struct MaxBarrier {
-        releases: Vec<u64>,
-    }
-
-    impl Coordinator for MaxBarrier {
-        type Lp = ToyLp;
-
-        fn exchange(
-            &mut self,
-            offers: Vec<Option<u64>>,
-        ) -> Result<Option<Vec<u64>>, SimError> {
-            let at_barrier: Vec<u64> = offers.iter().filter_map(|o| *o).collect();
-            if at_barrier.is_empty() {
-                return Ok(None);
-            }
-            assert_eq!(
-                at_barrier.len(),
-                offers.len(),
-                "lockstep windows: all LPs block or all finish"
-            );
-            let release = at_barrier.iter().copied().max().unwrap_or(0) + 1;
-            self.releases.push(release);
-            Ok(Some(vec![release; offers.len()]))
-        }
-    }
+    /// The toys' barrier: release everyone 1 ps after the latest arrival.
+    const HOLD: SimTime = SimTime::from_picos(1);
 
     /// `n` toys whose windows cost `base + i` events each (LP `i`).
     fn toys(n: usize, steps: u32, base: u64) -> Vec<ToyLp> {
@@ -384,11 +322,10 @@ mod tests {
         for (base, cheap) in [(10u64, true), (1000, false)] {
             let window_events: u64 = (0..9).map(|i| base + i).sum();
             assert_eq!(window_events < CHEAP_WINDOW_EVENTS, cheap);
-            let mut reference: Option<(Vec<u64>, RunStats, Vec<u64>)> = None;
+            let mut reference: Option<(Vec<SimTime>, RunStats, Vec<u64>)> = None;
             for workers in [0usize, 1, 2, 3, 7, 16] {
                 let mut lps = toys(9, 5, base);
-                let mut coord = MaxBarrier { releases: Vec::new() };
-                let stats = run_windows(&mut coord, &mut lps, workers).expect("run ok");
+                let (stats, releases) = run_windows(&mut lps, HOLD, workers).expect("run ok");
                 for lp in &lps {
                     // 5 barrier windows + the all-done window.
                     let threaded = workers >= 2;
@@ -398,15 +335,18 @@ mod tests {
                 }
                 let clocks: Vec<u64> = lps.iter().map(|l| l.clock).collect();
                 match &reference {
-                    None => reference = Some((coord.releases, stats, clocks)),
+                    None => reference = Some((releases, stats, clocks)),
                     Some((rel, st, cl)) => {
-                        assert_eq!(&coord.releases, rel, "base={base} workers={workers}");
+                        assert_eq!(&releases, rel, "base={base} workers={workers}");
                         assert_eq!(&stats, st, "base={base} workers={workers}");
                         assert_eq!(&clocks, cl, "base={base} workers={workers}");
                     }
                 }
             }
-            let (_, stats, _) = reference.unwrap();
+            let (releases, stats, _) = reference.unwrap();
+            // LP 8 arrives last each window, 9 ps after the previous release.
+            let expected: Vec<SimTime> = (1..=5).map(|g| SimTime::from_picos(10 * g)).collect();
+            assert_eq!(releases, expected);
             assert_eq!(stats.windows, 6, "5 barrier windows + 1 all-done window");
             assert_eq!(stats.total_events(), window_events * 5);
         }
@@ -418,8 +358,7 @@ mod tests {
             let mut lps = toys(6, 4, 10);
             lps[4].fail_at_step = Some(2);
             lps[1].fail_at_step = Some(2);
-            let mut coord = MaxBarrier { releases: Vec::new() };
-            let err = run_windows(&mut coord, &mut lps, workers).unwrap_err();
+            let err = run_windows(&mut lps, HOLD, workers).unwrap_err();
             // LP 1 and LP 4 both fail in window 2; index order picks LP 1.
             assert_eq!(
                 err,
@@ -431,10 +370,10 @@ mod tests {
 
     #[test]
     fn empty_lp_set_finishes_immediately() {
-        let mut coord = MaxBarrier { releases: Vec::new() };
         let mut lps: Vec<ToyLp> = Vec::new();
-        let stats = run_windows(&mut coord, &mut lps, 4).expect("empty run ok");
+        let (stats, releases) = run_windows(&mut lps, HOLD, 4).expect("empty run ok");
         assert_eq!(stats.windows, 0);
+        assert!(releases.is_empty());
         assert_eq!(stats.total_events(), 0);
     }
 

@@ -161,28 +161,29 @@ pub trait Tracer {
 
     /// Record a counter sample.
     fn counter(&mut self, component: Component, name: &'static str, at: SimTime, value: f64);
-}
 
-/// A tracer that can split into per-LP streams for a partitioned run and
-/// deterministically merge them back.
-///
-/// Sharing one tracer across logical processes would interleave records in
-/// thread order, destroying determinism. Partitioned runners (the cluster
-/// scale-out layer, intra-server lanes) instead `fork()` one empty stream
-/// per LP, let each LP record privately, and `absorb()` the streams back in
-/// LP-index order at the end — same discipline as the runner's offer fold,
-/// so traced results stay byte-identical for any worker count.
-pub trait ForkTracer: Tracer + Sized {
-    /// An empty tracer of the same kind and configuration, for one LP's
-    /// private stream.
-    fn fork(&self) -> Self;
+    /// An empty tracer of the same kind and configuration, for one logical
+    /// process's private stream in a partitioned run.
+    ///
+    /// Sharing one tracer across logical processes would interleave records
+    /// in thread order, destroying determinism. Partitioned runners (the
+    /// cluster scale-out layer, intra-server lanes) instead `fork()` one
+    /// empty stream per LP, let each LP record privately, and `absorb()` the
+    /// streams back in LP-index order at the end — same discipline as the
+    /// runner's park-time fold, so traced results stay byte-identical for
+    /// any worker count.
+    fn fork(&self) -> Self
+    where
+        Self: Sized;
 
     /// Merge per-LP streams (index order) back into `self`. LP `i`'s
     /// tracks are offset by `i * track_stride` and the merged sequence is
     /// sorted by `(time, lp, position)` — deterministic regardless of how
     /// many workers produced the streams. Any record bound applies per LP: the
     /// merge keeps everything the parts retained.
-    fn absorb(&mut self, parts: Vec<Self>, track_stride: u32);
+    fn absorb(&mut self, parts: Vec<Self>, track_stride: u32)
+    where
+        Self: Sized;
 }
 
 /// The do-nothing tracer: every method is an empty `#[inline]` body and
@@ -202,9 +203,6 @@ impl Tracer for NoopTracer {
     fn instant(&mut self, _: Component, _: &'static str, _: u32, _: SimTime) {}
     #[inline(always)]
     fn counter(&mut self, _: Component, _: &'static str, _: SimTime, _: f64) {}
-}
-
-impl ForkTracer for NoopTracer {
     #[inline(always)]
     fn fork(&self) -> Self {
         NoopTracer
@@ -339,9 +337,7 @@ impl Tracer for RingTracer {
     fn counter(&mut self, component: Component, name: &'static str, at: SimTime, value: f64) {
         self.ring.push(TraceRecord::Counter { component, name, at, value });
     }
-}
 
-impl ForkTracer for RingTracer {
     fn fork(&self) -> Self {
         RingTracer::new(self.ring.capacity())
     }
