@@ -50,15 +50,7 @@ pub(crate) fn simulate_lanes<T: Tracer + Send>(
     mut tracer: T,
     deadline: Option<Instant>,
 ) -> Result<(SimResult, T, RunStats), DesFailure> {
-    let models: Vec<PipelineModel<T>> = (0..part.lanes)
-        .map(|l| {
-            let lane_plan = part.plan_for_lane(plan, l);
-            let mut model =
-                PipelineModel::new(server, workload, cfg, &lane_plan, tracer.fork());
-            model.set_barrier(BarrierMode::Lane(l * ACCELS_PER_LANE..(l + 1) * ACCELS_PER_LANE));
-            model
-        })
-        .collect();
+    let models = lane_models(server, workload, cfg, plan, part, &tracer);
     // The model's own `t_sync`: releases are bit-identical to the solo
     // path's SyncDone times. Lane mode excludes the dropouts that re-form
     // the ring, so it holds for the whole run.
@@ -82,6 +74,27 @@ pub(crate) fn simulate_lanes<T: Tracer + Send>(
         tenancy: None,
     };
     Ok((result, tracer, run.stats))
+}
+
+/// One lane-mode model per lane of `part`, each with its lane's share of
+/// `plan` and a fork of `tracer`.
+fn lane_models<T: Tracer>(
+    server: &Server,
+    workload: &Workload,
+    cfg: &SimConfig,
+    plan: &FaultPlan,
+    part: &LanePartition,
+    tracer: &T,
+) -> Vec<PipelineModel<T>> {
+    (0..part.lanes)
+        .map(|l| {
+            let lane_plan = part.plan_for_lane(plan, l);
+            let mut model =
+                PipelineModel::new(server, workload, cfg, &lane_plan, tracer.fork());
+            model.set_barrier(BarrierMode::Lane(l * ACCELS_PER_LANE..(l + 1) * ACCELS_PER_LANE));
+            model
+        })
+        .collect()
 }
 
 /// Simulate a cluster of `cluster.servers` identical `server`s at full DES
@@ -173,14 +186,7 @@ fn run<T: Tracer + Send>(
     merge_faults: impl FnOnce(Vec<FaultStats>) -> FaultStats,
 ) -> Result<BarrierRun, DesFailure> {
     check_window(cfg);
-    let mut lps: Vec<LpEngine<T>> = models
-        .into_iter()
-        .map(|model| {
-            let mut engine = Engine::new(model);
-            engine.schedule_at(SimTime::ZERO, Ev::Start);
-            LpEngine { engine, max_events: cfg.max_events, deadline }
-        })
-        .collect();
+    let mut lps = lp_engines(models, cfg, deadline);
     let (stats, releases) = match par::run_windows(&mut lps, hold, cfg.parallel_workers) {
         Ok(run) => run,
         Err(error) => {
@@ -245,6 +251,22 @@ pub(crate) fn merge_fault_stats(parts: Vec<FaultStats>) -> FaultStats {
     merged
 }
 
+/// Each of `models` as a logical process, started at time zero.
+fn lp_engines<T: Tracer>(
+    models: Vec<PipelineModel<T>>,
+    cfg: &SimConfig,
+    deadline: Option<Instant>,
+) -> Vec<LpEngine<T>> {
+    models
+        .into_iter()
+        .map(|model| {
+            let mut engine = Engine::new(model);
+            engine.schedule_at(SimTime::ZERO, Ev::Start);
+            LpEngine { engine, max_events: cfg.max_events, deadline }
+        })
+        .collect()
+}
+
 /// One barrier-parking partition as a logical process: a private engine,
 /// the event budget (each LP may process up to `cfg.max_events` events of
 /// its own) and the shared wall-clock deadline.
@@ -300,6 +322,45 @@ mod tests {
             max_events: 5_000_000,
             parallel_workers: workers,
         }
+    }
+
+    /// `(class_scans, domain_solves)` of the PCIe and the Ethernet flow
+    /// plane, summed over `models` run to completion as barrier LPs.
+    fn flow_work(models: Vec<PipelineModel<NoopTracer>>, cfg: &SimConfig) -> [(u64, u64); 2] {
+        let hold = models[0].t_sync();
+        let mut lps = lp_engines(models, cfg, None);
+        par::run_windows(&mut lps, hold, 0).expect("the run completes");
+        let mut sum = [(0, 0); 2];
+        for lp in &lps {
+            for (s, (scans, solves)) in sum.iter_mut().zip(lp.engine.model().flow_work()) {
+                *s = (s.0 + scans, s.1 + solves);
+            }
+        }
+        sum
+    }
+
+    /// The flow simulators' exact work on two shapes: a TrainBox-with-pool
+    /// run like a point of the benchmark's `/sweep` (8 accelerators, TF-SR,
+    /// 64-sample chunks, 3 batches) and a lane-partitioned run. Walking
+    /// idle classes, or re-solving more domains, moves these counts.
+    #[test]
+    fn flow_work_counters_are_pinned() {
+        let cfg = SimConfig {
+            chunk_samples: 64,
+            batches: 3,
+            warmup_batches: 1,
+            ..SimConfig::default()
+        };
+        let empty = FaultPlan::empty();
+        let pooled = ServerConfig::new(ServerKind::TrainBox, 8).build();
+        let tf_sr = Workload::by_name("TF-SR").expect("a Table-I workload");
+        let model = PipelineModel::new(&pooled, &tf_sr, &cfg, &empty, NoopTracer);
+        assert_eq!(flow_work(vec![model], &cfg), [(873, 402), (308, 128)]);
+
+        let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16).build();
+        let part = LanePartition::of(&server, &empty).expect("16 accelerators make 4 lanes");
+        let models = lane_models(&server, &Workload::resnet50(), &cfg, &empty, &part, &NoopTracer);
+        assert_eq!(flow_work(models, &cfg), [(23532, 12288), (0, 0)]);
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //! mostly the smaller per-lane [`FlowSim`], not the threads that advance
 //! them. A completion query examines few classes in either engine, since
 //! each link domain caches its earliest completion, but
-//! [`FlowSim::advance`] drains every class of the simulator on every
+//! [`FlowSim::advance`] drains every live class of the simulator on every
 //! event, and a lane's simulator holds one lane's flows, not the server's.
-//! At 0 workers on a 2-vCPU host (median of seven alternating runs), the
-//! 256-accelerator ResNet-50 server takes 487–499 ms lane-partitioned
-//! against 987–993 ms through the single engine (about 2×), and the
-//! 64-accelerator DLRM one 100–118 ms against 141–177 ms (1.4–1.5×).
+//! At 0 workers on a 2-vCPU host (fastest of twenty alternating runs), the
+//! 256-accelerator ResNet-50 server takes 193 ms lane-partitioned against
+//! 440 ms through the single engine (about 2.3×), and the 64-accelerator
+//! DLRM one 44 ms against 56 ms (1.3×).
 //!
 //! [`FlowSim`]: trainbox_pcie::flow::FlowSim
 //! [`FlowSim::advance`]: trainbox_pcie::flow::FlowSim::advance

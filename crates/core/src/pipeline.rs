@@ -23,10 +23,10 @@ use crate::profile::PrepProfile;
 use trainbox_collective::SyncModel;
 use trainbox_nn::Workload;
 use trainbox_pcie::boxes::{PrepPoolNet, ServerTopology};
-use trainbox_pcie::flow::{FlowId, FlowNet, FlowSim, FlowSpec};
-use trainbox_pcie::{LinkId, NodeId};
+use trainbox_pcie::flow::{ClassId, FlowId, FlowNet, FlowSim, FlowSpec};
+use trainbox_pcie::{LinkId, NodeId, Topology};
 use trainbox_sim::{
-    Component, Engine, FifoServer, Model, NoopTracer, Scheduler, SeqTable,
+    Component, Engine, FifoServer, FxHashMap, Model, NoopTracer, Scheduler, SeqTable,
     SimError, SimTime, Tracer,
 };
 
@@ -344,12 +344,16 @@ pub(crate) enum Plane {
 }
 
 /// One flow plane of the DES: the fluid flow simulator of a [`Plane`], its
-/// completion check (armed on the engine timer numbered by the plane), and
-/// the chunk each in-flight flow carries. The two planes' [`FlowSim`]s have
-/// independent flow-id spaces, so each keeps its own table.
+/// completion check (armed on the engine timer numbered by the plane), the
+/// flow class of each leg it has carried, and the chunk each in-flight flow
+/// carries. The two planes' [`FlowSim`]s have independent flow-id spaces,
+/// so each keeps its own table.
 struct FlowPlane {
     plane: Plane,
     sim: FlowSim,
+    /// The class of each `(from, to)` leg, interned at its first flow: a
+    /// later flow on the leg builds no route and hashes no link list.
+    legs: FxHashMap<(NodeId, NodeId), ClassId>,
     /// The completion `(at, flow)` the plane's timer is armed for. Every
     /// mutation of `sim` re-arms the timer, so when its `FlowCheck` fires
     /// this is still the simulator's next completion.
@@ -366,29 +370,45 @@ impl FlowPlane {
         FlowPlane {
             plane,
             sim,
+            legs: FxHashMap::default(),
             check: None,
             cont: SeqTable::new(),
         }
     }
 
-    /// Start a flow of `bytes` carrying chunk `cont`, then re-arm.
+    /// The class of leg `from → to` over `topo`, interned at its first use.
+    /// A node-local hand-off (an empty route) is sequenced through the flow
+    /// machinery at an effectively infinite rate.
+    fn leg_class(&mut self, topo: &Topology, from: NodeId, to: NodeId) -> ClassId {
+        *self.legs.entry((from, to)).or_insert_with(|| {
+            let route = topo.route(from, to);
+            self.sim.class_of(if route.is_empty() {
+                FlowSpec::with_demand(route, 1e15)
+            } else {
+                FlowSpec::new(route)
+            })
+        })
+    }
+
+    /// Start a flow of `bytes` in `class` carrying chunk `cont`, then
+    /// re-arm.
     fn add(
         &mut self,
         now: SimTime,
-        spec: FlowSpec,
+        class: ClassId,
         bytes: f64,
         cont: u64,
         sched: &mut Scheduler<Ev>,
     ) {
-        let fid = self.sim.add_flow(now, spec, bytes.max(1.0));
+        let fid = self.sim.add_flow_in(now, class, bytes.max(1.0));
         self.cont.insert(fid.seq(), (cont, now));
         self.rearm(sched);
     }
 
     /// Re-arm the plane's timer for the earliest flow completion under the
     /// current rate set. The previous check (if still pending) is
-    /// superseded: the engine drops it unfired instead of delivering a
-    /// stale event.
+    /// superseded: the engine overwrites the timer's slot, so a redundant
+    /// re-arm costs one slot write.
     fn rearm(&mut self, sched: &mut Scheduler<Ev>) {
         self.check = self.sim.next_completion();
         let next = self.check.map(|(at, _)| (at, Ev::FlowCheck(self.plane)));
@@ -823,6 +843,13 @@ impl<T: Tracer> PipelineModel<T> {
         self.pcie.sim.recomputes() + self.ethernet.sim.recomputes()
     }
 
+    /// `(class_scans, domain_solves)` of the PCIe and the Ethernet flow
+    /// simulator.
+    #[cfg(test)]
+    pub(crate) fn flow_work(&self) -> [(u64, u64); 2] {
+        [&self.pcie.sim, &self.ethernet.sim].map(|sim| (sim.class_scans(), sim.domain_solves()))
+    }
+
     /// Fault-layer statistics observed so far.
     pub(crate) fn fault_stats(&self) -> &FaultStats {
         &self.faults.stats
@@ -943,18 +970,11 @@ impl<T: Tracer> PipelineModel<T> {
         cont: u64,
         sched: &mut Scheduler<Ev>,
     ) {
-        let route = self.topo.topo.route(from, to);
-        for l in &route {
+        let class = self.pcie.leg_class(&self.topo.topo, from, to);
+        for l in self.pcie.sim.route_of(class) {
             self.link_bytes[l.index()] += bytes;
         }
-        let spec = if route.is_empty() {
-            // Node-local hand-off: sequence it through the flow machinery at
-            // an effectively infinite rate.
-            FlowSpec::with_demand(route, 1e15)
-        } else {
-            FlowSpec::new(route)
-        };
-        self.pcie.add(now, spec, bytes, cont, sched);
+        self.pcie.add(now, class, bytes, cont, sched);
     }
 
     fn queue_prep(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
@@ -967,7 +987,8 @@ impl<T: Tracer> PipelineModel<T> {
             if eth.period > 0 && eth.counters[dev] % eth.period == 0 {
                 let pool_idx = eth.rr_pool % eth.pool_servers.len();
                 eth.rr_pool += 1;
-                let route = eth.net.topo.route(eth.net.box_nics[dev], eth.net.pool_nics[pool_idx]);
+                let (from, to) = (eth.net.box_nics[dev], eth.net.pool_nics[pool_idx]);
+                let class = self.ethernet.leg_class(&eth.net.topo, from, to);
                 // The chunk carries its pool device for the pool's service
                 // queue and the return leg.
                 let c = &mut self.chunks[id];
@@ -976,8 +997,7 @@ impl<T: Tracer> PipelineModel<T> {
                 let bytes = chunk.samples as f64 * self.sizes.stored;
                 // Offloaded chunks never touch the local prep queue.
                 self.faults.prep_outstanding[dev] = self.faults.prep_outstanding[dev].saturating_sub(1);
-                let spec = FlowSpec::new(route);
-                self.ethernet.add(now, spec, bytes, id, sched);
+                self.ethernet.add(now, class, bytes, id, sched);
                 return;
             }
         }
@@ -1120,11 +1140,11 @@ impl<T: Tracer> PipelineModel<T> {
     fn on_pool_prep_done(&mut self, now: SimTime, id: u64, sched: &mut Scheduler<Ev>) {
         let chunk = self.chunks[id];
         let net = &self.eth.as_ref().expect("ethernet pool active").net;
-        let route = net.topo.route(net.pool_nics[chunk.pool_dev], net.box_nics[chunk.prep_dev]);
+        let (from, to) = (net.pool_nics[chunk.pool_dev], net.box_nics[chunk.prep_dev]);
+        let class = self.ethernet.leg_class(&net.topo, from, to);
         let tensor = chunk.samples as f64 * self.sizes.tensor;
         self.chunks[id].stage = Stage::EthFromPool;
-        let spec = FlowSpec::new(route);
-        self.ethernet.add(now, spec, tensor, id, sched);
+        self.ethernet.add(now, class, tensor, id, sched);
     }
 
     /// Legs before preparation; leg `n_pre_legs()` is the first after it.

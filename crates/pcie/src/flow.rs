@@ -20,13 +20,17 @@
 //! Flows live in per-route-class queues sorted by remaining bytes. Members
 //! of a class share one rate, so draining subtracts the same `rate * dt`
 //! from each and (IEEE subtraction being monotone) never reorders a queue,
-//! and completion time is monotone in remaining bytes. Each link domain
-//! keeps a list of its classes and caches its earliest completion, so
-//! finding the next completion costs O(domains) plus one queue-head look per
-//! class of the domains re-solved since the last query — all classes only
-//! when the clock has moved since then. Publishing new rates costs nothing
-//! per flow; only [`FlowSim::advance`] still touches every active flow, as
-//! one contiguous subtraction per member.
+//! and completion time is monotone in remaining bytes. A class, once
+//! interned ([`FlowSim::class_of`]), persists for the simulator's lifetime,
+//! so a caller that keeps its [`ClassId`] adds flows with no route to build
+//! or hash. Each link domain keeps a *live list* of its classes that have
+//! members and caches its earliest completion, so finding the next
+//! completion costs O(domains) plus one queue-head look per live class of
+//! the domains re-solved since the last query — all live classes only when
+//! the clock has moved since then. Idle classes cost nothing anywhere.
+//! Publishing new rates costs nothing per flow; only [`FlowSim::advance`]
+//! still touches every active flow, as one contiguous subtraction per
+//! member.
 //!
 //! A domain solve works per class and per link, not per flow. The oracle
 //! subtracts each round's increment from a link's residual once per flow
@@ -271,6 +275,18 @@ impl FlowNet {
     }
 }
 
+/// Handle of a flow class interned by [`FlowSim::class_of`]: flows with the
+/// same route and demand cap share one class, and its handle stays valid
+/// for the simulator's lifetime.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ClassId(u32);
+
+impl ClassId {
+    fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Identity of a flow class: flows sharing a route and demand cap are
 /// interchangeable to the max-min allocator. Demand is keyed by its bit
 /// pattern so `HashMap` lookups stay exact (the allocator never treats two
@@ -294,13 +310,16 @@ impl ClassKey {
 }
 
 /// One equivalence class of flows for the allocator, holding its members.
+/// A class persists once interned; it is *live* while it has members.
 #[derive(Debug, Clone)]
 struct FlowClass {
     route: Vec<LinkId>,
     demand: Option<f64>,
-    /// Active members as `(id, remaining bytes)`, sorted by remaining bytes;
-    /// empty marks a tombstoned (reusable) slot.
+    /// Active members as `(id, remaining bytes)`, sorted by remaining bytes.
     queue: VecDeque<(FlowId, f64)>,
+    /// Position in its domain record's `live` list while the class is live
+    /// (stale while idle).
+    live_at: usize,
 }
 
 impl FlowClass {
@@ -345,17 +364,19 @@ const NO_RECORD: u32 = u32::MAX;
 /// clock epoch starts above it.
 const STALE: u64 = 0;
 
-/// One link domain's classes and its cached earliest completion.
+/// One link domain's live classes and its cached earliest completion.
 #[derive(Debug, Clone)]
 struct DomainRecord {
     /// The domain's root link in [`LinkDomains`] (unused for the link-free
     /// record).
     root: usize,
-    /// Class slots of the domain, ascending. A tombstoned slot stays listed
-    /// until it is reused for a class in another domain, so churn inside a
-    /// domain edits no list.
-    classes: Vec<usize>,
-    /// Earliest completion among the listed classes, as of `fresh_at`.
+    /// The domain's classes that have members, each once, in no particular
+    /// order: a class joins when it gains its first member and is
+    /// swap-removed when it loses its last. Everything that walks a
+    /// domain's classes — draining, completion queries, solves — walks
+    /// this list, and none of it depends on the order.
+    live: Vec<usize>,
+    /// Earliest completion among the live classes, as of `fresh_at`.
     earliest: Option<(SimTime, FlowId)>,
     /// Clock epoch at which `earliest` was computed, or [`STALE`] when the
     /// domain was re-solved since.
@@ -364,7 +385,7 @@ struct DomainRecord {
 
 impl DomainRecord {
     fn new(root: usize) -> Self {
-        DomainRecord { root, classes: Vec::new(), earliest: None, fresh_at: STALE }
+        DomainRecord { root, live: Vec::new(), earliest: None, fresh_at: STALE }
     }
 }
 
@@ -394,8 +415,6 @@ struct DomainScratch {
     /// Per-domain-class state, indexed by position in the solve's class list.
     rate: Vec<f64>,
     frozen: Vec<bool>,
-    /// Class ids of the dirty domains, grouped per root.
-    class_ids: Vec<usize>,
     /// Dirty domain roots of the current recompute (deduplicated).
     dirty_roots: Vec<usize>,
     root_epoch: Vec<u64>,
@@ -478,12 +497,12 @@ fn saturation_decided(r0: f64, inc: f64, k: usize, threshold: f64) -> Option<boo
 }
 
 /// Progressive filling over a single link domain, touching only the
-/// domain's links. `ds.class_ids` names the domain's live classes
-/// (ascending class index); rates land in `class_rate`. Returns how many
-/// residual chains it replayed.
+/// domain's links. `ids` names the domain's live classes, in any order;
+/// rates land in `class_rate`. Returns how many residual chains it
+/// replayed.
 ///
 /// Bit-identical to [`FlowNet::max_min_rates_ref`] run on the domain's flows
-/// alone, by construction:
+/// alone, by construction, and independent of the order of `ids`:
 ///
 /// * within a round every unfrozen flow receives the *same* increment, so a
 ///   link crossed by `k` unfrozen flows ends the round after `k` identical
@@ -500,7 +519,9 @@ fn saturation_decided(r0: f64, inc: f64, k: usize, threshold: f64) -> Option<boo
 /// * members of a class have bit-equal rates at every round (same start,
 ///   same increments), so tracking one rate per class loses nothing;
 /// * the round increment is a `min` over link head-rooms and demand gaps,
-///   which is order-independent for finite f64 values;
+///   which is order-independent for finite f64 values; the saturation
+///   tests read integer member counts and chains that depend only on
+///   their count, and the freeze pass reads flags set before it;
 /// * restricting the round scan to the domain's links loses nothing — every
 ///   link with a nonzero unfrozen count is in the domain by construction.
 ///
@@ -513,18 +534,19 @@ fn saturation_decided(r0: f64, inc: f64, k: usize, threshold: f64) -> Option<boo
 fn solve_domain(
     capacity: &[f64],
     classes: &[FlowClass],
+    ids: &[usize],
     ds: &mut DomainScratch,
     class_rate: &mut [f64],
 ) -> u64 {
     const EPS: f64 = 1e-9;
-    let n = ds.class_ids.len();
+    let n = ids.len();
     ds.links.clear();
     ds.rate.clear();
     ds.rate.resize(n, 0.0);
     ds.frozen.clear();
     ds.frozen.resize(n, false);
     for k in 0..n {
-        let cl = &classes[ds.class_ids[k]];
+        let cl = &classes[ids[k]];
         for l in &cl.route {
             let li = l.index();
             if ds.link_epoch[li] != ds.epoch {
@@ -549,7 +571,7 @@ fn solve_domain(
             if ds.frozen[k] {
                 continue;
             }
-            if let Some(d) = classes[ds.class_ids[k]].demand {
+            if let Some(d) = classes[ids[k]].demand {
                 inc = inc.min(d - ds.rate[k]);
             }
         }
@@ -590,7 +612,7 @@ fn solve_domain(
                 continue;
             }
             ds.rate[k] += inc;
-            let cl = &classes[ds.class_ids[k]];
+            let cl = &classes[ids[k]];
             let at_demand = cl.demand.is_some_and(|d| ds.rate[k] >= d - EPS * d.max(1.0));
             let on_saturated = cl.route.iter().any(|l| ds.saturated[l.index()]);
             if at_demand || on_saturated {
@@ -614,7 +636,7 @@ fn solve_domain(
         }
     }
     for k in 0..n {
-        class_rate[ds.class_ids[k]] = ds.rate[k];
+        class_rate[ids[k]] = ds.rate[k];
     }
     // Leave the unfrozen counts zeroed for the next solve (they already are
     // unless the termination guard broke the loop early).
@@ -651,11 +673,10 @@ fn solve_domain(
 #[derive(Debug, Clone)]
 pub struct FlowSim {
     net: FlowNet,
-    /// Flow classes (route + demand equivalence) with their member queues;
-    /// tombstoned slots are reused so indices stay stable while flows churn.
+    /// Flow classes (route + demand equivalence) with their member queues,
+    /// indexed by [`ClassId`]; a class is never removed.
     classes: Vec<FlowClass>,
-    class_index: FxHashMap<ClassKey, usize>,
-    free_classes: Vec<usize>,
+    class_index: FxHashMap<ClassKey, ClassId>,
     /// Class of each active flow, by [`FlowId::seq`].
     flow_class: SeqTable<usize>,
     /// Set when the flow set or a capacity changed since the last
@@ -721,7 +742,6 @@ impl FlowSim {
             net,
             classes: Vec::new(),
             class_index: FxHashMap::default(),
-            free_classes: Vec::new(),
             flow_class: SeqTable::new(),
             dirty: false,
             domains: LinkDomains::new(n_links),
@@ -772,10 +792,10 @@ impl FlowSim {
         self.domain_solves
     }
 
-    /// Number of class slots [`FlowSim::next_completion`] has examined so
-    /// far. A query re-examines only the classes of the domains re-solved
-    /// since the previous one, or every listed slot once the clock has
-    /// moved; cached domains cost nothing per class. Exact, like
+    /// Number of live classes [`FlowSim::next_completion`] has examined so
+    /// far. A query re-examines only the live classes of the domains
+    /// re-solved since the previous one, or every live class once the clock
+    /// has moved; cached domains and idle classes cost nothing. Exact, like
     /// [`FlowSim::domain_solves`].
     pub fn class_scans(&self) -> u64 {
         self.class_scans
@@ -808,16 +828,24 @@ impl FlowSim {
         std::mem::take(&mut self.trace_log)
     }
 
-    /// Find or create the class for `spec`, consuming its route. Marks the
-    /// class's domain dirty and merges the route's links into one domain
-    /// (they now share a potential bottleneck). The caller queues the member.
-    fn intern_class(&mut self, spec: FlowSpec) -> usize {
+    /// The class of flows over `spec`'s route with its demand cap,
+    /// interned on first use. A new class joins its route's links into one
+    /// link domain for good, so intern a route when its first flow starts:
+    /// the partition, and so every rate, is a function of that history.
+    /// Interning changes no rate until the next flow change or capacity
+    /// change re-solves the merged domain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the route is empty and `spec` has no demand cap, or if the
+    /// route references an unknown link.
+    pub fn class_of(&mut self, spec: FlowSpec) -> ClassId {
+        self.net.validate(&spec);
         let demand = spec.demand;
-        // The key takes the route: a flow joining an existing class, the
-        // common case, copies nothing.
+        // The key takes the route: a known class, the common case, copies
+        // nothing.
         let key = ClassKey::of(spec);
         if let Some(&c) = self.class_index.get(&key) {
-            self.mark_route_dirty(c);
             return c;
         }
         if let Some((&first, rest)) = key.route.split_first() {
@@ -825,44 +853,21 @@ impl FlowSim {
                 self.join(first.index(), l.index());
             }
         }
-        let rec = self.record_for(key.route.first().copied());
-        let c = match self.free_classes.pop() {
-            Some(slot) => {
-                // Keep the slot's (empty) queue and its allocation. The slot
-                // still holds its previous route, which names the record
-                // listing it; move it only if the domain differs.
-                let old = self.record_for(self.classes[slot].route.first().copied());
-                if old != rec {
-                    let listed = &mut self.records[old].classes;
-                    let at = listed.binary_search(&slot).expect("a used slot is listed");
-                    listed.remove(at);
-                    let listed = &mut self.records[rec].classes;
-                    let at = listed.binary_search(&slot).expect_err("listed once");
-                    listed.insert(at, slot);
-                }
-                let cl = &mut self.classes[slot];
-                cl.route.clone_from(&key.route);
-                cl.demand = demand;
-                slot
-            }
-            None => {
-                self.classes.push(FlowClass {
-                    route: key.route.clone(),
-                    demand,
-                    queue: VecDeque::new(),
-                });
-                // The newest slot is the largest: the list stays ascending.
-                self.records[rec].classes.push(self.classes.len() - 1);
-                self.classes.len() - 1
-            }
-        };
-        if self.class_rate.len() <= c {
-            self.class_rate.resize(c + 1, 0.0);
-        }
-        self.class_rate[c] = 0.0;
+        let c = ClassId(u32::try_from(self.classes.len()).expect("fewer than 2^32 classes"));
+        self.classes.push(FlowClass {
+            route: key.route.clone(),
+            demand,
+            queue: VecDeque::new(),
+            live_at: 0,
+        });
+        self.class_rate.push(0.0);
         self.class_index.insert(key, c);
-        self.mark_route_dirty(c);
         c
+    }
+
+    /// The route of class `class`.
+    pub fn route_of(&self, class: ClassId) -> &[LinkId] {
+        &self.classes[class.index()].route
     }
 
     /// Index of the record of the domain holding `link` (the link-free
@@ -879,10 +884,12 @@ impl FlowSim {
 
     /// Union the domains of links `a` and `b`, merging their records. The
     /// absorbed record is swap-removed so records stay dense. The merged
-    /// cache needs no reset: the route that joined the domains marks them
-    /// dirty, and the solve that follows marks the merged record stale.
+    /// domain is marked dirty: its rates were solved as two domains, and
+    /// the solve that follows marks the merged record's cache stale.
     fn join(&mut self, a: usize, b: usize) {
         let Some((root, absorbed)) = self.domains.union(a, b) else { return };
+        self.dirty_links.push(root);
+        self.dirty = true;
         let gone = std::mem::replace(&mut self.link_record[absorbed], NO_RECORD);
         if gone == NO_RECORD {
             return;
@@ -898,8 +905,10 @@ impl FlowSim {
             self.link_record[moved.root] = gone as u32;
         }
         let keep = &mut self.records[self.link_record[root] as usize];
-        keep.classes.extend(merged.classes);
-        keep.classes.sort_unstable();
+        for c in merged.live {
+            self.classes[c].live_at = keep.live.len();
+            keep.live.push(c);
+        }
     }
 
     /// Mark class `c`'s domain dirty (its member set or environment changed).
@@ -909,25 +918,31 @@ impl FlowSim {
             self.dirty_nolink = true;
         } else {
             // One route link suffices: every link of the route is already in
-            // the same domain by the union in `intern_class`.
+            // the same domain by the union in `class_of`.
             self.dirty_links.push(route[0].index());
         }
         self.dirty = true;
     }
 
-    /// Note that class `c` lost a member, tombstoning the slot when empty.
-    /// A tombstone keeps its route, which names the record listing it.
-    fn release_class(&mut self, c: usize) {
-        self.mark_route_dirty(c);
-        let cl = &mut self.classes[c];
-        if cl.queue.is_empty() {
-            let key = ClassKey {
-                route: std::mem::take(&mut cl.route),
-                demand_bits: cl.demand.map_or(u64::MAX, f64::to_bits),
-            };
-            self.class_index.remove(&key);
-            cl.route = key.route;
-            self.free_classes.push(c);
+    /// Put class `c`, which just gained its first member, on its domain's
+    /// live list.
+    fn go_live(&mut self, c: usize) {
+        let r = self.record_for(self.classes[c].route.first().copied());
+        let rec = &mut self.records[r];
+        self.classes[c].live_at = rec.live.len();
+        rec.live.push(c);
+    }
+
+    /// Take class `c`, which just lost its last member, off its domain's
+    /// live list.
+    fn go_idle(&mut self, c: usize) {
+        let r = self.record_for(self.classes[c].route.first().copied());
+        let rec = &mut self.records[r];
+        let at = self.classes[c].live_at;
+        debug_assert_eq!(rec.live[at], c, "a live class knows its place");
+        rec.live.swap_remove(at);
+        if let Some(&moved) = rec.live.get(at) {
+            self.classes[moved].live_at = at;
         }
     }
 
@@ -947,11 +962,9 @@ impl FlowSim {
         if self.trace {
             let mut min_rate = f64::INFINITY;
             let mut max_rate = 0.0f64;
-            for (cl, &r) in self.classes.iter().zip(&self.class_rate) {
-                if !cl.queue.is_empty() {
-                    min_rate = min_rate.min(r);
-                    max_rate = max_rate.max(r);
-                }
+            for &c in self.records.iter().flat_map(|rec| &rec.live) {
+                min_rate = min_rate.min(self.class_rate[c]);
+                max_rate = max_rate.max(self.class_rate[c]);
             }
             let active = self.active();
             if active == 0 {
@@ -1001,12 +1014,9 @@ impl FlowSim {
             self.dirty_nolink = false;
             let rec = &mut self.records[LINK_FREE];
             rec.fresh_at = STALE;
-            for &c in &rec.classes {
-                let cl = &self.classes[c];
-                if !cl.queue.is_empty() {
-                    self.class_rate[c] =
-                        cl.demand.expect("validated: a link-free flow carries a demand");
-                }
+            for &c in &rec.live {
+                self.class_rate[c] =
+                    self.classes[c].demand.expect("validated: a link-free flow carries a demand");
             }
         }
 
@@ -1019,18 +1029,14 @@ impl FlowSim {
             }
             let rec = &mut self.records[r as usize];
             rec.fresh_at = STALE;
-            // The domain's live classes, in class-index order.
-            self.dscratch.class_ids.clear();
-            self.dscratch.class_ids.extend(
-                rec.classes.iter().copied().filter(|&c| !self.classes[c].queue.is_empty()),
-            );
-            if self.dscratch.class_ids.is_empty() {
+            if rec.live.is_empty() {
                 continue;
             }
             self.domain_solves += 1;
             self.residual_replays += solve_domain(
                 &self.net.capacity,
                 &self.classes,
+                &rec.live,
                 &mut self.dscratch,
                 &mut self.class_rate,
             );
@@ -1067,7 +1073,8 @@ impl FlowSim {
         }
     }
 
-    /// Advance the clock to `now`, draining bytes at current rates.
+    /// Advance the clock to `now`, draining bytes at current rates: one
+    /// subtraction per member of every live class.
     ///
     /// # Panics
     ///
@@ -1077,9 +1084,9 @@ impl FlowSim {
         let dt = (now - self.now).as_secs_f64();
         if dt > 0.0 {
             self.clock += 1;
-            for (cl, &rate) in self.classes.iter_mut().zip(&self.class_rate) {
-                let drained = rate * dt;
-                for (_, remaining) in &mut cl.queue {
+            for &c in self.records.iter().flat_map(|rec| &rec.live) {
+                let drained = self.class_rate[c] * dt;
+                for (_, remaining) in &mut self.classes[c].queue {
                     *remaining = (*remaining - drained).max(0.0);
                 }
             }
@@ -1088,22 +1095,37 @@ impl FlowSim {
     }
 
     /// Start a transfer of `bytes` over `spec` at time `now` (advancing the
-    /// clock there first). Returns the flow's id.
+    /// clock there first): [`FlowSim::class_of`] then
+    /// [`FlowSim::add_flow_in`]. Returns the flow's id.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the conditions of both.
+    pub fn add_flow(&mut self, now: SimTime, spec: FlowSpec, bytes: f64) -> FlowId {
+        let class = self.class_of(spec);
+        self.add_flow_in(now, class, bytes)
+    }
+
+    /// Start a transfer of `bytes` in class `class` at time `now`
+    /// (advancing the clock there first). Returns the flow's id.
     ///
     /// # Panics
     ///
     /// Panics if `bytes` is not finite and positive, or `now` is in the past.
-    pub fn add_flow(&mut self, now: SimTime, spec: FlowSpec, bytes: f64) -> FlowId {
+    pub fn add_flow_in(&mut self, now: SimTime, class: ClassId, bytes: f64) -> FlowId {
         assert!(bytes.is_finite() && bytes > 0.0, "transfer size must be positive");
-        self.net.validate(&spec);
         self.advance(now);
         let id = FlowId(self.next_id);
         self.next_id += 1;
-        let class = self.intern_class(spec);
-        let queue = &mut self.classes[class].queue;
+        let c = class.index();
+        if self.classes[c].queue.is_empty() {
+            self.go_live(c);
+        }
+        let queue = &mut self.classes[c].queue;
         let at = queue.partition_point(|&(_, remaining)| remaining <= bytes);
         queue.insert(at, (id, bytes));
-        self.flow_class.insert(id.0, class);
+        self.flow_class.insert(id.0, c);
+        self.mark_route_dirty(c);
         self.recompute();
         id
     }
@@ -1168,24 +1190,25 @@ impl FlowSim {
     /// are issued in arrival order, so the smallest id among the flows with
     /// the minimum time is the earliest-started one.
     ///
-    /// Each domain record caches its classes' minimum. A query refreshes
-    /// only the records re-solved since the previous query, or all of them
-    /// when the clock has moved, and returns the minimum over the records:
-    /// the same `(time, FlowId)` a scan of every class finds, because a
-    /// clean domain's queues, rates and clock are the ones its cache saw.
+    /// Each domain record caches its live classes' minimum. A query
+    /// refreshes only the records re-solved since the previous query, or
+    /// all of them when the clock has moved, and returns the minimum over
+    /// the records: the same `(time, FlowId)` a scan of every class finds,
+    /// because an idle class has no completion and a clean domain's queues,
+    /// rates and clock are the ones its cache saw.
     pub fn next_completion(&mut self) -> Option<(SimTime, FlowId)> {
         let mut best = None;
         for rec in &mut self.records {
             if rec.fresh_at != self.clock {
                 rec.fresh_at = self.clock;
                 rec.earliest = None;
-                for &c in &rec.classes {
+                for &c in &rec.live {
                     keep_earlier(
                         &mut rec.earliest,
                         self.classes[c].earliest(self.class_rate[c], self.now),
                     );
                 }
-                self.class_scans += rec.classes.len() as u64;
+                self.class_scans += rec.live.len() as u64;
             }
             keep_earlier(&mut best, rec.earliest);
         }
@@ -1199,7 +1222,7 @@ impl FlowSim {
     }
 
     /// The oracle for [`FlowSim::next_completion`]: the same minimum taken
-    /// over every class slot, with no cache (tests and debug builds only).
+    /// over every class, with no cache (tests and debug builds only).
     #[cfg(any(test, debug_assertions))]
     fn next_completion_ref(&self) -> Option<(SimTime, FlowId)> {
         let mut best = None;
@@ -1227,7 +1250,10 @@ impl FlowSim {
             .position(|&(f, _)| f == id)
             .expect("active flow is queued");
         queue.remove(at);
-        self.release_class(c);
+        if queue.is_empty() {
+            self.go_idle(c);
+        }
+        self.mark_route_dirty(c);
         self.recompute();
     }
 
@@ -1331,6 +1357,17 @@ pub(crate) mod tests {
         ops: Vec<HistoryOp>,
         route: impl Fn(&[u32]) -> Vec<u32>,
     ) -> FlowSim {
+        check_history_with(caps, ops, route, |_| {})
+    }
+
+    /// [`check_history`], also running `after_op` on the simulator after
+    /// every step's checks.
+    fn check_history_with(
+        caps: Vec<f64>,
+        ops: Vec<HistoryOp>,
+        route: impl Fn(&[u32]) -> Vec<u32>,
+        after_op: impl Fn(&FlowSim),
+    ) -> FlowSim {
         const SIZES: [f64; 4] = [1.0, 64.0, 4096.0, 65536.0];
         const STEPS_NS: [u64; 4] = [0, 0, 1, 977];
         let links = caps.len() as u32;
@@ -1397,8 +1434,53 @@ pub(crate) mod tests {
             let scans = sim.class_scans();
             assert_eq!(sim.next_completion(), brute, "repeated query");
             assert_eq!(sim.class_scans(), scans, "a repeated query scans no class");
+            after_op(&sim);
         }
         sim
+    }
+
+    /// Twelve links in four disjoint groups of three: a route stays inside
+    /// the group its first pick names, and one route in twelve also
+    /// crosses into the next group.
+    fn grouped_route(picks: &[u32]) -> Vec<u32> {
+        let Some(&first) = picks.first() else { return Vec::new() };
+        let group = first % 4;
+        let mut route: Vec<u32> = picks.iter().map(|p| 3 * group + p % 3).collect();
+        if first < 4 {
+            route.push(3 * ((group + 1) % 4) + first % 3);
+        }
+        route
+    }
+
+    /// Each domain record's live list holds exactly the classes of its
+    /// domain that have members, once each, and every live class's
+    /// `live_at` names its place in that list.
+    fn assert_live_lists(sim: &FlowSim) {
+        let root = |mut x: usize| {
+            while sim.domains.parent[x] != x {
+                x = sim.domains.parent[x];
+            }
+            x
+        };
+        let mut want: Vec<Vec<usize>> = vec![Vec::new(); sim.records.len()];
+        for (c, cl) in sim.classes.iter().enumerate() {
+            if cl.queue.is_empty() {
+                continue;
+            }
+            let r = match cl.route.first() {
+                None => LINK_FREE,
+                Some(l) => sim.link_record[root(l.index())] as usize,
+            };
+            want[r].push(c);
+        }
+        for (r, rec) in sim.records.iter().enumerate() {
+            let mut live = rec.live.clone();
+            live.sort_unstable();
+            assert_eq!(live, want[r], "record {r}'s live list");
+            for (at, &c) in rec.live.iter().enumerate() {
+                assert_eq!(sim.classes[c].live_at, at, "class {c}'s live_at");
+            }
+        }
     }
 
     #[test]
@@ -1735,7 +1817,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn class_slots_are_reclaimed() {
+    fn churn_on_one_route_keeps_one_class() {
         let net = FlowNet::from_capacities(vec![1e9]);
         let mut sim = FlowSim::new(net);
         for _ in 0..100 {
@@ -1743,17 +1825,20 @@ pub(crate) mod tests {
             let (t, _) = sim.next_completion().unwrap();
             sim.complete(t, f);
         }
-        assert!(
-            sim.classes.len() <= 1,
-            "churning one route must reuse its tombstoned class slot"
-        );
+        assert_eq!(sim.classes.len(), 1, "churning one route must keep its one class");
+        assert!(sim.records.iter().all(|rec| rec.live.is_empty()), "no class stays live");
+        let c = sim.class_of(FlowSpec::new(vec![link(0)]));
+        assert_eq!(sim.route_of(c), [link(0)]);
     }
 
     #[test]
     fn completion_queries_rescan_only_changed_domains() {
-        // Domain A is link 0 with two classes, domain B link 1 with three.
+        // Domain A is link 0 with two live classes, domain B link 1 with
+        // three live classes and an idle one, whose only flow completed.
         let net = FlowNet::from_capacities(vec![1e9, 1e9]);
         let mut sim = FlowSim::new(net);
+        let idle = sim.add_flow(SimTime::ZERO, FlowSpec::with_demand(vec![link(1)], 3e8), 1e6);
+        sim.complete(SimTime::ZERO, idle);
         let a = FlowSpec::new(vec![link(0)]);
         let specs = [
             a.clone(),
@@ -1765,20 +1850,21 @@ pub(crate) mod tests {
         for spec in specs {
             sim.add_flow(SimTime::ZERO, spec, 1e6);
         }
+        assert_eq!(sim.classes.len(), 6);
         let scans = |sim: &mut FlowSim| {
             let before = sim.class_scans();
             let next = sim.next_completion();
             assert_eq!(next, sim.next_completion_ref());
             sim.class_scans() - before
         };
-        assert_eq!(scans(&mut sim), 5, "the first query scans every class");
+        assert_eq!(scans(&mut sim), 5, "the first query scans every live class");
         assert_eq!(scans(&mut sim), 0, "an unchanged state is answered from the caches");
         sim.add_flow(SimTime::ZERO, a, 2e6);
         assert_eq!(scans(&mut sim), 2, "a change in A at the same instant rescans A alone");
         sim.set_capacity(SimTime::ZERO, link(1), 0.5e9);
         assert_eq!(scans(&mut sim), 3, "a change in B at the same instant rescans B alone");
         sim.advance(SimTime::from_micros(1));
-        assert_eq!(scans(&mut sim), 5, "a clock move rescans every class");
+        assert_eq!(scans(&mut sim), 5, "a clock move rescans every live class");
     }
 
     #[test]
@@ -1908,16 +1994,50 @@ pub(crate) mod tests {
                 1..60,
             ),
         ) {
-            let caps = [1e9, 2e9, 0.5e9].repeat(4);
-            check_history(caps, ops, |picks| {
-                let Some(&first) = picks.first() else { return Vec::new() };
-                let group = first % 4;
-                let mut route: Vec<u32> = picks.iter().map(|p| 3 * group + p % 3).collect();
-                if first < 4 {
-                    route.push(3 * ((group + 1) % 4) + first % 3);
-                }
-                route
-            });
+            check_history([1e9, 2e9, 0.5e9].repeat(4), ops, grouped_route);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random add/complete/degrade histories over the twelve links of
+        /// `_across_domains`, with nearly as many completions as adds, so
+        /// classes go idle and live again often and domains merge under
+        /// live classes. Besides [`check_history`]'s checks, after every op
+        /// each record's live list holds exactly its domain's classes with
+        /// members.
+        #[test]
+        fn live_lists_track_the_classes_with_members(
+            ops in proptest::collection::vec(
+                (
+                    0u8..8,
+                    proptest::collection::vec(0u32..48, 0..4),
+                    any::<bool>(),
+                    1u64..1_000_000,
+                    0usize..4,
+                    0usize..4,
+                ),
+                1..60,
+            ),
+        ) {
+            let ops = ops
+                .into_iter()
+                .map(|(op, picks, capped, v, size, step)| {
+                    let op = match op {
+                        0..=3 => 0,
+                        4..=6 => 1,
+                        _ => 2,
+                    };
+                    (op, picks, capped, v, size, step)
+                })
+                .collect();
+            check_history_with(
+                [1e9, 2e9, 0.5e9].repeat(4),
+                ops,
+                grouped_route,
+                assert_live_lists,
+            );
         }
     }
 

@@ -62,5 +62,5 @@ pub mod test_util {
 }
 
 pub use bandwidth::{Bandwidth, Generation};
-pub use flow::{FlowId, FlowNet, FlowSim};
+pub use flow::{ClassId, FlowId, FlowNet, FlowSim};
 pub use topology::{EndpointKind, LinkId, NodeId, Topology};

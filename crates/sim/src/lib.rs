@@ -25,10 +25,10 @@
 //!   queue's cost, never the `(time, seq)` firing order.
 //! * A model's revisable estimate — the next flow completion of a
 //!   bandwidth-shared network — is armed on a numbered **timer**
-//!   ([`Scheduler::rearm`]). A timer holds at most one pending event, and
-//!   re-arming it supersedes that event in O(1): the engine keeps the
-//!   sequence number of each timer's pending event and drops the timer's
-//!   other heap entries unfired when they reach the front.
+//!   ([`Scheduler::rearm`]). A timer holds at most one pending event, in a
+//!   slot of its own beside the heap: re-arming it overwrites the slot, so
+//!   a superseded event never enters the heap, and each step fires the
+//!   earlier of the heap's top and the earliest armed slot.
 //!
 //! # Example
 //!
@@ -155,28 +155,19 @@ pub trait Model {
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// What kind of event a queue entry is: which bookkeeping firing it needs.
-#[derive(Clone, Copy)]
-enum Origin {
-    /// Neither a timer's event nor on a lane.
-    Plain,
-    /// Timer `n`'s event: live while the timer still holds its `seq`.
-    Timer(usize),
-    /// The head of FIFO lane `n`: firing it promotes the lane's next event.
-    Lane(usize),
-}
-
 /// One deferred scheduling operation recorded by a [`Scheduler`]. Ops are
 /// replayed by the engine in recording order after the handler returns, so
 /// several re-arms of one timer inside one handler behave as written.
 enum SchedOp<E> {
+    /// A plain event, or one on the FIFO lane given.
     Schedule {
         at: SimTime,
-        origin: Origin,
+        lane: Option<usize>,
         event: E,
     },
-    /// Timer `n` supersedes its pending event and arms none.
-    Disarm(usize),
+    /// Timer `n` supersedes its pending event and arms the one given, if
+    /// any.
+    Rearm(usize, Option<(SimTime, E)>),
 }
 
 /// Handle used by a [`Model`] to schedule follow-up events during handling.
@@ -204,7 +195,7 @@ impl<E> Scheduler<E> {
     /// The engine panics when draining this scheduler if `at` is earlier than
     /// the current simulation time.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        self.ops.push(SchedOp::Schedule { at, origin: Origin::Plain, event });
+        self.ops.push(SchedOp::Schedule { at, lane: None, event });
     }
 
     /// Schedule `event` at absolute time `at` on FIFO lane `lane`; see
@@ -215,7 +206,7 @@ impl<E> Scheduler<E> {
     /// The engine panics when draining this scheduler if `at` is in the past
     /// or earlier than the lane's previous event.
     pub fn schedule_fifo_at(&mut self, lane: usize, at: SimTime, event: E) {
-        self.ops.push(SchedOp::Schedule { at, origin: Origin::Lane(lane), event });
+        self.ops.push(SchedOp::Schedule { at, lane: Some(lane), event });
     }
 
     /// Schedule `event` to fire `delay` after `now`.
@@ -244,10 +235,7 @@ impl<E> Scheduler<E> {
     /// The engine panics when draining this scheduler if `next`'s time is
     /// in the past.
     pub fn rearm(&mut self, timer: usize, next: Option<(SimTime, E)>) {
-        self.ops.push(match next {
-            Some((at, event)) => SchedOp::Schedule { at, origin: Origin::Timer(timer), event },
-            None => SchedOp::Disarm(timer),
-        });
+        self.ops.push(SchedOp::Rearm(timer, next));
     }
 }
 
@@ -256,7 +244,9 @@ impl<E> Scheduler<E> {
 struct QueueEntry<E> {
     at: SimTime,
     seq: u64,
-    origin: Origin,
+    /// The FIFO lane whose head this is (firing it promotes the lane's next
+    /// event), or `None` for a plain event.
+    lane: Option<usize>,
     event: E,
 }
 
@@ -316,13 +306,12 @@ pub struct Engine<M: Model> {
     /// Latched when a handler's relative schedule overflowed
     /// `SimTime::MAX`; the run loop reports it as [`SimError::TimeOverflow`].
     overflowed: bool,
-    /// Sequence number of each timer's pending event, indexed by timer
-    /// number and grown on first use; `None` while the timer is idle. A
-    /// timer's heap entry with any other `seq` has been superseded.
-    timers: Vec<Option<u64>>,
-    /// Superseded timer entries still in the heap: they are dropped when
-    /// they reach its front, not searched for when superseded.
-    stale_in_queue: usize,
+    /// Each timer's pending event as `(at, seq, event)`, indexed by timer
+    /// number and grown on first use; `None` while the timer is idle. The
+    /// slots stand beside the heap: a re-arm overwrites one.
+    timers: Vec<Option<(SimTime, u64, M::Event)>>,
+    /// Timers holding a pending event.
+    armed: usize,
     /// Recycled op buffer handed to each [`Scheduler`], so handling an event
     /// costs no allocation once the buffer has grown to the working set.
     ops_scratch: Vec<SchedOp<M::Event>>,
@@ -335,7 +324,7 @@ impl<M: Model> std::fmt::Debug for Engine<M> {
             .field("queued", &self.queued())
             .field("queue_len", &self.queue.len())
             .field("lane_held", &self.lane_held)
-            .field("stale_in_queue", &self.stale_in_queue)
+            .field("armed", &self.armed)
             .field("events_processed", &self.events_processed)
             .finish()
     }
@@ -354,7 +343,7 @@ impl<M: Model> Engine<M> {
             lane_held: 0,
             overflowed: false,
             timers: Vec::new(),
-            stale_in_queue: 0,
+            armed: 0,
             ops_scratch: Vec::new(),
         }
     }
@@ -384,10 +373,10 @@ impl<M: Model> Engine<M> {
         self.model
     }
 
-    /// Number of *live* events currently queued, on FIFO lanes included;
-    /// superseded timer entries still in the heap are excluded.
+    /// Number of events currently queued: in the heap, behind their FIFO
+    /// lane's head, or armed on a timer.
     pub fn queued(&self) -> usize {
-        self.queue.len() - self.stale_in_queue + self.lane_held
+        self.queue.len() + self.lane_held + self.armed
     }
 
     /// Schedule an event at absolute time `at`.
@@ -396,7 +385,7 @@ impl<M: Model> Engine<M> {
     ///
     /// Panics if `at` is in the past.
     pub fn schedule_at(&mut self, at: SimTime, event: M::Event) {
-        self.push_entry(at, Origin::Plain, event);
+        self.push_entry(at, None, event);
     }
 
     /// Schedule an event at absolute time `at` on FIFO lane `lane`.
@@ -413,7 +402,7 @@ impl<M: Model> Engine<M> {
     /// Panics if `at` is in the past or earlier than the lane's previous
     /// event.
     pub fn schedule_fifo_at(&mut self, lane: usize, at: SimTime, event: M::Event) {
-        self.push_entry(at, Origin::Lane(lane), event);
+        self.push_entry(at, Some(lane), event);
     }
 
     fn check_overflow(&self) -> Result<(), SimError> {
@@ -424,107 +413,117 @@ impl<M: Model> Engine<M> {
         }
     }
 
-    /// Supersede timer `n`'s pending event, if it has one. The entry stays
-    /// in the heap until [`Self::purge_stale_front`] meets it.
-    fn disarm(&mut self, n: usize) {
-        if n >= self.timers.len() {
-            self.timers.resize(n + 1, None);
-        }
-        if self.timers[n].take().is_some() {
-            self.stale_in_queue += 1;
-        }
-    }
-
-    fn push_entry(&mut self, at: SimTime, origin: Origin, event: M::Event) {
+    /// The next sequence number, for an event scheduled at `at`.
+    fn next_seq(&mut self, at: SimTime) -> u64 {
         assert!(
             at >= self.now,
             "cannot schedule event in the past: at={at:?} now={:?}",
             self.now
         );
-        let seq = self.seq;
         self.seq += 1;
-        match origin {
-            Origin::Plain => {}
-            Origin::Timer(n) => {
-                self.disarm(n);
-                self.timers[n] = Some(seq);
-            }
-            Origin::Lane(n) => {
-                if n >= self.lanes.len() {
-                    self.lanes.resize_with(n + 1, Lane::default);
-                }
-                let lane = &mut self.lanes[n];
-                assert!(
-                    at >= lane.last_at,
-                    "FIFO lane {n} went backwards: at={at:?} after {:?}",
-                    lane.last_at
-                );
-                lane.last_at = at;
-                if lane.head_queued {
-                    // Behind the head in both time and seq: it cannot fire
-                    // before the head does, so it waits outside the heap.
-                    lane.waiting.push_back((at, seq, event));
-                    self.lane_held += 1;
-                    return;
-                }
-                lane.head_queued = true;
-            }
-        }
-        self.queue.push(Reverse(QueueEntry { at, seq, origin, event }));
+        self.seq - 1
     }
 
-    /// Drop superseded timer entries off the front of the heap so
-    /// `peek`/emptiness reflect live events only.
-    fn purge_stale_front(&mut self) {
-        while let Some(Reverse(entry)) = self.queue.peek() {
-            match entry.origin {
-                Origin::Timer(n) if self.timers[n] != Some(entry.seq) => {
-                    self.queue.pop();
-                    self.stale_in_queue -= 1;
-                }
-                _ => break,
-            }
+    /// Overwrite timer `n`'s slot: its pending event, if any, is dropped
+    /// unfired, and `next`, if given, is armed with a fresh sequence number.
+    fn rearm(&mut self, n: usize, next: Option<(SimTime, M::Event)>) {
+        if n >= self.timers.len() {
+            self.timers.resize_with(n + 1, || None);
+        }
+        let next = next.map(|(at, event)| (at, self.next_seq(at), event));
+        self.armed += usize::from(next.is_some());
+        if std::mem::replace(&mut self.timers[n], next).is_some() {
+            self.armed -= 1;
         }
     }
 
-    /// Pop and handle a single live event. Returns `false` if no live events
-    /// remain (superseded timer entries are discarded, not delivered).
+    fn push_entry(&mut self, at: SimTime, lane: Option<usize>, event: M::Event) {
+        let seq = self.next_seq(at);
+        if let Some(n) = lane {
+            if n >= self.lanes.len() {
+                self.lanes.resize_with(n + 1, Lane::default);
+            }
+            let lane = &mut self.lanes[n];
+            assert!(
+                at >= lane.last_at,
+                "FIFO lane {n} went backwards: at={at:?} after {:?}",
+                lane.last_at
+            );
+            lane.last_at = at;
+            if lane.head_queued {
+                // Behind the head in both time and seq: it cannot fire
+                // before the head does, so it waits outside the heap.
+                lane.waiting.push_back((at, seq, event));
+                self.lane_held += 1;
+                return;
+            }
+            lane.head_queued = true;
+        }
+        self.queue.push(Reverse(QueueEntry { at, seq, lane, event }));
+    }
+
+    /// The armed timer whose event comes first in `(time, seq)` order, with
+    /// that key. A scan: models arm a handful of timers.
+    fn earliest_timer(&self) -> Option<(usize, (SimTime, u64))> {
+        if self.armed == 0 {
+            return None;
+        }
+        self.timers
+            .iter()
+            .enumerate()
+            .filter_map(|(n, slot)| slot.as_ref().map(|&(at, seq, _)| (n, (at, seq))))
+            .min_by_key(|&(_, key)| key)
+    }
+
+    /// Take the next event in `(time, seq)` order: the heap's top or the
+    /// earliest armed timer's, whichever comes first.
+    fn pop_next(&mut self) -> Option<(SimTime, M::Event)> {
+        let timer = self.earliest_timer();
+        let heap_first = match (self.queue.peek(), timer) {
+            (Some(Reverse(top)), Some((_, key))) => (top.at, top.seq) < key,
+            (top, _) => top.is_some(),
+        };
+        if !heap_first {
+            let (n, _) = timer?;
+            self.armed -= 1;
+            let (at, _, event) = self.timers[n].take().expect("the earliest timer is armed");
+            return Some((at, event));
+        }
+        let Reverse(entry) = self.queue.pop().expect("the heap's top was peeked");
+        if let Some(n) = entry.lane {
+            // The lane's next event, if any, becomes its head: the earliest
+            // of the lane's events in `(time, seq)` order.
+            let lane = &mut self.lanes[n];
+            match lane.waiting.pop_front() {
+                Some((at, seq, event)) => {
+                    self.lane_held -= 1;
+                    self.queue.push(Reverse(QueueEntry { at, seq, lane: entry.lane, event }));
+                }
+                None => lane.head_queued = false,
+            }
+        }
+        Some((entry.at, entry.event))
+    }
+
+    /// Pop and handle a single event. Returns `false` if no events remain.
     pub fn step(&mut self) -> bool {
-        self.purge_stale_front();
-        let Some(Reverse(entry)) = self.queue.pop() else {
+        let Some((at, event)) = self.pop_next() else {
             return false;
         };
-        match entry.origin {
-            Origin::Plain => {}
-            Origin::Timer(n) => self.timers[n] = None,
-            Origin::Lane(n) => {
-                // The lane's next event, if any, becomes its head: the
-                // earliest of the lane's events in `(time, seq)` order.
-                let lane = &mut self.lanes[n];
-                match lane.waiting.pop_front() {
-                    Some((at, seq, event)) => {
-                        self.lane_held -= 1;
-                        let origin = entry.origin;
-                        self.queue.push(Reverse(QueueEntry { at, seq, origin, event }));
-                    }
-                    None => lane.head_queued = false,
-                }
-            }
-        }
-        debug_assert!(entry.at >= self.now, "event queue yielded past event");
-        self.now = entry.at;
+        debug_assert!(at >= self.now, "event queue yielded past event");
+        self.now = at;
         self.events_processed += 1;
         let mut sched = Scheduler {
             ops: std::mem::take(&mut self.ops_scratch),
             overflowed: false,
         };
-        self.model.handle(self.now, entry.event, &mut sched);
+        self.model.handle(self.now, event, &mut sched);
         self.overflowed |= sched.overflowed;
         let mut ops = sched.ops;
         for op in ops.drain(..) {
             match op {
-                SchedOp::Schedule { at, origin, event } => self.push_entry(at, origin, event),
-                SchedOp::Disarm(n) => self.disarm(n),
+                SchedOp::Schedule { at, lane, event } => self.push_entry(at, lane, event),
+                SchedOp::Rearm(n, next) => self.rearm(n, next),
             }
         }
         self.ops_scratch = ops;
@@ -774,8 +773,8 @@ mod tests {
     }
 
     /// Re-arming a timer three times inside one handler leaves one live
-    /// event, at the last time; the superseded entries stay in the heap but
-    /// are neither queued nor counted as events.
+    /// event, at the last time; the superseded events never reach the heap
+    /// and are neither queued nor counted as events.
     #[test]
     fn rearmed_timer_fires_once_at_its_last_time() {
         let mut e = scripted(vec![vec![
@@ -785,17 +784,38 @@ mod tests {
             Op::Rearm(0, Some(20)),
         ]]);
         assert!(e.step());
-        assert_eq!(e.queue.len(), 4, "superseded entries stay in the heap");
-        assert_eq!(e.queued(), 2, "but are not queued events");
-        assert_eq!(e.stale_in_queue, 2);
+        assert_eq!(e.queue.len(), 1, "the heap holds the plain event alone");
+        assert_eq!(e.queued(), 2, "the armed timer is a queued event");
         run(&mut e).unwrap();
         assert_eq!(
             e.model().log,
             vec![(SimTime::ZERO, START), (SimTime::from_nanos(20), 3), (SimTime::from_nanos(30), 2)]
         );
-        assert_eq!(e.events_processed(), 3, "superseded entries are not events");
-        assert_eq!((e.queue.len(), e.stale_in_queue, e.queued()), (0, 0, 0));
-        assert_eq!(e.timers, vec![None]);
+        assert_eq!(e.events_processed(), 3, "superseded events are not events");
+        assert_eq!((e.queue.len(), e.queued()), (0, 0));
+        assert!(e.timers.iter().all(Option::is_none));
+    }
+
+    /// A thousand re-arms of one timer inside one handler push nothing on
+    /// the heap, and the timer fires once, at its last time.
+    #[test]
+    fn rearms_never_grow_the_heap() {
+        let mut block = vec![Op::Plain(5000)];
+        block.extend((0..1000).map(|i| Op::Rearm(0, Some(2000 - i))));
+        let mut e = scripted(vec![block]);
+        let heap = e.queue.len();
+        assert!(e.step(), "the START event re-arms the timer");
+        assert_eq!(e.queue.len(), heap, "START left the heap and the plain event joined it");
+        assert_eq!(e.queued(), 2);
+        run(&mut e).unwrap();
+        assert_eq!(
+            e.model().log,
+            vec![
+                (SimTime::ZERO, START),
+                (SimTime::from_nanos(1001), 1000),
+                (SimTime::from_nanos(5000), 0),
+            ]
+        );
     }
 
     /// Disarming supersedes the pending event without arming another;
@@ -807,13 +827,12 @@ mod tests {
             vec![Op::Rearm(1, None)],
         ]);
         assert!(e.step());
-        assert_eq!(e.stale_in_queue, 0, "timer 2 was idle");
+        assert_eq!((e.queued(), e.queue.len()), (2, 1), "timer 1 is armed, timer 2 idle");
         assert!(e.step(), "the plain event at 5 ns disarms timer 1");
-        assert_eq!((e.queued(), e.queue.len()), (0, 1));
+        assert_eq!((e.queued(), e.queue.len()), (0, 0));
         run(&mut e).unwrap();
         assert_eq!(e.model().log, vec![(SimTime::ZERO, START), (SimTime::from_nanos(5), 1)]);
         assert_eq!(e.events_processed(), 2);
-        assert_eq!((e.queue.len(), e.stale_in_queue), (0, 0));
     }
 
     /// A timer whose event fired is idle: disarming it then is a no-op, and
@@ -826,7 +845,7 @@ mod tests {
         ]);
         assert!(e.step());
         assert!(e.step(), "the timer fires at 3 ns and re-arms itself");
-        assert_eq!((e.stale_in_queue, e.queued()), (0, 1));
+        assert_eq!((e.queue.len(), e.queued()), (0, 1));
         run(&mut e).unwrap();
         assert_eq!(
             e.model().log,
@@ -1069,7 +1088,7 @@ mod tests {
             }
             prop_assert_eq!(&e.model().log, &expected);
             prop_assert_eq!(queued, expected_queued);
-            prop_assert_eq!((e.queue.len(), e.stale_in_queue, e.lane_held), (0, 0, 0));
+            prop_assert_eq!((e.queue.len(), e.lane_held, e.queued()), (0, 0, 0));
             prop_assert!(e.timers.iter().all(Option::is_none));
         }
 
