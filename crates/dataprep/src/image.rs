@@ -191,9 +191,10 @@ impl Image {
 /// Written as lane-wise float and integer ops so a loop over it
 /// vectorizes, which a saturating float-to-int cast does not: adding 2^23
 /// leaves the nearest integer to the clamped `y` in the low mantissa bits,
-/// and one is taken off when that rounded up.
+/// and one is taken off when that rounded up. Shared by the Gaussian noise
+/// kernel and the JPEG decoder's sample store.
 #[inline]
-fn round_to_u8(x: f32) -> u8 {
+pub(crate) fn round_to_u8(x: f32) -> u8 {
     const TWO_23: f32 = 8_388_608.0;
     let y = x.clamp(0.0, 255.0);
     let m = y + TWO_23;
@@ -351,6 +352,14 @@ mod tests {
         // of each: integers, halves and the steps between them.
         for k in -(2 << 12)..(258 << 12) {
             let x = k as f32 / 4096.0;
+            xs.extend([x, x.next_down(), x.next_up()]);
+        }
+        // The JPEG decoder's sample store, `round_to_u8(s + 128.5)`: every
+        // 1/8 step over [-1100, 1400], which holds the level-shifted IDCT
+        // output of 8-bit samples with a wide margin for ringing, and the
+        // floats either side of each.
+        for k in -(1100 << 3)..(1400 << 3) {
+            let x = k as f32 / 8.0;
             xs.extend([x, x.next_down(), x.next_up()]);
         }
         for x in xs {

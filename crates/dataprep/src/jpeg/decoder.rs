@@ -10,7 +10,7 @@ use super::dct::idct_8x8;
 use super::huffman::{extend, HuffDecoder};
 use super::tables::ZIGZAG;
 use crate::error::DecodeError;
-use crate::image::Image;
+use crate::image::{round_to_u8, Image};
 
 #[derive(Debug, Clone, Copy)]
 struct Component {
@@ -33,13 +33,18 @@ struct DecoderState {
     restart_interval: usize,
 }
 
-/// Reusable decoder scratch memory: the per-component sample planes that a
-/// single-shot [`decode`] would otherwise allocate per frame. A batch decoder
-/// (one `Scratch` per worker thread) amortizes those allocations across the
-/// whole scan loop — the prep executor's workers each hold one.
+/// Reusable decoder scratch memory: the per-component sample planes and
+/// colour-conversion rows that a single-shot [`decode`] would otherwise
+/// allocate per frame. A batch decoder (one `Scratch` per worker thread)
+/// amortizes those allocations across the whole scan loop — the prep
+/// executor's workers each hold one.
 #[derive(Debug, Default)]
 pub struct Scratch {
     planes: [Vec<u8>; 3],
+    /// One output row of luma, widened when luma is sampled below chroma.
+    luma: Vec<u8>,
+    /// The current chroma row's per-column red, green and blue offsets.
+    chroma: [Vec<i32>; 3],
 }
 
 /// Decode a baseline JFIF stream into an RGB image.
@@ -326,7 +331,12 @@ struct Plane<'a> {
     data: &'a mut Vec<u8>,
 }
 
-fn decode_scan(entropy: &[u8], st: &DecoderState, scratch: &mut Scratch) -> Result<Image, DecodeError> {
+/// The frame's MCU grid `(mcux, mcuy)` and one zeroed [`Plane`] per
+/// component, backed by `bufs`.
+fn frame_planes<'a>(
+    st: &DecoderState,
+    bufs: &'a mut [Vec<u8>; 3],
+) -> Result<(usize, usize, Vec<Plane<'a>>), DecodeError> {
     // The component list comes from the (attacker-controlled) SOF segment;
     // never assume it is non-empty.
     let hmax = st
@@ -339,10 +349,10 @@ fn decode_scan(entropy: &[u8], st: &DecoderState, scratch: &mut Scratch) -> Resu
     let mcux = st.width.div_ceil(8 * hmax);
     let mcuy = st.height.div_ceil(8 * vmax);
 
-    let mut planes: Vec<Plane<'_>> = st
+    let planes = st
         .components
         .iter()
-        .zip(scratch.planes.iter_mut())
+        .zip(bufs.iter_mut())
         .map(|(c, buf)| {
             let w = mcux * c.h * 8;
             let h = mcuy * c.v * 8;
@@ -358,6 +368,12 @@ fn decode_scan(entropy: &[u8], st: &DecoderState, scratch: &mut Scratch) -> Resu
             }
         })
         .collect();
+    Ok((mcux, mcuy, planes))
+}
+
+fn decode_scan(entropy: &[u8], st: &DecoderState, scratch: &mut Scratch) -> Result<Image, DecodeError> {
+    let Scratch { planes: bufs, luma, chroma } = scratch;
+    let (mcux, mcuy, mut planes) = frame_planes(st, bufs)?;
 
     // Resolve tables up front so the hot loop borrows are simple.
     let mut comp_tables = Vec::new();
@@ -400,14 +416,15 @@ fn decode_scan(entropy: &[u8], st: &DecoderState, scratch: &mut Scratch) -> Resu
                     let px = (mx * c.h + bx) * 8;
                     let py = (my * c.v + by) * 8;
                     let plane = &mut planes[ci];
-                    for y in 0..8 {
+                    for (y, src) in block.chunks_exact(8).enumerate() {
                         let row = (py + y) * plane.w + px;
-                        // `(v + 128.5) as u8` saturates at both ends; trunc
-                        // differs from floor only in (-1, 0), which clamps to
-                        // 0 either way.
-                        let dst = &mut plane.data[row..row + 8];
-                        for (d, &s) in dst.iter_mut().zip(&block[y * 8..y * 8 + 8]) {
-                            *d = (s + 128.5) as u8;
+                        // Level shift and round half up, saturating at both
+                        // ends: `round_to_u8` is `(s + 128.5) as u8` for
+                        // the finite IDCT outputs, in lane-wise ops that
+                        // vectorize. Truncation differs from floor only in
+                        // (-1, 0), which clamps to 0 either way.
+                        for (d, &s) in plane.data[row..row + 8].iter_mut().zip(src) {
+                            *d = round_to_u8(s + 128.5);
                         }
                     }
                 }
@@ -415,7 +432,7 @@ fn decode_scan(entropy: &[u8], st: &DecoderState, scratch: &mut Scratch) -> Resu
         }
     }
 
-    Ok(assemble(st, &planes))
+    Ok(assemble(st, &planes, luma, chroma))
 }
 
 fn decode_block(
@@ -459,7 +476,77 @@ fn decode_block(
     Ok(())
 }
 
-fn assemble(st: &DecoderState, planes: &[Plane<'_>]) -> Image {
+/// Colour-convert the decoded planes into the output image. The chroma
+/// terms depend only on the chroma row, so they are built once per chroma
+/// row into `chroma` (every second output row at 4:2:0); each output row
+/// then adds one luma row to them, a loop without table loads or index
+/// shifts. Bit-identical to the per-pixel `assemble_ref`.
+fn assemble(
+    st: &DecoderState,
+    planes: &[Plane<'_>],
+    luma: &mut Vec<u8>,
+    chroma: &mut [Vec<i32>; 3],
+) -> Image {
+    let (w, h) = (st.width, st.height);
+    let mut rgb = vec![0u8; w * h * 3];
+    if st.components.len() == 1 {
+        // A lone component sets the sampling maxima itself: no shifts.
+        let p = &planes[0];
+        for (y, dst) in rgb.chunks_exact_mut(w * 3).enumerate() {
+            for (px, &v) in dst.chunks_exact_mut(3).zip(&p.data[y * p.w..y * p.w + w]) {
+                px.fill(v);
+            }
+        }
+        return Image::from_rgb(w, h, rgb);
+    }
+    let t = ycc_tables();
+    let (py, pcb, pcr) = (&planes[0], &planes[1], &planes[2]);
+    for terms in chroma.iter_mut() {
+        terms.clear();
+        terms.resize(w, 0);
+    }
+    let [r_off, g_off, b_off] = chroma;
+    // The (Cb, Cr) plane rows the terms were built from.
+    let mut built_from = None;
+    for (y, dst) in rgb.chunks_exact_mut(w * 3).enumerate() {
+        let rows = (y >> pcb.yshift, y >> pcr.yshift);
+        if built_from != Some(rows) {
+            built_from = Some(rows);
+            let cbrow = &pcb.data[rows.0 * pcb.w..];
+            let crrow = &pcr.data[rows.1 * pcr.w..];
+            let terms = r_off.iter_mut().zip(g_off.iter_mut()).zip(b_off.iter_mut());
+            for (x, ((r, g), b)) in terms.enumerate() {
+                let cb = cbrow[x >> pcb.xshift] as usize;
+                let cr = crrow[x >> pcr.xshift] as usize;
+                *r = t.cr_r[cr];
+                *g = (t.cb_g[cb] + t.cr_g[cr] + 0x8000) >> 16;
+                *b = t.cb_b[cb];
+            }
+        }
+        let yrow = &py.data[(y >> py.yshift) * py.w..];
+        let yrow = if py.xshift == 0 {
+            &yrow[..w]
+        } else {
+            luma.clear();
+            luma.extend((0..w).map(|x| yrow[x >> py.xshift]));
+            &luma[..]
+        };
+        let terms = r_off.iter().zip(g_off.iter()).zip(b_off.iter());
+        for ((px, &yv), ((&r, &g), &b)) in dst.chunks_exact_mut(3).zip(yrow).zip(terms) {
+            let yv = i32::from(yv);
+            px[0] = clamp_u8(yv + r);
+            px[1] = clamp_u8(yv + g);
+            px[2] = clamp_u8(yv + b);
+        }
+    }
+    Image::from_rgb(w, h, rgb)
+}
+
+/// Per-pixel colour conversion, four table loads and three index shifts per
+/// pixel: the reference `assemble_matches_per_pixel_reference` holds
+/// [`assemble`] to.
+#[cfg(test)]
+fn assemble_ref(st: &DecoderState, planes: &[Plane<'_>]) -> Image {
     let (w, h) = (st.width, st.height);
     let mut rgb = vec![0u8; w * h * 3];
     if st.components.len() == 1 {
@@ -498,6 +585,9 @@ fn assemble(st: &DecoderState, planes: &[Plane<'_>]) -> Image {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn missing_soi_rejected() {
@@ -532,6 +622,96 @@ mod tests {
             decode(&[0xff, 0xd8, 0xff, 0xd9]),
             Err(DecodeError::Malformed(_))
         ));
+    }
+
+    /// The fixed stream set behind [`decoded_bytes_are_pinned`]: the 4:2:0
+    /// training corpus, 4:2:0 and 4:4:4 at qualities 5 to 100 over odd and
+    /// MCU-straddling sizes, restart intervals, and a saturated
+    /// checkerboard whose ringing drives samples and RGB past both ends.
+    fn pinned_streams() -> Vec<Vec<u8>> {
+        use crate::jpeg::{encode_with, encode_with_restart, Subsampling::*};
+        use crate::synth;
+        let mut streams: Vec<Vec<u8>> = (0..4).map(synth::imagenet_like_jpeg).collect();
+        let mut checker = Image::filled(37, 29, [0, 0, 0]);
+        for y in 0..29 {
+            for x in 0..37 {
+                checker.set_pixel(x, y, if (x + y) % 2 == 0 { [255, 0, 0] } else { [0, 0, 255] });
+            }
+        }
+        let sizes = [(1, 1), (17, 9), (75, 53), (300, 201)];
+        let mut images: Vec<Image> = sizes
+            .iter()
+            .map(|&(w, h)| synth::synthetic_image(w, h, (w * 1000 + h) as u64))
+            .collect();
+        images.push(checker);
+        for img in &images {
+            for q in [5, 50, 90, 100] {
+                for sub in [S420, S444] {
+                    streams.push(encode_with(img, q, sub));
+                }
+            }
+            streams.push(encode_with_restart(img, 90, S420, 3));
+            streams.push(encode_with_restart(img, 75, S444, 1));
+        }
+        streams
+    }
+
+    /// FNV-1a over every decoded image's size and RGB bytes. The value was
+    /// taken from the per-pixel table conversion (`assemble_ref`) and the
+    /// `(s + 128.5) as u8` sample store, so any byte the decoder changes
+    /// fails here.
+    #[test]
+    fn decoded_bytes_are_pinned() {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut fnv = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut scratch = Scratch::default();
+        for stream in pinned_streams() {
+            let img = decode_with(&stream, &mut scratch).unwrap();
+            fnv(&(img.width() as u32).to_le_bytes());
+            fnv(&(img.height() as u32).to_le_bytes());
+            fnv(img.data());
+        }
+        assert_eq!(h, 0x5247_fa5e_4d38_c558, "{h:#018x}");
+    }
+
+    proptest! {
+        /// `assemble` against the per-pixel reference over random plane
+        /// bytes (so both clamps fire), for every sampling-factor layout in
+        /// {1, 2}² per component, grayscale included, and luma sampled
+        /// below chroma, which the encoder never emits. One scratch serves
+        /// consecutive frames, as in a batch.
+        #[test]
+        fn assemble_matches_per_pixel_reference(
+            width in 1usize..40,
+            height in 1usize..40,
+            factors in proptest::collection::vec((1usize..=2, 1usize..=2), 3),
+            gray in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let ncomp = if gray { 1 } else { 3 };
+            let components = factors[..ncomp]
+                .iter()
+                .enumerate()
+                .map(|(i, &(h, v))| {
+                    Component { id: i as u8, h, v, quant_id: 0, dc_table: 0, ac_table: 0 }
+                })
+                .collect();
+            let st = DecoderState { width, height, components, ..DecoderState::default() };
+            let mut scratch = Scratch::default();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..2 {
+                let Scratch { planes: bufs, luma, chroma } = &mut scratch;
+                let (_, _, mut planes) = frame_planes(&st, bufs).unwrap();
+                for p in &mut planes {
+                    rng.fill_bytes(p.data);
+                }
+                prop_assert_eq!(assemble(&st, &planes, luma, chroma), assemble_ref(&st, &planes));
+            }
+        }
     }
 
     #[test]

@@ -56,7 +56,8 @@ const LUT_BITS: u32 = 8;
 /// Decoder-side canonical table (T.81 §F.2.2.3).
 #[derive(Debug, Clone)]
 pub struct HuffDecoder {
-    /// Smallest code of each length 1..=16 (i64 so empty lengths can be sentinel).
+    /// Smallest code of each length 1..=16 (`i32`, like `max_code`, whose -1
+    /// marks an empty length).
     min_code: [i32; 17],
     /// Largest code of each length, or -1 when none.
     max_code: [i32; 17],
