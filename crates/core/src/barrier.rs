@@ -363,6 +363,92 @@ mod tests {
         assert_eq!(flow_work(models, &cfg), [(23532, 12288), (0, 0)]);
     }
 
+    /// FNV-1a digests of a traced run's Chrome export and of its serialized
+    /// [`trainbox_sim::TraceSummary`].
+    fn trace_digests(
+        server: &Server,
+        workload: &Workload,
+        cfg: &SimConfig,
+        plan: &FaultPlan,
+        cluster: Option<&ClusterSpec>,
+    ) -> [u64; 2] {
+        use crate::request::canonical_hash_of;
+        use trainbox_sim::{chrome_trace_json, RingTracer, TraceSummary};
+        let tracer = RingTracer::new(RingTracer::DEFAULT_CAPACITY);
+        let tracer = match cluster {
+            Some(spec) => simulate_cluster(server, workload, cfg, plan, spec, tracer, None)
+                .expect("traced cluster run")
+                .1,
+            None => try_simulate_traced_deadline(server, workload, cfg, plan, tracer, None)
+                .expect("traced run")
+                .1,
+        };
+        let dropped = tracer.dropped();
+        let records = tracer.into_records();
+        let summary = serde_json::to_string(&TraceSummary::from_records(&records, dropped))
+            .expect("summary serializes");
+        [canonical_hash_of(&chrome_trace_json(&records)), canonical_hash_of(&summary)]
+    }
+
+    /// The exact bytes every driver traces. `TraceSummary::from_records`
+    /// depends on record order, so these digests pin the order in which a
+    /// run hands back its records as well as the records themselves: a
+    /// pooled TrainBox on the single engine (both flow planes' rate
+    /// counters), a seeded fault storm on the single engine, a
+    /// lane-partitioned server, and 1- and 3-server clusters.
+    #[test]
+    fn traced_answers_are_pinned() {
+        let cfg = SimConfig {
+            chunk_samples: 64,
+            batches: 3,
+            warmup_batches: 1,
+            ..SimConfig::default()
+        };
+        let empty = FaultPlan::empty();
+        let mut got = Vec::new();
+
+        let pooled = ServerConfig::new(ServerKind::TrainBox, 8).build();
+        let tf_sr = Workload::by_name("TF-SR").expect("a Table-I workload");
+        got.push(trace_digests(&pooled, &tf_sr, &cfg, &empty, None));
+
+        let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 8).batch_size(256).build();
+        let inception = Workload::inception_v4();
+        let storm_cfg = quick_cfg(0);
+        let probe = try_simulate_traced_deadline(&server, &inception, &storm_cfg, &empty, NoopTracer, None)
+            .expect("probe run")
+            .0;
+        let domain = crate::faults::FaultDomain {
+            horizon_secs: probe.batch_done_at.last().unwrap().as_secs_f64(),
+            ..crate::pipeline::fault_domain(&server)
+        };
+        let storm = FaultPlan::seeded(7, 6.0 / domain.horizon_secs, &domain);
+        assert!(storm.events.len() >= 4);
+        assert!(LanePartition::of(&server, &storm).is_none(), "the storm runs on one engine");
+        got.push(trace_digests(&server, &inception, &storm_cfg, &storm, None));
+
+        let lanes = ServerConfig::new(ServerKind::TrainBoxNoPool, 16).batch_size(64).build();
+        assert!(LanePartition::of(&lanes, &empty).is_some());
+        got.push(trace_digests(&lanes, &Workload::resnet50(), &cfg, &empty, None));
+
+        let node = ServerConfig::new(ServerKind::TrainBoxNoPool, 4).batch_size(64).build();
+        let plan = FaultPlan::empty()
+            .at(1e-4, FaultKind::PrepSlowdown { dev: 0, factor: 0.5, secs: 0.05 })
+            .at(2e-4, FaultKind::AccelDropout { acc: 1 });
+        for (servers, plan) in [(1, &empty), (3, &plan)] {
+            let spec = ClusterSpec::rack_default(servers);
+            got.push(trace_digests(&node, &Workload::rnn_s(), &quick_cfg(0), plan, Some(&spec)));
+        }
+
+        let pinned = [
+            [0xb0e9_2704_2e7f_40e1, 0x527d_9014_96c0_5c85],
+            [0x1bf8_7759_ac3f_3123, 0xf2aa_3f19_756e_568b],
+            [0x38bd_df0e_95f7_f81a, 0x0856_4bef_95c3_518c],
+            [0xda7a_6663_fe74_cd04, 0xb634_218e_0d72_fdb1],
+            [0x2b7e_657e_c246_5cbf, 0xfd85_dd24_0ff9_468e],
+        ];
+        assert_eq!(got, pinned);
+    }
+
     #[test]
     fn cluster_des_is_worker_count_invariant() {
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 4)
