@@ -1,25 +1,30 @@
-//! The partitioned DES: one barrier runner for intra-server lanes and
-//! cluster servers.
+//! The DES driver: every run is a barrier run of logical processes.
 //!
-//! Both partitions cut a run along the gradient synchronization, the only
-//! point where their parts interact. Each part is one logical process (a
-//! private engine over a [`PipelineModel`] in a [`BarrierMode`]) that runs
-//! until it parks at the barrier; `sim::par::run_windows` then releases
-//! every part at `max(arrivals) + hold`:
+//! A run is cut into logical processes (LPs), each a private engine over a
+//! [`PipelineModel`] in a [`BarrierMode`] that runs until it parks at the
+//! gradient synchronization, the only point where parts of a run interact.
+//! `sim::par::run_windows` then releases every part at
+//! `max(arrivals) + hold`. [`Partition::of`] picks the cut from
+//! `(server, plan, cluster)` alone:
 //!
+//! * **Solo** — one LP drives every device and never parks: its local ring
+//!   sync closes each generation, and `run_windows` advances it inline on
+//!   the calling thread in one window.
 //! * **Lanes** (`crate::intraserver`) — half a train box each. A lane parks
 //!   before its sync starts, because the ring spans every lane; `hold` is
-//!   the full-ring all-reduce time, so the release is exactly the solo
-//!   path's `SyncDone` instant.
+//!   the full-ring all-reduce time, so the release is exactly the instant
+//!   the solo LP's sync completes.
 //! * **Cluster servers** — one full server each. A server runs its local
 //!   ring sync, then parks; `hold` is the cross-server phase
 //!   ([`ClusterSpec::cross_sync_secs`]).
 //!
-//! Determinism discipline is inherited wholesale from `sim::par`: park
-//! times are folded and releases applied in LP-index order at every barrier,
-//! and per-LP trace streams merge in LP-index order, so `parallel_workers: 0`
-//! is byte-identical to any worker count by construction (pinned by
-//! `crates/core/tests/parallel_equivalence.rs`).
+//! Every result closes from the models' own `batch_done_at`: a model
+//! records the instant it closes each generation, which in a barrier mode
+//! is the runner's release. Determinism discipline is inherited wholesale
+//! from `sim::par`: park times are folded and releases applied in LP-index
+//! order at every barrier, and per-LP trace streams merge in LP-index order,
+//! so `parallel_workers: 0` is byte-identical to any worker count by
+//! construction (pinned by `crates/core/tests/parallel_equivalence.rs`).
 
 use std::time::Instant;
 
@@ -28,193 +33,143 @@ use crate::faults::{FaultPlan, FaultStats};
 use crate::intraserver::{LanePartition, ACCELS_PER_LANE};
 use crate::pipeline::{
     check_window, steady_state, BarrierMode, DesFailure, Ev, PipelineModel, SimConfig, SimResult,
+    TenancyStats,
 };
+use crate::request::SimOutcome;
 use crate::scaleout::{ClusterResult, ClusterSpec, CLUSTER_TRACK_STRIDE};
 use trainbox_nn::Workload;
 use trainbox_sim::par::{self, RunStats};
 use trainbox_sim::{Engine, SimError, SimTime, Tracer};
 
-/// Simulate one server with its pipeline partitioned into lanes. Called
-/// for every eligible `(server, plan)`; `cfg.parallel_workers` only selects
-/// how many threads advance the lanes.
+/// How a DES run is cut into logical processes.
+pub(crate) enum Partition<'a> {
+    /// One LP drives every device.
+    Solo,
+    /// One LP per lane of a lane-partitioned server.
+    Lanes(LanePartition),
+    /// One LP per server of a cluster. The fault plan replays on
+    /// **server 0 only** — a fault storm strikes specific hardware, not
+    /// every rack identically — which also makes the load imbalance
+    /// observable.
+    Cluster(&'a ClusterSpec),
+}
+
+impl<'a> Partition<'a> {
+    /// The canonical partition of a request: its cluster when it names
+    /// one, else lanes when `(server, plan)` is eligible
+    /// ([`LanePartition::of`]), else one LP. It is part of the canonical
+    /// result; `cfg.parallel_workers` only picks how many threads advance
+    /// the LPs.
+    pub(crate) fn of(
+        server: &Server,
+        plan: &FaultPlan,
+        cluster: Option<&'a ClusterSpec>,
+    ) -> Partition<'a> {
+        match cluster {
+            Some(spec) => Partition::Cluster(spec),
+            None => LanePartition::of(server, plan).map_or(Partition::Solo, Partition::Lanes),
+        }
+    }
+}
+
+/// Run the DES cut by `partition`, with a caller-supplied [`Tracer`]
+/// attached, under an optional wall-clock deadline. The crate's one DES
+/// entry point: [`crate::request::SimRequest`] validates its input, picks
+/// the partition with [`Partition::of`] and maps failures to typed request
+/// errors on top of it. Returns a [`SimOutcome::Des`] for one server and a
+/// [`SimOutcome::Cluster`] for a cluster, the tracer, and the window
+/// runner's load accounting.
+///
+/// The tracer observes the simulation — span events for every pipeline
+/// stage (SSD reads, transfers, preparation, compute), collective
+/// synchronization steps, fault injections, and flow-rate counters — but
+/// never affects it: the traced run produces a result identical to the
+/// untraced one. With [`trainbox_sim::NoopTracer`] every hook
+/// monomorphizes away. The solo LP records into the caller's tracer
+/// itself, so its stream keeps the order it was recorded in; lanes and
+/// servers record into forks that are absorbed back in LP-index order.
+///
+/// `plan`'s faults replay deterministically (an empty plan is the
+/// fault-free run, with all-zero [`FaultStats`]):
+///
+/// * crashed prep devices have their queued and future work re-dispatched
+///   max-min fairly (greedy water-filling) over the survivors;
+/// * dropped accelerators leave the barrier, and the synchronization ring
+///   re-forms over the survivors at the smaller ring's latency;
+/// * degraded links reshape every transfer's max-min fair rate until they
+///   recover;
+/// * transiently failing prep requests retry with exponential backoff and,
+///   after `plan.retry.max_retries`, re-read their chunk from the SSD.
+///
+/// With `deadline: None` the engines never read the clock. With a
+/// deadline, each checks the wall clock cooperatively (every
+/// [`Engine::DEADLINE_CHECK_INTERVAL`] events for a `PipelineModel`) and
+/// the run is cancelled once it expires; failures carry the partial
+/// [`FaultStats`] so callers can surface what the run had already observed.
 ///
 /// # Errors
 ///
-/// A [`DesFailure`] exactly like the single-engine path's.
-pub(crate) fn simulate_lanes<T: Tracer + Send>(
-    server: &Server,
-    workload: &Workload,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-    part: &LanePartition,
-    mut tracer: T,
-    deadline: Option<Instant>,
-) -> Result<(SimResult, T, RunStats), DesFailure> {
-    let models = lane_models(server, workload, cfg, plan, part, &tracer);
-    // The model's own `t_sync`: releases are bit-identical to the solo
-    // path's SyncDone times. Lane mode excludes the dropouts that re-form
-    // the ring, so it holds for the whole run.
-    let hold = models[0].t_sync();
-    let merge_faults = |lanes| part.merge_fault_stats(plan, lanes);
-    let run = run(models, hold, cfg, deadline, &mut tracer, merge_faults)?;
-    let rc_bytes = server
-        .topology()
-        .rc_links()
-        .iter()
-        .map(|l| run.link_bytes[l.index()])
-        .sum();
-    let result = SimResult {
-        samples_per_sec: run.samples_per_sec,
-        batch_done_at: run.batch_done_at,
-        events: run.stats.total_events(),
-        recomputes: run.recomputes,
-        link_bytes: run.link_bytes,
-        rc_bytes,
-        faults: run.faults,
-        tenancy: None,
-    };
-    Ok((result, tracer, run.stats))
-}
-
-/// One lane-mode model per lane of `part`, each with its lane's share of
-/// `plan` and a fork of `tracer`.
-fn lane_models<T: Tracer>(
-    server: &Server,
-    workload: &Workload,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-    part: &LanePartition,
-    tracer: &T,
-) -> Vec<PipelineModel<T>> {
-    (0..part.lanes)
-        .map(|l| {
-            let lane_plan = part.plan_for_lane(plan, l);
-            let mut model =
-                PipelineModel::new(server, workload, cfg, &lane_plan, tracer.fork());
-            model.set_barrier(BarrierMode::Lane(l * ACCELS_PER_LANE..(l + 1) * ACCELS_PER_LANE));
-            model
-        })
-        .collect()
-}
-
-/// Simulate a cluster of `cluster.servers` identical `server`s at full DES
-/// fidelity, one logical process per server.
-///
-/// The fault `plan` replays on **server 0 only** — a fault storm strikes
-/// specific hardware, not every rack identically — which also makes the
-/// load imbalance observable.
-///
-/// # Errors
-///
-/// A [`DesFailure`] exactly like the solo path's: `DeadlineExceeded` when
-/// the shared wall-clock deadline expires (no panic, no deadlock — the
-/// window barrier is the only synchronization point), `Stalled` when a
-/// server exhausts the event budget.
+/// A [`DesFailure`] wrapping [`SimError::DeadlineExceeded`] when the
+/// deadline expires (no panic, no deadlock — the window barrier is the only
+/// synchronization point), [`SimError::Stalled`] if an LP's event queue
+/// drains or it exceeds `cfg.max_events` (a per-LP budget) before the
+/// requested batches complete, or [`SimError::TimeOverflow`] if simulated
+/// time overflows [`SimTime::MAX`].
 ///
 /// # Panics
 ///
-/// Under the conditions of [`crate::pipeline::try_simulate_traced_deadline`]
-/// (invalid config or fault plan), or if `cluster` fails
-/// [`ClusterSpec::validate`].
-pub(crate) fn simulate_cluster<T: Tracer + Send>(
+/// Panics on invalid input — `cfg.warmup_batches == 0`,
+/// `cfg.batches <= cfg.warmup_batches`, `cfg.chunk_samples == 0`, an
+/// invalid fault plan (see [`FaultPlan::validate`]) or a cluster that fails
+/// [`ClusterSpec::validate`] — and if every prep device or accelerator is
+/// lost to faults.
+pub(crate) fn simulate<T: Tracer + Send>(
     server: &Server,
     workload: &Workload,
     cfg: &SimConfig,
     plan: &FaultPlan,
-    cluster: &ClusterSpec,
-    mut tracer: T,
+    partition: Partition<'_>,
+    tracer: T,
     deadline: Option<Instant>,
-) -> Result<(ClusterResult, T), DesFailure> {
-    if let Err(e) = cluster.validate() {
-        panic!("invalid cluster spec: {e}");
-    }
-    let cross_secs = cluster.cross_sync_secs(workload.model_bytes());
-    let empty_plan = FaultPlan::empty();
-    let models = (0..cluster.servers)
-        .map(|i| {
-            let lp_plan = if i == 0 { plan } else { &empty_plan };
-            let mut model = PipelineModel::new(server, workload, cfg, lp_plan, tracer.fork());
-            model.set_barrier(BarrierMode::Cluster);
-            model
-        })
-        .collect();
-    let hold = SimTime::from_secs_f64(cross_secs);
-    let run = run(models, hold, cfg, deadline, &mut tracer, merge_fault_stats)?;
-    let result = ClusterResult {
-        samples_per_sec: run.samples_per_sec,
-        batch_done_at: run.batch_done_at,
-        events: run.stats.total_events(),
-        recomputes: run.recomputes,
-        windows: run.stats.windows,
-        cross_sync_secs: cross_secs,
-        servers: cluster.servers,
-        imbalance: par::imbalance(&run.stats.lp_events),
-        work_span_speedup_4: par::work_span_speedup(&run.stats.window_events, 4),
-        server_events: run.stats.lp_events,
-        faults: run.faults,
-    };
-    Ok((result, tracer))
-}
-
-/// A finished barrier run, merged over its logical processes.
-struct BarrierRun {
-    /// The barrier's release of every generation.
-    batch_done_at: Vec<SimTime>,
-    /// Steady-state throughput over the measured window, all LPs.
-    samples_per_sec: f64,
-    /// Merged fault statistics, closed by [`steady_state`].
-    faults: FaultStats,
-    /// Max-min recomputations across every LP's flow simulators.
-    recomputes: u64,
-    /// Per-link bytes summed elementwise over LPs. Lanes never share a
-    /// link, so for them this reproduces the solo path's totals exactly.
-    link_bytes: Vec<f64>,
-    stats: RunStats,
-}
-
-/// Run `models` (each already in its [`BarrierMode`], forked from `tracer`)
-/// to completion under the window runner, releasing each generation at
-/// `max(arrivals) + hold`, then merge them — fault statistics (LP-index
-/// order) through `merge_faults` — and fold their trace streams back into
-/// `tracer` in LP-index order.
-fn run<T: Tracer + Send>(
-    models: Vec<PipelineModel<T>>,
-    hold: SimTime,
-    cfg: &SimConfig,
-    deadline: Option<Instant>,
-    tracer: &mut T,
-    merge_faults: impl FnOnce(Vec<FaultStats>) -> FaultStats,
-) -> Result<BarrierRun, DesFailure> {
+) -> Result<(SimOutcome, T, RunStats), DesFailure> {
     check_window(cfg);
-    let mut lps = lp_engines(models, cfg, deadline);
-    let (stats, releases) = match par::run_windows(&mut lps, hold, cfg.parallel_workers) {
-        Ok(run) => run,
-        Err(error) => {
-            let events = lps.iter().map(|lp| lp.engine.events_processed()).sum();
-            let partial = merge_faults(
-                lps.iter().map(|lp| lp.engine.model().fault_stats().clone()).collect(),
-            );
-            return Err(DesFailure { error, events, partial_faults: partial });
-        }
+    let (models, hold, parent) = partition_models(&partition, server, workload, cfg, plan, tracer);
+    let merge_faults = |parts: Vec<FaultStats>| match &partition {
+        Partition::Lanes(part) => part.merge_fault_stats(plan, parts),
+        Partition::Solo | Partition::Cluster(_) => merge_fault_stats(parts),
     };
-    debug_assert_eq!(releases.len() as u64, cfg.batches, "one release per generation");
+    let mut lps = lp_engines(models, cfg, deadline);
+    let stats = par::run_windows(&mut lps, hold, cfg.parallel_workers).map_err(|error| {
+        DesFailure {
+            error,
+            events: lps.iter().map(|lp| lp.engine.events_processed()).sum(),
+            partial_faults: merge_faults(
+                lps.iter().map(|lp| lp.engine.model().fault_stats().clone()).collect(),
+            ),
+        }
+    })?;
 
     let models: Vec<PipelineModel<T>> =
         lps.into_iter().map(|lp| lp.engine.into_model()).collect();
+    // Every LP closed each generation at the same instant: the release, or
+    // the solo LP's own sync.
+    let batch_done_at = models[0].batch_done_at().to_vec();
     // Each LP recorded only its own accelerators; per-generation sums
     // reconstruct the whole partition's counts.
-    let batch_samples: Vec<u64> = (0..releases.len())
+    let batch_samples: Vec<u64> = (0..batch_done_at.len())
         .map(|g| models.iter().map(|m| m.batch_samples()[g]).sum())
         .collect();
     let n_accels = models.iter().map(PipelineModel::n_accels).sum();
     let (samples_per_sec, faults) = steady_state(
         cfg,
-        &releases,
+        &batch_done_at,
         &batch_samples,
         n_accels,
         models[0].batch_size(),
         merge_faults(models.iter().map(|m| m.fault_stats().clone()).collect()),
     );
+    // Per-link bytes summed elementwise over LPs. Lanes never share a link,
+    // so this reproduces the solo LP's totals exactly.
     let mut link_bytes = vec![0.0f64; models[0].link_bytes().len()];
     for m in &models {
         for (slot, b) in link_bytes.iter_mut().zip(m.link_bytes()) {
@@ -222,18 +177,97 @@ fn run<T: Tracer + Send>(
         }
     }
     let recomputes = models.iter().map(PipelineModel::recompute_count).sum();
-    tracer.absorb(
-        models.into_iter().map(PipelineModel::into_tracer).collect(),
-        CLUSTER_TRACK_STRIDE,
-    );
-    Ok(BarrierRun {
-        batch_done_at: releases,
-        samples_per_sec,
-        faults,
-        recomputes,
-        link_bytes,
-        stats,
-    })
+    let mut tracers = models.into_iter().map(PipelineModel::into_tracer);
+    let tracer = match parent {
+        Some(mut tracer) => {
+            tracer.absorb(tracers.collect(), CLUSTER_TRACK_STRIDE);
+            tracer
+        }
+        None => tracers.next().expect("the solo LP"),
+    };
+    let events = stats.total_events();
+    let outcome = match partition {
+        Partition::Cluster(spec) => SimOutcome::Cluster(ClusterResult {
+            samples_per_sec,
+            batch_done_at,
+            events,
+            recomputes,
+            windows: stats.windows,
+            cross_sync_secs: spec.cross_sync_secs(workload.model_bytes()),
+            servers: spec.servers,
+            imbalance: par::imbalance(&stats.lp_events),
+            work_span_speedup_4: par::work_span_speedup(&stats.window_events, 4),
+            server_events: stats.lp_events.clone(),
+            faults,
+        }),
+        Partition::Solo | Partition::Lanes(_) => {
+            let rc_bytes =
+                server.topology().rc_links().iter().map(|l| link_bytes[l.index()]).sum();
+            // Tenanted workloads get their interference decomposition.
+            let tenancy = (!workload.tenants.is_empty())
+                .then(|| TenancyStats::of(server, &workload.tenants, samples_per_sec));
+            SimOutcome::Des(SimResult {
+                samples_per_sec,
+                batch_done_at,
+                events,
+                recomputes,
+                link_bytes,
+                rc_bytes,
+                faults,
+                tenancy,
+            })
+        }
+    };
+    Ok((outcome, tracer, stats))
+}
+
+/// The LPs' models for `partition`, each already in its [`BarrierMode`],
+/// and the barrier's `hold`. The solo model takes `tracer` itself; lanes
+/// and servers take forks of it, and `tracer` comes back to absorb them.
+fn partition_models<T: Tracer>(
+    partition: &Partition<'_>,
+    server: &Server,
+    workload: &Workload,
+    cfg: &SimConfig,
+    plan: &FaultPlan,
+    tracer: T,
+) -> (Vec<PipelineModel<T>>, SimTime, Option<T>) {
+    let model = |plan: &FaultPlan, tracer: T, mode: BarrierMode| {
+        let mut model = PipelineModel::new(server, workload, cfg, plan, tracer);
+        model.set_barrier(mode);
+        model
+    };
+    match partition {
+        // Never parks, so no release and no hold.
+        Partition::Solo => (vec![model(plan, tracer, BarrierMode::Solo)], SimTime::ZERO, None),
+        Partition::Lanes(part) => {
+            let models: Vec<_> = (0..part.lanes)
+                .map(|l| {
+                    let mode = BarrierMode::Lane(l * ACCELS_PER_LANE..(l + 1) * ACCELS_PER_LANE);
+                    model(&part.plan_for_lane(plan, l), tracer.fork(), mode)
+                })
+                .collect();
+            // The model's own `t_sync`: releases are bit-identical to the
+            // solo LP's sync completions. Lane mode excludes the dropouts
+            // that re-form the ring, so it holds for the whole run.
+            let hold = models[0].t_sync();
+            (models, hold, Some(tracer))
+        }
+        Partition::Cluster(spec) => {
+            if let Err(e) = spec.validate() {
+                panic!("invalid cluster spec: {e}");
+            }
+            let empty = FaultPlan::empty();
+            let models = (0..spec.servers)
+                .map(|i| {
+                    let lp_plan = if i == 0 { plan } else { &empty };
+                    model(lp_plan, tracer.fork(), BarrierMode::Cluster)
+                })
+                .collect();
+            let hold = SimTime::from_secs_f64(spec.cross_sync_secs(workload.model_bytes()));
+            (models, hold, Some(tracer))
+        }
+    }
 }
 
 /// Sum per-LP fault counters and concatenate their downtime in LP order.
@@ -267,9 +301,10 @@ fn lp_engines<T: Tracer>(
         .collect()
 }
 
-/// One barrier-parking partition as a logical process: a private engine,
-/// the event budget (each LP may process up to `cfg.max_events` events of
-/// its own) and the shared wall-clock deadline.
+/// One partition as a logical process: a private engine, the event budget
+/// (each LP may process up to `cfg.max_events` events of its own) and the
+/// shared wall-clock deadline. The only code that steps an
+/// `Engine<PipelineModel>`.
 struct LpEngine<T: Tracer> {
     engine: Engine<PipelineModel<T>>,
     max_events: u64,
@@ -305,12 +340,28 @@ impl<T: Tracer + Send> par::BarrierLp for LpEngine<T> {
     }
 }
 
+/// One server's DES, partitioned as a request's would be
+/// ([`Partition::of`]): the unit tests' direct path to [`simulate`].
+#[cfg(test)]
+pub(crate) fn simulate_server<T: Tracer + Send>(
+    server: &Server,
+    workload: &Workload,
+    cfg: &SimConfig,
+    plan: &FaultPlan,
+    tracer: T,
+) -> Result<(SimResult, T), DesFailure> {
+    let partition = Partition::of(server, plan, None);
+    match simulate(server, workload, cfg, plan, partition, tracer, None)? {
+        (SimOutcome::Des(result), tracer, _) => Ok((result, tracer)),
+        (other, ..) => unreachable!("one server answered {other:?}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::{ServerConfig, ServerKind};
     use crate::faults::FaultKind;
-    use crate::pipeline::try_simulate_traced_deadline;
     use trainbox_sim::NoopTracer;
 
     fn quick_cfg(workers: usize) -> SimConfig {
@@ -324,14 +375,43 @@ mod tests {
         }
     }
 
-    /// `(class_scans, domain_solves)` of the PCIe and the Ethernet flow
-    /// plane, summed over `models` run to completion as barrier LPs.
-    fn flow_work(models: Vec<PipelineModel<NoopTracer>>, cfg: &SimConfig) -> [(u64, u64); 2] {
-        let hold = models[0].t_sync();
+    /// A cluster DES through [`simulate`].
+    fn simulate_cluster<T: Tracer + Send>(
+        server: &Server,
+        workload: &Workload,
+        cfg: &SimConfig,
+        plan: &FaultPlan,
+        spec: &ClusterSpec,
+        tracer: T,
+        deadline: Option<Instant>,
+    ) -> Result<(ClusterResult, T), DesFailure> {
+        let partition = Partition::Cluster(spec);
+        match simulate(server, workload, cfg, plan, partition, tracer, deadline)? {
+            (SimOutcome::Cluster(result), tracer, _) => Ok((result, tracer)),
+            (other, ..) => unreachable!("a cluster answered {other:?}"),
+        }
+    }
+
+    /// `partition`'s LPs run to completion, untraced.
+    fn run_lps(
+        partition: &Partition<'_>,
+        server: &Server,
+        workload: &Workload,
+        cfg: &SimConfig,
+        plan: &FaultPlan,
+    ) -> Vec<LpEngine<NoopTracer>> {
+        let (models, hold, _) =
+            partition_models(partition, server, workload, cfg, plan, NoopTracer);
         let mut lps = lp_engines(models, cfg, None);
         par::run_windows(&mut lps, hold, 0).expect("the run completes");
+        lps
+    }
+
+    /// `(class_scans, domain_solves)` of the PCIe and the Ethernet flow
+    /// plane, summed over `lps`.
+    fn flow_work(lps: &[LpEngine<NoopTracer>]) -> [(u64, u64); 2] {
         let mut sum = [(0, 0); 2];
-        for lp in &lps {
+        for lp in lps {
             for (s, (scans, solves)) in sum.iter_mut().zip(lp.engine.model().flow_work()) {
                 *s = (s.0 + scans, s.1 + solves);
             }
@@ -354,13 +434,78 @@ mod tests {
         let empty = FaultPlan::empty();
         let pooled = ServerConfig::new(ServerKind::TrainBox, 8).build();
         let tf_sr = Workload::by_name("TF-SR").expect("a Table-I workload");
-        let model = PipelineModel::new(&pooled, &tf_sr, &cfg, &empty, NoopTracer);
-        assert_eq!(flow_work(vec![model], &cfg), [(873, 402), (308, 128)]);
+        let lps = run_lps(&Partition::Solo, &pooled, &tf_sr, &cfg, &empty);
+        assert_eq!(flow_work(&lps), [(873, 402), (308, 128)]);
 
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16).build();
         let part = LanePartition::of(&server, &empty).expect("16 accelerators make 4 lanes");
-        let models = lane_models(&server, &Workload::resnet50(), &cfg, &empty, &part, &NoopTracer);
-        assert_eq!(flow_work(models, &cfg), [(23532, 12288), (0, 0)]);
+        let lps = run_lps(&Partition::Lanes(part), &server, &Workload::resnet50(), &cfg, &empty);
+        assert_eq!(flow_work(&lps), [(23532, 12288), (0, 0)]);
+    }
+
+    /// A barrier LP that records every release the runner hands it.
+    struct Recorded(LpEngine<NoopTracer>, Vec<SimTime>);
+
+    impl par::BarrierLp for Recorded {
+        fn advance(&mut self) -> Result<Option<SimTime>, SimError> {
+            self.0.advance()
+        }
+
+        fn release(&mut self, at: SimTime) {
+            self.1.push(at);
+            self.0.release(at);
+        }
+
+        fn events_processed(&self) -> u64 {
+            self.0.events_processed()
+        }
+    }
+
+    /// Results close from the models' own `batch_done_at`, so every LP
+    /// must have recorded each generation at exactly the release the runner
+    /// handed it; the solo LP is never released and records its own syncs.
+    #[test]
+    fn every_lp_closes_generations_at_the_release() {
+        let cfg = quick_cfg(0);
+        let w = Workload::resnet50();
+        let lanes = ServerConfig::new(ServerKind::TrainBoxNoPool, 16).batch_size(64).build();
+        let node = ServerConfig::new(ServerKind::TrainBoxNoPool, 4).batch_size(64).build();
+        let spec = ClusterSpec::rack_default(3);
+        let storm = FaultPlan::empty()
+            .at(1e-4, FaultKind::PrepSlowdown { dev: 0, factor: 0.5, secs: 0.05 })
+            .at(2e-4, FaultKind::AccelDropout { acc: 1 });
+        let part = LanePartition::of(&lanes, &FaultPlan::empty()).expect("4 lanes");
+        for (partition, server, plan) in [
+            (Partition::Solo, &node, &storm),
+            (Partition::Lanes(part), &lanes, &FaultPlan::empty()),
+            (Partition::Cluster(&spec), &node, &storm),
+        ] {
+            let (models, hold, _) =
+                partition_models(&partition, server, &w, &cfg, plan, NoopTracer);
+            let mut lps: Vec<Recorded> = lp_engines(models, &cfg, None)
+                .into_iter()
+                .map(|lp| Recorded(lp, Vec::new()))
+                .collect();
+            par::run_windows(&mut lps, hold, 0).expect("the run completes");
+            let solo = matches!(partition, Partition::Solo);
+            let outcome = simulate(server, &w, &cfg, plan, partition, NoopTracer, None)
+                .expect("the run completes")
+                .0;
+            let closed = match &outcome {
+                SimOutcome::Des(r) => &r.batch_done_at,
+                SimOutcome::Cluster(r) => &r.batch_done_at,
+                other => unreachable!("{other:?}"),
+            };
+            assert_eq!(closed.len() as u64, cfg.batches);
+            for Recorded(lp, releases) in &lps {
+                assert_eq!(lp.engine.model().batch_done_at(), closed.as_slice());
+                if solo {
+                    assert!(releases.is_empty(), "the solo LP never parks");
+                } else {
+                    assert_eq!(releases, closed);
+                }
+            }
+        }
     }
 
     /// FNV-1a digests of a traced run's Chrome export and of its serialized
@@ -375,14 +520,9 @@ mod tests {
         use crate::request::canonical_hash_of;
         use trainbox_sim::{chrome_trace_json, RingTracer, TraceSummary};
         let tracer = RingTracer::new(RingTracer::DEFAULT_CAPACITY);
-        let tracer = match cluster {
-            Some(spec) => simulate_cluster(server, workload, cfg, plan, spec, tracer, None)
-                .expect("traced cluster run")
-                .1,
-            None => try_simulate_traced_deadline(server, workload, cfg, plan, tracer, None)
-                .expect("traced run")
-                .1,
-        };
+        let partition = Partition::of(server, plan, cluster);
+        let (_, tracer, _) = simulate(server, workload, cfg, plan, partition, tracer, None)
+            .expect("traced run");
         let dropped = tracer.dropped();
         let records = tracer.into_records();
         let summary = serde_json::to_string(&TraceSummary::from_records(&records, dropped))
@@ -414,7 +554,7 @@ mod tests {
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 8).batch_size(256).build();
         let inception = Workload::inception_v4();
         let storm_cfg = quick_cfg(0);
-        let probe = try_simulate_traced_deadline(&server, &inception, &storm_cfg, &empty, NoopTracer, None)
+        let probe = simulate_server(&server, &inception, &storm_cfg, &empty, NoopTracer)
             .expect("probe run")
             .0;
         let domain = crate::faults::FaultDomain {
@@ -499,16 +639,9 @@ mod tests {
             .build();
         let w = Workload::rnn_s();
         let cfg = quick_cfg(2);
-        let solo = try_simulate_traced_deadline(
-            &server,
-            &w,
-            &cfg,
-            &FaultPlan::empty(),
-            NoopTracer,
-            None,
-        )
-        .expect("solo run")
-        .0;
+        let solo = simulate_server(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer)
+            .expect("solo run")
+            .0;
         let cluster = simulate_cluster(
             &server,
             &w,

@@ -1,8 +1,8 @@
 //! Intra-server parallel DES: one server's pipeline partitioned into lanes.
 //!
-//! The cluster scale-out layer (`crate::scaleout`) runs one logical process
-//! per *server*; a single-server simulation was therefore still sequential.
-//! This module partitions one server's
+//! The DES driver (`crate::barrier`) runs a cluster (`crate::scaleout`) as
+//! one logical process per *server*, and any other server as one logical
+//! process unless it can be cut finer. This module partitions one server's
 //! [`PipelineModel`](crate::pipeline::PipelineModel) along the seams the
 //! TrainBox topology already draws: a **lane** is half a train box — four
 //! accelerators plus the SSD and preparation FPGA nominally assigned to them
@@ -15,7 +15,7 @@
 //!
 //! The only cross-lane coupling is the ring synchronization: every
 //! accelerator in the server joins one all-reduce per generation, which the
-//! barrier runner (`crate::barrier`) replays exactly — the sync starts at
+//! barrier release replays exactly — the sync starts at
 //! `max(lane arrivals)` and completes `t_sync` later. The lanes' value is
 //! mostly the smaller per-lane [`FlowSim`], not the threads that advance
 //! them. A completion query examines few classes in either engine, since
@@ -176,7 +176,9 @@ mod tests {
     use super::*;
     use crate::arch::ServerConfig;
     use crate::faults::FaultEvent;
-    use crate::pipeline::{simulate_solo, try_simulate_traced_deadline, SimConfig};
+    use crate::barrier::{simulate, simulate_server, Partition};
+    use crate::pipeline::SimConfig;
+    use crate::request::SimOutcome;
     use trainbox_nn::Workload;
     use trainbox_sim::NoopTracer;
 
@@ -273,7 +275,7 @@ mod tests {
         };
         let t_sync = server.ring_model().allreduce_time(w.model_bytes(), 8);
         let (result, _) =
-            try_simulate_traced_deadline(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer, None)
+            simulate_server(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer)
                 .expect("run completes");
         assert_eq!(result.batch_done_at.len(), 4);
         for pair in result.batch_done_at.windows(2) {
@@ -323,10 +325,12 @@ mod tests {
             for plan in [FaultPlan::empty(), local] {
                 assert!(LanePartition::of(&server, &plan).is_some(), "n={n} must partition");
                 let (lane, _) =
-                    try_simulate_traced_deadline(&server, &w, &cfg, &plan, NoopTracer, None)
+                    simulate_server(&server, &w, &cfg, &plan, NoopTracer)
                         .expect("lane run");
-                let (mut solo, _) = simulate_solo(&server, &w, &cfg, &plan, NoopTracer, None)
-                    .expect("single-engine run");
+                let (outcome, ..) =
+                    simulate(&server, &w, &cfg, &plan, Partition::Solo, NoopTracer, None)
+                        .expect("single-engine run");
+                let SimOutcome::Des(mut solo) = outcome else { unreachable!("one server") };
                 assert_ne!(solo.events, lane.events, "n={n}: lanes add barrier events");
                 solo.events = lane.events;
                 assert_eq!(solo, lane, "n={n} faults={}", plan.events.len());

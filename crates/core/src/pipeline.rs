@@ -14,6 +14,11 @@
 //! event count. Each accelerator keeps at most `prefetch_batches × batch`
 //! samples buffered or in flight ([`SimConfig::prefetch_batches`], one batch
 //! by default): the next-batch prefetching, the overlap discipline of §II-B.
+//!
+//! This module holds the model and its results; it does not step an engine.
+//! The one DES driver, `crate::barrier`, runs every question as logical
+//! processes, each a `PipelineModel` in a `BarrierMode`: the whole server
+//! (a sequential run), one lane of it, or one server of a cluster.
 
 use crate::arch::Server;
 use crate::calib::{SampleSizes, DGX2, SSD_READ_BYTES_PER_SEC};
@@ -26,7 +31,7 @@ use trainbox_pcie::boxes::{PrepPoolNet, ServerTopology};
 use trainbox_pcie::flow::{ClassId, FlowId, FlowNet, FlowSim, FlowSpec};
 use trainbox_pcie::{LinkId, NodeId, Topology};
 use trainbox_sim::{
-    Component, Engine, FifoServer, FxHashMap, Model, NoopTracer, Scheduler, SeqTable,
+    Component, FifoServer, FxHashMap, Model, NoopTracer, Scheduler, SeqTable,
     SimError, SimTime, Tracer,
 };
 
@@ -472,7 +477,8 @@ pub(crate) enum Ev {
 /// How a [`PipelineModel`] closes a generation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum BarrierMode {
-    /// The single-engine run: the local ring sync closes the generation.
+    /// One LP driving every device: the local ring sync closes the
+    /// generation, and the model never parks.
     Solo,
     /// One lane of a partitioned server: drive only these accelerators
     /// (plus their nominally assigned SSD and prep device) and park once
@@ -766,11 +772,10 @@ impl<T: Tracer> PipelineModel<T> {
 
     // --- barrier-runner interface (crate-private) -------------------------
     //
-    // The partitioned DES in `crate::barrier` drives one `PipelineModel` per
-    // lane or per cluster server as a logical process: it switches the
-    // model into a barrier mode, observes/clears the barrier flag, and pulls
-    // the per-generation records out at the end. Nothing here changes
-    // solo-run behavior.
+    // The DES driver in `crate::barrier` drives one `PipelineModel` per
+    // logical process (the whole server, a lane, or a cluster server): it
+    // switches the model into its barrier mode, observes/clears the barrier
+    // flag, and pulls the per-generation records out at the end.
 
     /// Switch how generations close (see [`BarrierMode`]).
     pub(crate) fn set_barrier(&mut self, mode: BarrierMode) {
@@ -814,6 +819,12 @@ impl<T: Tracer> PipelineModel<T> {
     /// Whether the run reached its target batches.
     pub(crate) fn is_done(&self) -> bool {
         self.done
+    }
+
+    /// When each generation closed: the local sync completion in solo
+    /// mode, the runner's release in the barrier modes.
+    pub(crate) fn batch_done_at(&self) -> &[SimTime] {
+        &self.batch_done_at
     }
 
     /// Samples synchronized by each closed generation.
@@ -1616,140 +1627,6 @@ impl std::fmt::Display for DesFailure {
 
 impl std::error::Error for DesFailure {}
 
-/// Run the DES — lane-partitioned when `(server, plan)` is eligible, on a
-/// single engine otherwise — with a caller-supplied [`Tracer`] attached,
-/// under an optional wall-clock deadline. The crate's one DES entry point:
-/// [`crate::request::SimRequest`] validates its input and maps failures to
-/// typed request errors on top of it.
-///
-/// The tracer observes the simulation — span events for every pipeline
-/// stage (SSD reads, transfers, preparation, compute), collective
-/// synchronization steps, fault injections, and flow-rate counters — but
-/// never affects it: the traced run produces a [`SimResult`] identical to
-/// the untraced one. With [`NoopTracer`] every hook monomorphizes away.
-///
-/// `plan`'s faults replay deterministically (an empty plan is the
-/// fault-free run, with all-zero [`FaultStats`]):
-///
-/// * crashed prep devices have their queued and future work re-dispatched
-///   max-min fairly (greedy water-filling) over the survivors;
-/// * dropped accelerators leave the barrier, and the synchronization ring
-///   re-forms over the survivors at the smaller ring's latency;
-/// * degraded links reshape every transfer's max-min fair rate until they
-///   recover;
-/// * transiently failing prep requests retry with exponential backoff and,
-///   after `plan.retry.max_retries`, re-read their chunk from the SSD.
-///
-/// With `deadline: None` the engine never reads the clock. With a deadline,
-/// it checks the wall clock cooperatively (every
-/// [`Engine::DEADLINE_CHECK_INTERVAL`] events for a `PipelineModel`) and
-/// cancels the run once it expires; failures carry the partial
-/// [`FaultStats`] so callers can surface what the run had already observed.
-///
-/// # Errors
-///
-/// A [`DesFailure`] wrapping [`SimError::DeadlineExceeded`] when the
-/// deadline expires, [`SimError::Stalled`] if the event queue drains or
-/// `cfg.max_events` is exceeded before the requested batches complete, or
-/// [`SimError::TimeOverflow`] if simulated time overflows [`SimTime::MAX`].
-///
-/// # Panics
-///
-/// Panics on invalid input — `cfg.warmup_batches == 0`,
-/// `cfg.batches <= cfg.warmup_batches`, `cfg.chunk_samples == 0` or an
-/// invalid fault plan (see
-/// [`FaultPlan::validate`]) — and if every prep device or accelerator is
-/// lost to faults.
-pub(crate) fn try_simulate_traced_deadline<T: Tracer + Send>(
-    server: &Server,
-    workload: &Workload,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-    tracer: T,
-    deadline: Option<std::time::Instant>,
-) -> Result<(SimResult, T), DesFailure> {
-    // Eligible configurations always run lane-partitioned — the partition is
-    // part of the canonical result, chosen from `(server, plan)` alone, and
-    // `cfg.parallel_workers` only picks how many threads advance the lanes.
-    let (mut result, tracer) = match crate::intraserver::LanePartition::of(server, plan) {
-        Some(part) => {
-            let (result, tracer, _stats) = crate::barrier::simulate_lanes(
-                server, workload, cfg, plan, &part, tracer, deadline,
-            )?;
-            (result, tracer)
-        }
-        None => simulate_solo(server, workload, cfg, plan, tracer, deadline)?,
-    };
-    // Tenanted workloads get their interference decomposition attached to
-    // whichever path produced the result.
-    if !workload.tenants.is_empty() {
-        result.tenancy = Some(TenancyStats::of(server, &workload.tenants, result.samples_per_sec));
-    }
-    Ok((result, tracer))
-}
-
-/// The single-engine run behind [`try_simulate_traced_deadline`]: one
-/// `PipelineModel` driving every device, whatever the partition would be.
-pub(crate) fn simulate_solo<T: Tracer>(
-    server: &Server,
-    workload: &Workload,
-    cfg: &SimConfig,
-    plan: &FaultPlan,
-    tracer: T,
-    deadline: Option<std::time::Instant>,
-) -> Result<(SimResult, T), DesFailure> {
-    check_window(cfg);
-    let model = PipelineModel::new(server, workload, cfg, plan, tracer);
-    let mut engine = Engine::new(model);
-    engine.schedule_at(SimTime::ZERO, Ev::Start);
-    let fail = |engine: Engine<PipelineModel<T>>, error: SimError| {
-        let events = engine.events_processed();
-        let m = engine.into_model();
-        DesFailure { error, events, partial_faults: m.faults.stats.clone() }
-    };
-    let hit = match engine.run_while_deadline(cfg.max_events, deadline, |m| m.done) {
-        Ok(hit) => hit,
-        Err(e) => return Err(fail(engine, e)),
-    };
-    if !hit {
-        let stalled = SimError::Stalled {
-            events: engine.events_processed(),
-            queued: engine.queued(),
-        };
-        return Err(fail(engine, stalled));
-    }
-    let events = engine.events_processed();
-    let mut m = engine.into_model();
-    if m.tracer.enabled() {
-        m.drain_flow_trace();
-    }
-    let (samples_per_sec, faults) = steady_state(
-        cfg,
-        &m.batch_done_at,
-        &m.batch_samples,
-        m.accels.len(),
-        m.batch,
-        m.faults.stats.clone(),
-    );
-    let rc_bytes = m
-        .topo
-        .rc_links()
-        .iter()
-        .map(|l| m.link_bytes[l.index()])
-        .sum();
-    let result = SimResult {
-        samples_per_sec,
-        batch_done_at: m.batch_done_at.clone(),
-        events,
-        recomputes: m.recompute_count(),
-        link_bytes: m.link_bytes.clone(),
-        rc_bytes,
-        faults,
-        tenancy: None,
-    };
-    Ok((result, m.tracer))
-}
-
 /// The measured window needs a closed warm-up generation to start from and
 /// at least one generation after it, and the pipeline needs chunks that
 /// carry samples (a zero-sample chunk never fills the prefetch window).
@@ -1809,9 +1686,9 @@ pub(crate) fn steady_state(
 /// intra-server lane partition, run the simulation once lane-partitioned and
 /// return `(lanes, RunStats)` — the window runner's per-LP and per-window
 /// event accounting, which feeds the deterministic load-imbalance and
-/// work-span figures `bench_counters` and the benchmark report. `None` when the configuration
-/// falls back to the single-engine path (in which case there is no
-/// partition to account for).
+/// work-span figures `bench_counters` and the benchmark report. `None` when
+/// the configuration runs as one LP (in which case there is no partition to
+/// account for).
 ///
 /// The stats are a property of the partition, not of the clock: they are
 /// byte-identical across worker counts and across runs.
@@ -1827,20 +1704,23 @@ pub fn intra_server_run_stats(
     plan: &FaultPlan,
 ) -> Option<(usize, trainbox_sim::par::RunStats)> {
     let part = crate::intraserver::LanePartition::of(server, plan)?;
+    let lanes = part.lanes;
+    let partition = crate::barrier::Partition::Lanes(part);
     let (_, _, stats) =
-        crate::barrier::simulate_lanes(server, workload, cfg, plan, &part, NoopTracer, None)
+        crate::barrier::simulate(server, workload, cfg, plan, partition, NoopTracer, None)
             .unwrap_or_else(|e| panic!("lane-partitioned run failed: {e}"));
-    Some((part.lanes, stats))
+    Some((lanes, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch::{ServerConfig, ServerKind};
+    use crate::barrier::simulate_server;
 
     /// Run the DES untraced and without a deadline, panicking on failure.
     fn run(server: &Server, workload: &Workload, cfg: &SimConfig, plan: &FaultPlan) -> SimResult {
-        try_simulate_traced_deadline(server, workload, cfg, plan, NoopTracer, None)
+        simulate_server(server, workload, cfg, plan, NoopTracer)
             .unwrap_or_else(|f| panic!("simulation failed: {f}"))
             .0
     }
@@ -2017,14 +1897,12 @@ mod tests {
             .batch_size(512)
             .build();
         let plain = run(&server, &w, &quick_cfg(), &FaultPlan::empty());
-        let (traced, tracer) = try_simulate_traced_deadline(
+        let (traced, tracer) = simulate_server(
             &server,
             &w,
             &quick_cfg(),
             &FaultPlan::empty(),
-            RingTracer::new(1 << 20),
-            None,
-        )
+            RingTracer::new(1 << 20))
         .expect("traced run completes");
         assert_eq!(plain, traced);
         let records = tracer.into_records();
@@ -2049,7 +1927,7 @@ mod tests {
         let plain = run(&pooled, &w, &pool_cfg(), &FaultPlan::empty());
         let tracer = RingTracer::new(1 << 20);
         let (traced, tracer) =
-            try_simulate_traced_deadline(&pooled, &w, &pool_cfg(), &FaultPlan::empty(), tracer, None)
+            simulate_server(&pooled, &w, &pool_cfg(), &FaultPlan::empty(), tracer)
                 .expect("traced pooled run completes");
         assert_eq!(plain, traced);
         let records = tracer.into_records();
@@ -2071,7 +1949,7 @@ mod tests {
     ) -> Vec<(&'static str, usize)> {
         use trainbox_sim::{Component, RingTracer, TraceRecord};
         let (_, tracer) =
-            try_simulate_traced_deadline(server, w, cfg, plan, RingTracer::new(1 << 20), None)
+            simulate_server(server, w, cfg, plan, RingTracer::new(1 << 20))
                 .expect("traced run completes");
         let mut counts = std::collections::BTreeMap::new();
         for r in tracer.records() {
@@ -2180,7 +2058,7 @@ mod tests {
         let plain = run(&server, &w, &quick_cfg(), &plan);
         let tracer = RingTracer::new(1 << 20);
         let (traced, tracer) =
-            try_simulate_traced_deadline(&server, &w, &quick_cfg(), &plan, tracer, None)
+            simulate_server(&server, &w, &quick_cfg(), &plan, tracer)
                 .expect("traced run completes");
         assert_eq!(plain, traced);
         let injected = tracer
@@ -2199,7 +2077,7 @@ mod tests {
             .build();
         let cfg = SimConfig { max_events: 50, ..quick_cfg() };
         let err =
-            try_simulate_traced_deadline(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer, None)
+            simulate_server(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer)
                 .expect_err("50 events cannot complete 8 batches")
                 .error;
         assert!(matches!(err, SimError::Stalled { events: 50, .. }), "{err:?}");
@@ -2237,7 +2115,7 @@ mod tests {
             let plain = run(&server, &w, &cfg, &plan);
             let tracer = RingTracer::new(1 << 18);
             let (traced, tracer) =
-                try_simulate_traced_deadline(&server, &w, &cfg, &plan, tracer, None)
+                simulate_server(&server, &w, &cfg, &plan, tracer)
                     .expect("traced run completes");
             proptest::prop_assert_eq!(plain, traced);
             proptest::prop_assert!(tracer.records().next().is_some());

@@ -41,9 +41,8 @@ use std::time::Instant;
 use crate::arch::{ConfigError, Server, ServerConfig, ServerKind, Throughput};
 use crate::faults::FaultPlan;
 use crate::faults::FaultStats;
-use crate::pipeline::{
-    fault_domain, try_simulate_traced_deadline, DesFailure, SimConfig, SimResult,
-};
+use crate::barrier::Partition;
+use crate::pipeline::{fault_domain, DesFailure, SimConfig, SimResult};
 use crate::scaleout::{ClusterResult, ClusterSpec, ClusterThroughput};
 use serde::{Deserialize, Serialize};
 use trainbox_collective::RingModel;
@@ -555,11 +554,8 @@ impl SimRequest {
         let deadline = self
             .deadline_ms
             .map(|ms| started + std::time::Duration::from_millis(ms));
-        let server = self.build_server()?;
+        let server = self.checked_server()?;
         let workload = self.workload.workload();
-        if let Some(cluster) = &self.cluster {
-            cluster.validate().map_err(SimError::InvalidCluster)?;
-        }
         let (outcome, trace) = match self.sim {
             SimMode::Analytic => {
                 if self.faults.as_ref().is_some_and(|p| !p.is_empty()) {
@@ -594,7 +590,8 @@ impl SimRequest {
     }
 
     /// DES with a caller-supplied tracer (the figure binaries' `--trace`
-    /// export path, which needs the raw records, not just the summary).
+    /// export path, which needs the raw records, not just the summary):
+    /// the same run, and the same [`SimOutcome`], as [`Self::run`]'s.
     ///
     /// # Errors
     ///
@@ -603,8 +600,8 @@ impl SimRequest {
     pub fn run_des_with_tracer<T: Tracer + Send>(
         &self,
         tracer: T,
-    ) -> Result<(SimResult, T), SimError> {
-        let server = self.build_server()?;
+    ) -> Result<(SimOutcome, T), SimError> {
+        let server = self.checked_server()?;
         let SimMode::Des(cfg) = self.sim else {
             return Err(SimError::InvalidSim(
                 "run_des_with_tracer needs a DES sim mode".to_string(),
@@ -613,26 +610,23 @@ impl SimRequest {
         let deadline = self
             .deadline_ms
             .map(|ms| Instant::now() + std::time::Duration::from_millis(ms));
-        self.checked_des(&server, &cfg, tracer, deadline)
+        self.des_outcome(&server, &cfg, tracer, deadline)
     }
 
-    /// Validate everything the engine would otherwise assert on, then run.
-    fn checked_des<T: Tracer + Send>(
-        &self,
-        server: &Server,
-        cfg: &SimConfig,
-        tracer: T,
-        deadline: Option<Instant>,
-    ) -> Result<(SimResult, T), SimError> {
-        let plan = self.validated_plan(server, cfg)?;
-        try_simulate_traced_deadline(server, self.workload.workload(), cfg, &plan, tracer, deadline)
-            .map_err(|failure| self.des_error(failure))
+    /// The server, once it builds and the request's cluster (if any) is
+    /// valid.
+    fn checked_server(&self) -> Result<Server, SimError> {
+        if let Some(cluster) = &self.cluster {
+            cluster.validate().map_err(SimError::InvalidCluster)?;
+        }
+        self.build_server()
     }
 
-    /// The DES outcome: [`Self::checked_des`] for one server, or every
-    /// server of the request's cluster as a logical process under the
-    /// parallel runner. A cluster's fault plan is validated against one
-    /// server's domain — it replays on server 0 only.
+    /// Validate everything the engine would otherwise assert on, then run
+    /// the DES partitioned as [`Partition::of`] picks: one server (solo or
+    /// lanes), or every server of the request's cluster as a logical
+    /// process. A cluster's fault plan is validated against one server's
+    /// domain — it replays on server 0 only.
     fn des_outcome<T: Tracer + Send>(
         &self,
         server: &Server,
@@ -640,18 +634,15 @@ impl SimRequest {
         tracer: T,
         deadline: Option<Instant>,
     ) -> Result<(SimOutcome, T), SimError> {
-        let Some(cluster) = &self.cluster else {
-            let (result, tracer) = self.checked_des(server, cfg, tracer, deadline)?;
-            return Ok((SimOutcome::Des(result), tracer));
-        };
         let plan = self.validated_plan(server, cfg)?;
+        let partition = Partition::of(server, &plan, self.cluster.as_ref());
         let workload = self.workload.workload();
-        crate::barrier::simulate_cluster(server, workload, cfg, &plan, cluster, tracer, deadline)
-            .map(|(result, tracer)| (SimOutcome::Cluster(result), tracer))
+        crate::barrier::simulate(server, workload, cfg, &plan, partition, tracer, deadline)
+            .map(|(outcome, tracer, _)| (outcome, tracer))
             .map_err(|failure| self.des_error(failure))
     }
 
-    /// The checks both DES paths share: a warm-up batch to measure from, at
+    /// The checks every DES run needs: a warm-up batch to measure from, at
     /// least one measured batch after it, at least one sample per chunk,
     /// and a fault plan (empty when absent) that fits one `server`.
     fn validated_plan(&self, server: &Server, cfg: &SimConfig) -> Result<FaultPlan, SimError> {

@@ -60,8 +60,15 @@ pub fn decode(data: &[u8]) -> Result<Image, DecodeError> {
     decode_with(data, &mut Scratch::default())
 }
 
-/// [`decode`] with caller-provided scratch buffers, for allocation-free
-/// steady-state batch decoding.
+/// [`decode`] with caller-provided scratch buffers, for batch decoding.
+///
+/// `scratch` keeps the per-component sample planes and the
+/// colour-conversion rows across calls, so a steady-state batch decoder
+/// does not reallocate them. Every frame still allocates its output image,
+/// its component list, a copy of each Huffman table's symbols (each table's
+/// lookup array is rebuilt too), and the scan's per-component table and
+/// plane lists: eight heap allocations for a colour frame with four
+/// Huffman tables.
 ///
 /// # Errors
 ///

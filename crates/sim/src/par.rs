@@ -126,11 +126,11 @@ pub fn work_span_speedup(window_events: &[Vec<u64>], workers: usize) -> f64 {
 const CHEAP_WINDOW_EVENTS: u64 = 2048;
 
 /// Run `lps` to completion, releasing every parked LP at
-/// `max(park times) + hold` after each window. Returns the load accounting
-/// and the release time of every window that had one.
+/// `max(park times) + hold` after each window. Returns the load accounting;
+/// each LP sees its releases through [`BarrierLp::release`].
 ///
 /// `workers <= 1` is the sequential reference: each window advances LPs one
-/// by one in index order on the calling thread. `workers >= 2` advances them
+/// by one in index order on the calling thread, as does a lone LP. `workers >= 2` advances them
 /// on that many scoped threads (LPs dealt round-robin by index), then merges
 /// park times back into index order before the fold — so the release sees
 /// the exact same sequence either way, and results are byte-identical by
@@ -148,13 +148,12 @@ pub fn run_windows<L: BarrierLp>(
     lps: &mut [L],
     hold: SimTime,
     workers: usize,
-) -> Result<(RunStats, Vec<SimTime>), SimError> {
+) -> Result<RunStats, SimError> {
     let n = lps.len();
     let mut stats =
         RunStats { windows: 0, lp_events: vec![0; n], window_events: Vec::new() };
-    let mut releases = Vec::new();
     if n == 0 {
-        return Ok((stats, releases));
+        return Ok(stats);
     }
     // The first window has no history; assume it is worth parallelizing.
     let mut prev_window_events = u64::MAX;
@@ -183,14 +182,13 @@ pub fn run_windows<L: BarrierLp>(
             break;
         };
         let release = latest.saturating_add(hold);
-        releases.push(release);
         for (lp, at) in lps.iter_mut().zip(&parked) {
             if at.is_some() {
                 lp.release(release);
             }
         }
     }
-    Ok((stats, releases))
+    Ok(stats)
 }
 
 /// The sequential reference path: index order, calling thread.
@@ -252,8 +250,9 @@ mod tests {
     use std::thread::{self, ThreadId};
 
     /// Toy LP: counts down `steps` barriers, doing `cost` fake events per
-    /// window; blocks at each barrier reporting its local "time". Records,
-    /// per `advance`, whether it ran on the thread that called the runner.
+    /// window; blocks at each barrier reporting its local "time". Records
+    /// every release it receives and, per `advance`, whether it ran on the
+    /// thread that called the runner.
     struct ToyLp {
         id: u64,
         steps: u32,
@@ -264,6 +263,7 @@ mod tests {
         done_steps: u32,
         caller: ThreadId,
         inline: Vec<bool>,
+        releases: Vec<SimTime>,
     }
 
     impl BarrierLp for ToyLp {
@@ -281,6 +281,7 @@ mod tests {
         }
 
         fn release(&mut self, at: SimTime) {
+            self.releases.push(at);
             let at = at.as_picos();
             assert!(at >= self.clock, "a release must not travel backwards");
             self.clock = at;
@@ -308,6 +309,7 @@ mod tests {
                 done_steps: 0,
                 caller: thread::current().id(),
                 inline: Vec::new(),
+                releases: Vec::new(),
             })
             .collect()
     }
@@ -325,8 +327,10 @@ mod tests {
             let mut reference: Option<(Vec<SimTime>, RunStats, Vec<u64>)> = None;
             for workers in [0usize, 1, 2, 3, 7, 16] {
                 let mut lps = toys(9, 5, base);
-                let (stats, releases) = run_windows(&mut lps, HOLD, workers).expect("run ok");
+                let stats = run_windows(&mut lps, HOLD, workers).expect("run ok");
+                let releases = lps[0].releases.clone();
                 for lp in &lps {
+                    assert_eq!(lp.releases, releases, "every LP sees every release");
                     // 5 barrier windows + the all-done window.
                     let threaded = workers >= 2;
                     let mut expected = vec![!threaded || cheap; 6];
@@ -371,10 +375,14 @@ mod tests {
     #[test]
     fn empty_lp_set_finishes_immediately() {
         let mut lps: Vec<ToyLp> = Vec::new();
-        let (stats, releases) = run_windows(&mut lps, HOLD, 4).expect("empty run ok");
+        let stats = run_windows(&mut lps, HOLD, 4).expect("empty run ok");
         assert_eq!(stats.windows, 0);
-        assert!(releases.is_empty());
         assert_eq!(stats.total_events(), 0);
+        // A lone LP that finishes at once is never released.
+        let mut lps = toys(1, 0, 10);
+        let stats = run_windows(&mut lps, HOLD, 4).expect("one-LP run ok");
+        assert_eq!(stats.windows, 1);
+        assert!(lps[0].releases.is_empty());
     }
 
     #[test]
