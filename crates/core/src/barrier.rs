@@ -1,8 +1,9 @@
 //! The DES driver: every run is a barrier run of logical processes.
 //!
 //! A run is cut into logical processes (LPs), each a private engine over a
-//! [`PipelineModel`] in a [`BarrierMode`] that runs until it parks at the
-//! gradient synchronization, the only point where parts of a run interact.
+//! [`PipelineModel`] in a [`BarrierMode`] that runs until it finishes or
+//! parks at the gradient synchronization, the only point where parts of a
+//! run interact.
 //! `sim::par::run_windows` then releases every part at
 //! `max(arrivals) + hold`. [`Partition::of`] picks the cut from
 //! `(server, plan, cluster)` alone:

@@ -15,8 +15,8 @@
 //!
 //! The only cross-lane coupling is the ring synchronization: every
 //! accelerator in the server joins one all-reduce per generation, which the
-//! barrier release replays exactly — the sync starts at
-//! `max(lane arrivals)` and completes `t_sync` later. The lanes' value is
+//! barrier release replays exactly — the sync starts at `max(lane arrivals)`
+//! and completes `t_sync` later. The lanes' value is
 //! mostly the smaller per-lane [`FlowSim`], not the threads that advance
 //! them. A completion query examines few classes in either engine, since
 //! each link domain caches its earliest completion, but
@@ -274,9 +274,8 @@ mod tests {
             ..SimConfig::default()
         };
         let t_sync = server.ring_model().allreduce_time(w.model_bytes(), 8);
-        let (result, _) =
-            simulate_server(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer)
-                .expect("run completes");
+        let (result, _) = simulate_server(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer)
+            .expect("run completes");
         assert_eq!(result.batch_done_at.len(), 4);
         for pair in result.batch_done_at.windows(2) {
             assert!(
@@ -325,8 +324,7 @@ mod tests {
             for plan in [FaultPlan::empty(), local] {
                 assert!(LanePartition::of(&server, &plan).is_some(), "n={n} must partition");
                 let (lane, _) =
-                    simulate_server(&server, &w, &cfg, &plan, NoopTracer)
-                        .expect("lane run");
+                    simulate_server(&server, &w, &cfg, &plan, NoopTracer).expect("lane run");
                 let (outcome, ..) =
                     simulate(&server, &w, &cfg, &plan, Partition::Solo, NoopTracer, None)
                         .expect("single-engine run");

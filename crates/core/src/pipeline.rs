@@ -1897,13 +1897,10 @@ mod tests {
             .batch_size(512)
             .build();
         let plain = run(&server, &w, &quick_cfg(), &FaultPlan::empty());
-        let (traced, tracer) = simulate_server(
-            &server,
-            &w,
-            &quick_cfg(),
-            &FaultPlan::empty(),
-            RingTracer::new(1 << 20))
-        .expect("traced run completes");
+        let tracer = RingTracer::new(1 << 20);
+        let (traced, tracer) =
+            simulate_server(&server, &w, &quick_cfg(), &FaultPlan::empty(), tracer)
+                .expect("traced run completes");
         assert_eq!(plain, traced);
         let records = tracer.into_records();
         assert!(!records.is_empty());
@@ -1948,9 +1945,8 @@ mod tests {
         plan: &FaultPlan,
     ) -> Vec<(&'static str, usize)> {
         use trainbox_sim::{Component, RingTracer, TraceRecord};
-        let (_, tracer) =
-            simulate_server(server, w, cfg, plan, RingTracer::new(1 << 20))
-                .expect("traced run completes");
+        let (_, tracer) = simulate_server(server, w, cfg, plan, RingTracer::new(1 << 20))
+            .expect("traced run completes");
         let mut counts = std::collections::BTreeMap::new();
         for r in tracer.records() {
             if r.component() == Component::Flow && matches!(r, TraceRecord::Span { .. }) {
@@ -2057,9 +2053,8 @@ mod tests {
         let plan = FaultPlan::seeded(7, 4.0 / horizon, &domain);
         let plain = run(&server, &w, &quick_cfg(), &plan);
         let tracer = RingTracer::new(1 << 20);
-        let (traced, tracer) =
-            simulate_server(&server, &w, &quick_cfg(), &plan, tracer)
-                .expect("traced run completes");
+        let (traced, tracer) = simulate_server(&server, &w, &quick_cfg(), &plan, tracer)
+            .expect("traced run completes");
         assert_eq!(plain, traced);
         let injected = tracer
             .records()
@@ -2076,10 +2071,9 @@ mod tests {
             .batch_size(512)
             .build();
         let cfg = SimConfig { max_events: 50, ..quick_cfg() };
-        let err =
-            simulate_server(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer)
-                .expect_err("50 events cannot complete 8 batches")
-                .error;
+        let err = simulate_server(&server, &w, &cfg, &FaultPlan::empty(), NoopTracer)
+            .expect_err("50 events cannot complete 8 batches")
+            .error;
         assert!(matches!(err, SimError::Stalled { events: 50, .. }), "{err:?}");
     }
 
@@ -2115,8 +2109,7 @@ mod tests {
             let plain = run(&server, &w, &cfg, &plan);
             let tracer = RingTracer::new(1 << 18);
             let (traced, tracer) =
-                simulate_server(&server, &w, &cfg, &plan, tracer)
-                    .expect("traced run completes");
+                simulate_server(&server, &w, &cfg, &plan, tracer).expect("traced run completes");
             proptest::prop_assert_eq!(plain, traced);
             proptest::prop_assert!(tracer.records().next().is_some());
         }

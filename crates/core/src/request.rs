@@ -616,10 +616,11 @@ impl SimRequest {
     /// The server, once it builds and the request's cluster (if any) is
     /// valid.
     fn checked_server(&self) -> Result<Server, SimError> {
+        let server = self.build_server()?;
         if let Some(cluster) = &self.cluster {
             cluster.validate().map_err(SimError::InvalidCluster)?;
         }
-        self.build_server()
+        Ok(server)
     }
 
     /// Validate everything the engine would otherwise assert on, then run
@@ -1182,9 +1183,15 @@ mod tests {
         assert_eq!(r.servers, 2);
         assert_eq!(r.batch_done_at.len(), 4);
         assert!(resp.trace.is_some(), "traced cluster run returns a summary");
+        // The caller-supplied-tracer path answers the same cluster question.
+        let (outcome, _) = des.run_des_with_tracer(NoopTracer).unwrap();
+        assert_eq!(outcome, resp.outcome);
 
         let invalid = analytic.clone().with_cluster(ClusterSpec::rack_default(0));
         let err = invalid.run().unwrap_err();
+        assert!(matches!(err, SimError::InvalidCluster(_)), "{err:?}");
+        let des_invalid = des.clone().with_cluster(ClusterSpec::rack_default(0));
+        let err = des_invalid.run_des_with_tracer(NoopTracer).unwrap_err();
         assert!(matches!(err, SimError::InvalidCluster(_)), "{err:?}");
         assert_eq!(err.field(), "cluster");
         assert!(err.is_client_error());

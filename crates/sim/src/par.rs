@@ -130,11 +130,11 @@ const CHEAP_WINDOW_EVENTS: u64 = 2048;
 /// each LP sees its releases through [`BarrierLp::release`].
 ///
 /// `workers <= 1` is the sequential reference: each window advances LPs one
-/// by one in index order on the calling thread, as does a lone LP. `workers >= 2` advances them
-/// on that many scoped threads (LPs dealt round-robin by index), then merges
-/// park times back into index order before the fold — so the release sees
-/// the exact same sequence either way, and results are byte-identical by
-/// construction.
+/// by one in index order on the calling thread, as it always does a lone LP.
+/// `workers >= 2` advances them on that many scoped threads (LPs dealt
+/// round-robin by index), then merges park times back into index order
+/// before the fold — so the release sees the exact same sequence either way,
+/// and results are byte-identical by construction.
 ///
 /// A window whose predecessor processed fewer than `CHEAP_WINDOW_EVENTS`
 /// runs inline even with `workers >= 2` (the first window always takes the
