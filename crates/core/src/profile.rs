@@ -311,14 +311,14 @@ mod tests {
 
     #[test]
     fn lowered_legacy_profiles_bit_identically_for_every_preset() {
-        let flat: Vec<Workload> = Workload::presets()
-            .into_iter()
+        let flat: Vec<&Workload> = Workload::presets()
+            .iter()
             .filter(|w| w.stages.is_none() && w.tenants.is_empty())
             .collect();
         assert_eq!(flat.len(), 7, "the seven Table-I presets are flat");
         for w in flat {
             assert_eq!(
-                bits(&PrepProfile::of(&w)),
+                bits(&PrepProfile::of(w)),
                 calib_bits(w.input),
                 "profile diverged from the calibration for {}",
                 w.name

@@ -157,8 +157,7 @@ impl Deserialize for WorkloadSpec {
     fn from_json(v: &serde::json::Json) -> Result<Self, serde::json::JsonError> {
         if let Some(name) = v.as_str() {
             return WorkloadSpec::named(name).ok_or_else(|| {
-                let known: Vec<String> =
-                    Workload::presets().into_iter().map(|w| w.name).collect();
+                let known: Vec<&str> = Workload::presets().iter().map(|w| w.name.as_str()).collect();
                 serde::json::JsonError::new(format!(
                     "unknown workload `{name}` (known: {})",
                     known.join(", ")
@@ -692,11 +691,16 @@ pub fn canonical_hash_of(canonical_json: &str) -> u64 {
 /// and the stage-graph DSL it lowers to. Flat presets are lowered through
 /// [`crate::profile::lower_legacy`]; DSL presets show their own graph;
 /// tenanted presets blend rather than lower, so their `lowered_stages` is
-/// `null`.
-pub fn workload_catalog_json() -> String {
+/// `null`. Built on first use and kept for the life of the process.
+pub fn workload_catalog_json() -> &'static str {
+    static CATALOG: OnceLock<String> = OnceLock::new();
+    CATALOG.get_or_init(build_workload_catalog_json)
+}
+
+fn build_workload_catalog_json() -> String {
     use serde::json::Json;
     let entries: Vec<Json> = Workload::presets()
-        .into_iter()
+        .iter()
         .map(|w| {
             let lowered = match &w.stages {
                 Some(g) => g.to_json(),
@@ -1313,6 +1317,15 @@ mod tests {
     fn canonical_hash_of_matches_the_method() {
         let req = SimRequest::analytic(ServerKind::TrainBox, 256, Workload::resnet50());
         assert_eq!(canonical_hash_of(&req.canonical_json()), req.canonical_hash());
+    }
+
+    #[test]
+    fn workload_catalog_body_is_pinned() {
+        // FNV-1a of the `GET /workloads` body as it was when every request
+        // rebuilt it; building it once must not move a byte.
+        let body = workload_catalog_json();
+        assert_eq!((canonical_hash_of(body), body.len()), (0x8139_15f6_60e4_c7d4, 11_809));
+        assert!(std::ptr::eq(body, workload_catalog_json()), "built once per process");
     }
 
     #[test]

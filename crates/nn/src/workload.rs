@@ -35,6 +35,7 @@
 //! the flat struct produced before the DSL existed.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Neural-network family (Table I "NN Type", plus families the DSL adds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -1108,21 +1109,23 @@ impl Workload {
     }
 
     /// The full preset catalog: Table I plus the DSL scenario families.
-    pub fn presets() -> Vec<Workload> {
-        let mut all = Workload::all();
-        all.push(Workload::llm());
-        all.push(Workload::recsys());
-        all.push(Workload::video());
-        all.push(Workload::mixed());
-        all
+    /// Built on first use and kept for the life of the process.
+    pub fn presets() -> &'static [Workload] {
+        static PRESETS: OnceLock<Vec<Workload>> = OnceLock::new();
+        PRESETS.get_or_init(|| {
+            let mut all = Workload::all();
+            all.push(Workload::llm());
+            all.push(Workload::recsys());
+            all.push(Workload::video());
+            all.push(Workload::mixed());
+            all
+        })
     }
 
     /// Look up a preset by name (case-insensitive; Table I and the DSL
-    /// families).
+    /// families). Clones only the match.
     pub fn by_name(name: &str) -> Option<Workload> {
-        Workload::presets()
-            .into_iter()
-            .find(|w| w.name.eq_ignore_ascii_case(name))
+        Workload::presets().iter().find(|w| w.name.eq_ignore_ascii_case(name)).cloned()
     }
 
     /// Model size in bytes.
@@ -1170,6 +1173,27 @@ mod tests {
         assert_eq!(Workload::by_name("TF-sr").unwrap().name, "TF-SR");
         assert_eq!(Workload::by_name("dlrm").unwrap().name, "DLRM");
         assert!(Workload::by_name("AlexNet").is_none());
+        // Every preset, under any ASCII case, is its constructor's value.
+        let constructors: [fn() -> Workload; 11] = [
+            Workload::vgg19,
+            Workload::resnet50,
+            Workload::inception_v4,
+            Workload::rnn_s,
+            Workload::rnn_l,
+            Workload::transformer_sr,
+            Workload::transformer_aa,
+            Workload::llm,
+            Workload::recsys,
+            Workload::video,
+            Workload::mixed,
+        ];
+        assert_eq!(constructors.len(), Workload::presets().len());
+        for make in constructors {
+            let w = make();
+            for name in [w.name.to_lowercase(), w.name.to_uppercase(), w.name.clone()] {
+                assert_eq!(Workload::by_name(&name).as_ref(), Some(&w), "{name}");
+            }
+        }
     }
 
     #[test]

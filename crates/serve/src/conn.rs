@@ -556,8 +556,7 @@ fn route(ctx: &Ctx, shard_idx: usize, id: u64, conn: &mut Conn, req: Request) {
             conn.respond(200, &[], &body);
         }
         ("GET", "/workloads") => {
-            let body = trainbox_core::request::workload_catalog_json();
-            conn.respond(200, &[], &body);
+            conn.respond(200, &[], trainbox_core::request::workload_catalog_json());
         }
         ("GET", "/healthz") => conn.respond(200, &[], "{\"status\":\"ok\"}"),
         ("GET", "/readyz") => {

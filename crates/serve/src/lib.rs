@@ -46,7 +46,8 @@
 //! bookkeeping, and the outbound byte queue. Simulation never runs on a
 //! shard — `/simulate` bodies and expanded sweep points travel to the
 //! compute pool over a [`http::BoundedQueue`], and finished answers come
-//! back as completions through a [`sys::wake_pair`] wakeup. A slow or
+//! back as completions, with a wakeup over a [`sys::wake_pair`] Unix
+//! socket pair. A slow or
 //! stalled client therefore costs one connection slot, never a worker.
 //!
 //! Production behaviors, all std-only:

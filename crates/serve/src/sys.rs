@@ -6,13 +6,15 @@
 //! `poll(2)` implementation behind the same API. Both are level-triggered:
 //! the event loop re-arms interest explicitly (write interest only while
 //! bytes are pending), which keeps the loop logic free of edge-trigger
-//! bookkeeping. Cross-thread wakeups ride a loopback socket pair
-//! ([`wake_pair`]) instead of a pipe so no extra syscall surface is
-//! needed.
+//! bookkeeping. Cross-thread wakeups ride a Unix socket pair
+//! ([`wake_pair`]) with a pending flag that keeps at most one wake byte in
+//! flight; std builds the pair, so no pipe or eventfd binding is needed.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::RawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// What a registered fd should be watched for. Level-triggered: a readable
 /// fd keeps reporting until drained, a writable one until the socket
@@ -274,22 +276,30 @@ compile_error!("trainbox-serve's event loop needs a Unix readiness API (epoll or
 pub use imp::Poller;
 
 /// Sender half of a cross-thread wakeup channel: any thread may signal the
-/// owning event loop. Writes are non-blocking; a full socket buffer means
-/// wakeups are already pending, so dropping the byte loses nothing.
+/// owning event loop. At most one wake byte is in flight: [`wake`] writes
+/// only when it flips the shared pending flag from false to true, so the
+/// socket buffer never fills and most wakes cost one atomic swap.
+///
+/// [`wake`]: WakeSender::wake
 pub struct WakeSender {
-    tx: std::sync::Mutex<TcpStream>,
+    tx: UnixStream,
+    pending: Arc<AtomicBool>,
 }
 
 impl WakeSender {
     pub fn wake(&self) {
-        let mut tx = self.tx.lock().unwrap();
-        let _ = tx.write(&[1u8]);
+        // A failed write leaves nothing in flight, so the next wake must
+        // try again.
+        if !self.pending.swap(true, Ordering::AcqRel) && (&self.tx).write(&[1u8]).is_err() {
+            self.pending.store(false, Ordering::Release);
+        }
     }
 }
 
 /// Receiver half; registered with the poller and drained on wakeup.
 pub struct WakeReceiver {
-    rx: TcpStream,
+    rx: UnixStream,
+    pending: Arc<AtomicBool>,
 }
 
 impl WakeReceiver {
@@ -298,24 +308,27 @@ impl WakeReceiver {
         self.rx.as_raw_fd()
     }
 
-    /// Swallow all pending wakeup bytes.
+    /// Swallow the pending wake byte, then clear the pending flag. The
+    /// owner reads its queues only after draining, so a wake whose swap
+    /// found the flag still set is seen by that read, and a wake after the
+    /// clear writes a fresh byte. Clearing first would be wrong: the read
+    /// could swallow a byte written after the clear, leaving the flag set
+    /// with nothing in flight, and every later wake would be skipped.
     pub fn drain(&mut self) {
         let mut buf = [0u8; 64];
         while matches!(self.rx.read(&mut buf), Ok(n) if n > 0) {}
+        self.pending.store(false, Ordering::Release);
     }
 }
 
-/// A connected loopback socket pair serving as a self-wakeup channel —
-/// pure std, no pipes, works on every platform with TCP.
+/// A connected Unix socket pair serving as a self-wakeup channel — pure
+/// std, no pipes or eventfd bindings.
 pub fn wake_pair() -> io::Result<(WakeSender, WakeReceiver)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let addr = listener.local_addr()?;
-    let tx = TcpStream::connect(addr)?;
-    let (rx, _) = listener.accept()?;
+    let (tx, rx) = UnixStream::pair()?;
     tx.set_nonblocking(true)?;
     rx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
-    Ok((WakeSender { tx: std::sync::Mutex::new(tx) }, WakeReceiver { rx }))
+    let pending = Arc::new(AtomicBool::new(false));
+    Ok((WakeSender { tx, pending: Arc::clone(&pending) }, WakeReceiver { rx, pending }))
 }
 
 #[cfg(test)]
@@ -342,6 +355,48 @@ mod tests {
             events.iter().all(|e| e.token != 7 || !e.readable),
             "drained receiver must go quiet: {events:?}"
         );
+    }
+
+    #[test]
+    fn concurrent_wakes_are_never_lost() {
+        // Producers push and wake in a tight loop; the receiver follows the
+        // shard's order (wait, drain, then take). Every item must arrive,
+        // and a wait may only time out when nothing is queued.
+        const PRODUCERS: usize = 4;
+        const ITEMS: usize = 20_000;
+        let (tx, mut rx) = wake_pair().unwrap();
+        let tx = Arc::new(tx);
+        let queue = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let mut poller = Poller::new().unwrap();
+        poller.register(rx.raw_fd(), 3, Interest::READ).unwrap();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let (tx, queue) = (Arc::clone(&tx), Arc::clone(&queue));
+                std::thread::spawn(move || {
+                    for i in 0..ITEMS {
+                        queue.lock().unwrap().push(p * ITEMS + i);
+                        tx.wake();
+                    }
+                })
+            })
+            .collect();
+        let mut seen = vec![false; PRODUCERS * ITEMS];
+        let mut received = 0;
+        let mut events = Vec::new();
+        while received < seen.len() {
+            poller.wait(Some(Duration::from_secs(1)), &mut events).unwrap();
+            if events.is_empty() {
+                assert!(queue.lock().unwrap().is_empty(), "a wakeup was lost with items queued");
+            }
+            rx.drain();
+            for item in std::mem::take(&mut *queue.lock().unwrap()) {
+                assert!(!std::mem::replace(&mut seen[item], true), "item {item} twice");
+                received += 1;
+            }
+        }
+        for p in producers {
+            p.join().unwrap();
+        }
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! [`crate::trace::chrome_trace_json`]) reads back in tests and tooling.
 //! Objects are ordered `Vec`s of pairs; lookups are linear.
 //!
+//! Parsing is linear in the input's length: a string copies each run of
+//! plain bytes between escapes with one `push_str`, so a body the size of
+//! the serving tier's 1 MiB cap parses in milliseconds.
+//!
 //! Integer literals (no fraction, no exponent) within `u64`/`i64` parse
 //! exactly to [`Value::U64`]/[`Value::I64`]. Every other number is read as
 //! `f64` and still takes an integer flavor when integral within ±2^53, so
@@ -33,7 +37,7 @@ impl std::error::Error for ParseError {}
 
 /// Parse a complete JSON document. Trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -44,6 +48,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -150,6 +155,15 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // in one piece. Those bytes are ASCII, so the run ends on a
+            // character boundary of the `&str` input and needs no
+            // re-validation.
+            let start = self.pos;
+            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -196,15 +210,8 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("unescaped control character")),
-                Some(_) => {
-                    // Copy one UTF-8 scalar; input is &str so boundaries are valid.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let ch = s.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+                // The run above stops only at these three bytes or the end.
+                Some(_) => return Err(self.err("unescaped control character")),
             }
         }
     }
@@ -285,6 +292,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -345,5 +353,86 @@ mod tests {
         let err = parse("[1, x]").unwrap_err();
         assert_eq!(err.offset, 4);
         assert!(err.to_string().contains("byte 4"));
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets_and_messages() {
+        for (input, offset, message) in [
+            ("\"ab\ncd\"", 3, "unescaped control character"),
+            ("\"é\u{1}\"", 3, "unescaped control character"),
+            ("{\"k\u{1f}\":1}", 3, "unescaped control character"),
+            ("\"a\\x\"", 3, "invalid escape"),
+            ("\"ü\\", 4, "invalid escape"),
+            ("\"\\uD800\"", 7, "lone high surrogate"),
+            ("\"\\uD83D\\u0041\"", 13, "invalid low surrogate"),
+            ("\"\\uDC00\"", 7, "lone low surrogate"),
+            ("\"\\u12", 3, "truncated \\u escape"),
+            ("\"\\uZZZZ\"", 3, "invalid \\u escape"),
+            ("\"\\u000é\"", 3, "invalid \\u escape"),
+            ("\"abc", 4, "unterminated string"),
+            ("\"日本", 7, "unterminated string"),
+            ("[\"a\\n\"", 6, "expected ',' or ']' in array"),
+        ] {
+            let err = parse(input).unwrap_err();
+            assert_eq!((err.offset, err.message.as_str()), (offset, message), "input {input:?}");
+        }
+    }
+
+    #[test]
+    fn a_body_sized_string_parses_exactly() {
+        // The serving tier's request-body cap (`MAX_BODY_BYTES`, 1 MiB): one
+        // string filling a whole body, mixing plain runs, multi-byte text
+        // and escapes, parses to exactly the text it spells.
+        const BODY_BYTES: usize = 1 << 20;
+        let mut body = String::with_capacity(BODY_BYTES);
+        let mut expected = String::new();
+        body.push('"');
+        let pieces: [(&str, &str); 4] =
+            [("plain ascii ", "plain ascii "), ("größe 日本 😀", "größe 日本 😀"), ("\\n\\\"", "\n\""), ("\\u00e9", "é")];
+        let mut i = 0;
+        while body.len() + 32 < BODY_BYTES {
+            let (raw, text) = pieces[i % pieces.len()];
+            body.push_str(raw);
+            expected.push_str(text);
+            i += 1;
+        }
+        while body.len() + 1 < BODY_BYTES {
+            body.push('x');
+            expected.push('x');
+        }
+        body.push('"');
+        assert_eq!(body.len(), BODY_BYTES);
+        assert_eq!(parse(&body).unwrap(), Value::Str(expected));
+    }
+
+    /// A character from a pool weighted towards what JSON strings must
+    /// escape or carry as multi-byte UTF-8.
+    fn pick_char(class: u8, raw: u32) -> char {
+        let from = |lo: u32, hi: u32| char::from_u32(lo + raw % (hi - lo)).expect("a scalar range");
+        match class % 8 {
+            0 => from(0x20, 0x7f),
+            1 => ['"', '\\', '/'][raw as usize % 3],
+            2 => from(0x00, 0x20),
+            3 => from(0x80, 0x800),
+            4 => from(0x800, 0xd800),
+            5 => from(0xe000, 0x1_0000),
+            6 => from(0x1_0000, 0x11_0000),
+            _ => char::from_u32(raw % 0x11_0000).unwrap_or('\u{fffd}'),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn arbitrary_strings_round_trip_through_the_writer(
+            chars in collection::vec((any::<u8>(), any::<u32>()), 0..96),
+        ) {
+            let s: String = chars.iter().map(|&(class, raw)| pick_char(class, raw)).collect();
+            let text = serde_json::to_string(&s).unwrap();
+            prop_assert_eq!(parse(&text).unwrap(), Value::Str(s.clone()));
+            // As an object key and inside an array, too.
+            let v = parse(&format!("{{{text}:[{text}]}}")).unwrap();
+            prop_assert_eq!(v, Value::Object(vec![(s.clone(), Value::Array(vec![Value::Str(s)]))]));
+        }
     }
 }
