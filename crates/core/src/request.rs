@@ -157,7 +157,8 @@ impl Deserialize for WorkloadSpec {
     fn from_json(v: &serde::json::Json) -> Result<Self, serde::json::JsonError> {
         if let Some(name) = v.as_str() {
             return WorkloadSpec::named(name).ok_or_else(|| {
-                let known: Vec<&str> = Workload::presets().iter().map(|w| w.name.as_str()).collect();
+                let known: Vec<&str> =
+                    Workload::presets().iter().map(|w| w.name.as_str()).collect();
                 serde::json::JsonError::new(format!(
                     "unknown workload `{name}` (known: {})",
                     known.join(", ")

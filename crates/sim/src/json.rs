@@ -387,8 +387,12 @@ mod tests {
         let mut body = String::with_capacity(BODY_BYTES);
         let mut expected = String::new();
         body.push('"');
-        let pieces: [(&str, &str); 4] =
-            [("plain ascii ", "plain ascii "), ("größe 日本 😀", "größe 日本 😀"), ("\\n\\\"", "\n\""), ("\\u00e9", "é")];
+        let pieces: [(&str, &str); 4] = [
+            ("plain ascii ", "plain ascii "),
+            ("größe 日本 😀", "größe 日本 😀"),
+            ("\\n\\\"", "\n\""),
+            ("\\u00e9", "é"),
+        ];
         let mut i = 0;
         while body.len() + 32 < BODY_BYTES {
             let (raw, text) = pieces[i % pieces.len()];
