@@ -7,14 +7,12 @@
 //! the event loop re-arms interest explicitly (write interest only while
 //! bytes are pending), which keeps the loop logic free of edge-trigger
 //! bookkeeping. Cross-thread wakeups ride a Unix socket pair
-//! ([`wake_pair`]) with a pending flag that keeps at most one wake byte in
-//! flight; std builds the pair, so no pipe or eventfd binding is needed.
+//! ([`wake_pair`]) that std builds, so no pipe or eventfd binding is
+//! needed.
 
 use std::io::{self, Read, Write};
 use std::os::unix::io::RawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 /// What a registered fd should be watched for. Level-triggered: a readable
 /// fd keeps reporting until drained, a writable one until the socket
@@ -276,30 +274,22 @@ compile_error!("trainbox-serve's event loop needs a Unix readiness API (epoll or
 pub use imp::Poller;
 
 /// Sender half of a cross-thread wakeup channel: any thread may signal the
-/// owning event loop. At most one wake byte is in flight: [`wake`] writes
-/// only when it flips the shared pending flag from false to true, so the
-/// socket buffer never fills and most wakes cost one atomic swap.
-///
-/// [`wake`]: WakeSender::wake
+/// owning event loop. Writes are non-blocking and take no lock (a one-byte
+/// write to a Unix stream is atomic); a full socket buffer means wakeups
+/// are already pending, so dropping the byte loses nothing.
 pub struct WakeSender {
     tx: UnixStream,
-    pending: Arc<AtomicBool>,
 }
 
 impl WakeSender {
     pub fn wake(&self) {
-        // A failed write leaves nothing in flight, so the next wake must
-        // try again.
-        if !self.pending.swap(true, Ordering::AcqRel) && (&self.tx).write(&[1u8]).is_err() {
-            self.pending.store(false, Ordering::Release);
-        }
+        let _ = (&self.tx).write(&[1u8]);
     }
 }
 
 /// Receiver half; registered with the poller and drained on wakeup.
 pub struct WakeReceiver {
     rx: UnixStream,
-    pending: Arc<AtomicBool>,
 }
 
 impl WakeReceiver {
@@ -308,16 +298,10 @@ impl WakeReceiver {
         self.rx.as_raw_fd()
     }
 
-    /// Swallow the pending wake byte, then clear the pending flag. The
-    /// owner reads its queues only after draining, so a wake whose swap
-    /// found the flag still set is seen by that read, and a wake after the
-    /// clear writes a fresh byte. Clearing first would be wrong: the read
-    /// could swallow a byte written after the clear, leaving the flag set
-    /// with nothing in flight, and every later wake would be skipped.
+    /// Swallow all pending wakeup bytes.
     pub fn drain(&mut self) {
         let mut buf = [0u8; 64];
         while matches!(self.rx.read(&mut buf), Ok(n) if n > 0) {}
-        self.pending.store(false, Ordering::Release);
     }
 }
 
@@ -327,14 +311,14 @@ pub fn wake_pair() -> io::Result<(WakeSender, WakeReceiver)> {
     let (tx, rx) = UnixStream::pair()?;
     tx.set_nonblocking(true)?;
     rx.set_nonblocking(true)?;
-    let pending = Arc::new(AtomicBool::new(false));
-    Ok((WakeSender { tx, pending: Arc::clone(&pending) }, WakeReceiver { rx, pending }))
+    Ok((WakeSender { tx }, WakeReceiver { rx }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::os::unix::io::AsRawFd;
+    use std::sync::{Arc, Mutex};
     use std::time::Duration;
 
     #[test]
@@ -359,14 +343,15 @@ mod tests {
 
     #[test]
     fn concurrent_wakes_are_never_lost() {
-        // Producers push and wake in a tight loop; the receiver follows the
-        // shard's order (wait, drain, then take). Every item must arrive,
-        // and a wait may only time out when nothing is queued.
+        // Producers push and wake in a tight loop, so the socket buffer
+        // may fill and drop wake bytes; the receiver
+        // follows the shard's order (wait, drain, then take). Every item
+        // must arrive, and a wait may only time out when nothing is queued.
         const PRODUCERS: usize = 4;
         const ITEMS: usize = 20_000;
         let (tx, mut rx) = wake_pair().unwrap();
         let tx = Arc::new(tx);
-        let queue = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let queue = Arc::new(Mutex::new(Vec::new()));
         let mut poller = Poller::new().unwrap();
         poller.register(rx.raw_fd(), 3, Interest::READ).unwrap();
         let producers: Vec<_> = (0..PRODUCERS)

@@ -37,11 +37,11 @@ impl std::error::Error for ParseError {}
 
 /// Parse a complete JSON document. Trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser { text: input, bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { text: input, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(p.err("trailing characters after document"));
     }
     Ok(v)
@@ -49,7 +49,6 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 
 struct Parser<'a> {
     text: &'a str,
-    bytes: &'a [u8],
     pos: usize,
 }
 
@@ -58,8 +57,12 @@ impl<'a> Parser<'a> {
         ParseError { offset: self.pos, message: msg.into() }
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -92,7 +95,7 @@ impl<'a> Parser<'a> {
     }
 
     fn keyword(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -187,7 +190,7 @@ impl<'a> Parser<'a> {
                             // Surrogate pair: a high surrogate must be
                             // followed by an escaped low surrogate.
                             let ch = if (0xD800..0xDC00).contains(&hi) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
+                                if self.bytes()[self.pos..].starts_with(b"\\u") {
                                     self.pos += 2;
                                     let lo = self.hex4()?;
                                     if !(0xDC00..0xE000).contains(&lo) {
@@ -218,11 +221,12 @@ impl<'a> Parser<'a> {
 
     fn hex4(&mut self) -> Result<u32, ParseError> {
         let end = self.pos + 4;
-        if end > self.bytes.len() {
+        if end > self.text.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        // `get` fails only off a character boundary, where the four bytes
+        // cannot all be hex digits anyway.
+        let s = self.text.get(self.pos..end).ok_or_else(|| self.err("invalid \\u escape"))?;
         let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos = end;
         Ok(v)
@@ -265,8 +269,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII");
+        let text = &self.text[start..self.pos];
         if literal_integer {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::U64(n));
