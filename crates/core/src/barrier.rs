@@ -408,13 +408,13 @@ mod tests {
         lps
     }
 
-    /// `(class_scans, domain_solves)` of the PCIe and the Ethernet flow
-    /// plane, summed over `lps`.
-    fn flow_work(lps: &[LpEngine<NoopTracer>]) -> [(u64, u64); 2] {
-        let mut sum = [(0, 0); 2];
+    /// `(class_scans, domain_solves, covered_solves)` of the PCIe and the
+    /// Ethernet flow plane, summed over `lps`.
+    fn flow_work(lps: &[LpEngine<NoopTracer>]) -> [(u64, u64, u64); 2] {
+        let mut sum = [(0, 0, 0); 2];
         for lp in lps {
-            for (s, (scans, solves)) in sum.iter_mut().zip(lp.engine.model().flow_work()) {
-                *s = (s.0 + scans, s.1 + solves);
+            for (s, (scans, solves, covered)) in sum.iter_mut().zip(lp.engine.model().flow_work()) {
+                *s = (s.0 + scans, s.1 + solves, s.2 + covered);
             }
         }
         sum
@@ -423,7 +423,9 @@ mod tests {
     /// The flow simulators' exact work on two shapes: a TrainBox-with-pool
     /// run like a point of the benchmark's `/sweep` (8 accelerators, TF-SR,
     /// 64-sample chunks, 3 batches) and a lane-partitioned run. Walking
-    /// idle classes, or re-solving more domains, moves these counts.
+    /// idle classes, or re-solving more domains, moves these counts; every
+    /// solve of both runs closes by the one-round exit, so a change that
+    /// stops it firing moves the third count.
     #[test]
     fn flow_work_counters_are_pinned() {
         let cfg = SimConfig {
@@ -436,12 +438,12 @@ mod tests {
         let pooled = ServerConfig::new(ServerKind::TrainBox, 8).build();
         let tf_sr = Workload::by_name("TF-SR").expect("a Table-I workload");
         let lps = run_lps(&Partition::Solo, &pooled, &tf_sr, &cfg, &empty);
-        assert_eq!(flow_work(&lps), [(873, 402), (308, 128)]);
+        assert_eq!(flow_work(&lps), [(873, 402, 402), (308, 128, 128)]);
 
         let server = ServerConfig::new(ServerKind::TrainBoxNoPool, 16).build();
         let part = LanePartition::of(&server, &empty).expect("16 accelerators make 4 lanes");
         let lps = run_lps(&Partition::Lanes(part), &server, &Workload::resnet50(), &cfg, &empty);
-        assert_eq!(flow_work(&lps), [(23532, 12288), (0, 0)]);
+        assert_eq!(flow_work(&lps), [(23532, 12288, 12288), (0, 0, 0)]);
     }
 
     /// A barrier LP that records every release the runner hands it.

@@ -854,11 +854,12 @@ impl<T: Tracer> PipelineModel<T> {
         self.pcie.sim.recomputes() + self.ethernet.sim.recomputes()
     }
 
-    /// `(class_scans, domain_solves)` of the PCIe and the Ethernet flow
-    /// simulator.
+    /// `(class_scans, domain_solves, covered_solves)` of the PCIe and the
+    /// Ethernet flow simulator.
     #[cfg(test)]
-    pub(crate) fn flow_work(&self) -> [(u64, u64); 2] {
-        [&self.pcie.sim, &self.ethernet.sim].map(|sim| (sim.class_scans(), sim.domain_solves()))
+    pub(crate) fn flow_work(&self) -> [(u64, u64, u64); 2] {
+        [&self.pcie.sim, &self.ethernet.sim]
+            .map(|sim| (sim.class_scans(), sim.domain_solves(), sim.covered_solves()))
     }
 
     /// Fault-layer statistics observed so far.

@@ -39,6 +39,12 @@
 //! only when the bound cannot decide, or when a later round of the same
 //! solve reads that link's residual. A solve that ends in one round
 //! replays a chain only where a saturation test lands inside the bound.
+//!
+//! Most domain solves end in one round with one link, crossed by every
+//! member, saturating first. The simulator keeps what that first round
+//! reads — per-link member counts and per-domain member totals and link
+//! lists — up to date on every add and completion, so such a solve closes
+//! from them without walking a route.
 
 use crate::topology::{LinkId, Topology};
 use serde::{Deserialize, Serialize};
@@ -320,6 +326,9 @@ struct FlowClass {
     /// Position in its domain record's `live` list while the class is live
     /// (stale while idle).
     live_at: usize,
+    /// Whether the one-round exit must not close a solve while the class is
+    /// live: it is demand-capped, or its route crosses a link twice.
+    blocks_exit: bool,
 }
 
 impl FlowClass {
@@ -381,11 +390,25 @@ struct DomainRecord {
     /// Clock epoch at which `earliest` was computed, or [`STALE`] when the
     /// domain was re-solved since.
     fresh_at: u64,
+    /// Every link on an interned route of the domain, once each.
+    links: Vec<usize>,
+    /// Members of the live classes.
+    members: usize,
+    /// Live classes that block the one-round exit ([`FlowClass::blocks_exit`]).
+    blockers: usize,
 }
 
 impl DomainRecord {
     fn new(root: usize) -> Self {
-        DomainRecord { root, live: Vec::new(), earliest: None, fresh_at: STALE }
+        DomainRecord {
+            root,
+            live: Vec::new(),
+            earliest: None,
+            fresh_at: STALE,
+            links: Vec::new(),
+            members: 0,
+            blockers: 0,
+        }
     }
 }
 
@@ -496,6 +519,54 @@ fn saturation_decided(r0: f64, inc: f64, k: usize, threshold: f64) -> Option<boo
     (d.abs() > m).then_some(d < 0.0)
 }
 
+/// Relative saturation threshold of the solver: a link saturates when its
+/// residual falls to `EPS * capacity`, as in [`FlowNet::max_min_rates_ref`].
+const EPS: f64 = 1e-9;
+
+/// The one-round exit of a domain solve: the rate every live class of
+/// `rec`'s domain gets, when [`solve_domain`] would freeze them all in its
+/// first round at that rate, or `None` when the full solve must run.
+///
+/// `link_members` holds each link's live members, counted once per route
+/// occurrence, which is the first round's `unfrozen_on`. The increment is
+/// the first round's: the `min` over the links with members of
+/// `capacity / members`, order-independent for finite positive values, and
+/// `0.0 + inc` is `inc`. The exit needs no demand-capped class (no demand
+/// gap enters the `min`) and no route crossing a link twice (so a link
+/// whose count equals the member total is crossed by every member), and a
+/// link so covered whose first-round saturation test decides `true` — the
+/// test, with the same arguments, that round 1 makes. Every class crosses
+/// that saturated link, so round 1 freezes them all at `inc`: bit for bit
+/// the full solve's rates. The covered link tested is the one with the
+/// smallest quotient, the one most likely to saturate.
+fn covered_increment(
+    capacity: &[f64],
+    link_members: &[usize],
+    rec: &DomainRecord,
+) -> Option<f64> {
+    if rec.blockers > 0 {
+        return None;
+    }
+    let total = rec.members;
+    let mut inc = f64::INFINITY;
+    let mut cover: Option<(usize, f64)> = None;
+    for &li in &rec.links {
+        let k = link_members[li];
+        if k == 0 {
+            continue;
+        }
+        let quotient = capacity[li] / k as f64;
+        inc = inc.min(quotient);
+        if k == total && cover.is_none_or(|(_, q)| quotient < q) {
+            cover = Some((li, quotient));
+        }
+    }
+    let inc = inc.max(0.0);
+    let (li, _) = cover?;
+    let saturates = saturation_decided(capacity[li], inc, total, EPS * capacity[li]);
+    (saturates == Some(true)).then_some(inc)
+}
+
 /// Progressive filling over a single link domain, touching only the
 /// domain's links. `ids` names the domain's live classes, in any order;
 /// rates land in `class_rate`. Returns how many residual chains it
@@ -538,7 +609,6 @@ fn solve_domain(
     ds: &mut DomainScratch,
     class_rate: &mut [f64],
 ) -> u64 {
-    const EPS: f64 = 1e-9;
     let n = ids.len();
     ds.links.clear();
     ds.rate.clear();
@@ -691,6 +761,10 @@ pub struct FlowSim {
     /// Record index of each root link's domain ([`NO_RECORD`] if none);
     /// entries of non-root links are stale and never read.
     link_record: Vec<u32>,
+    /// Whether a link is on its domain record's `links` list.
+    link_listed: Vec<bool>,
+    /// Live members crossing each link, counted once per route occurrence.
+    link_members: Vec<usize>,
     /// Clock epoch: bumped whenever [`FlowSim::advance`] moves the clock,
     /// which outdates every record's cached completion at once.
     clock: u64,
@@ -707,6 +781,7 @@ pub struct FlowSim {
     dscratch: DomainScratch,
     recomputes: u64,
     domain_solves: u64,
+    covered_solves: u64,
     class_scans: u64,
     residual_replays: u64,
     now: SimTime,
@@ -747,6 +822,8 @@ impl FlowSim {
             domains: LinkDomains::new(n_links),
             records: vec![DomainRecord::new(usize::MAX)],
             link_record: vec![NO_RECORD; n_links],
+            link_listed: vec![false; n_links],
+            link_members: vec![0; n_links],
             clock: STALE + 1,
             dirty_links: Vec::new(),
             dirty_nolink: false,
@@ -754,6 +831,7 @@ impl FlowSim {
             dscratch: DomainScratch::default(),
             recomputes: 0,
             domain_solves: 0,
+            covered_solves: 0,
             class_scans: 0,
             residual_replays: 0,
             now: SimTime::ZERO,
@@ -790,6 +868,14 @@ impl FlowSim {
     /// `recomputes × domains` — the domain-incremental win.
     pub fn domain_solves(&self) -> u64 {
         self.domain_solves
+    }
+
+    /// Number of domain solves closed by the one-round exit: every live
+    /// class of the domain crosses one link that saturates first, so all
+    /// take that link's share without the full solve. Each also counts in
+    /// [`FlowSim::domain_solves`]. Exact, like it.
+    pub fn covered_solves(&self) -> u64 {
+        self.covered_solves
     }
 
     /// Number of live classes [`FlowSim::next_completion`] has examined so
@@ -852,13 +938,22 @@ impl FlowSim {
             for l in rest {
                 self.join(first.index(), l.index());
             }
+            let r = self.record_for(Some(first));
+            for l in &key.route {
+                if !std::mem::replace(&mut self.link_listed[l.index()], true) {
+                    self.records[r].links.push(l.index());
+                }
+            }
         }
+        let route = &key.route;
+        let repeats = (1..route.len()).any(|i| route[..i].contains(&route[i]));
         let c = ClassId(u32::try_from(self.classes.len()).expect("fewer than 2^32 classes"));
         self.classes.push(FlowClass {
             route: key.route.clone(),
             demand,
             queue: VecDeque::new(),
             live_at: 0,
+            blocks_exit: demand.is_some() || repeats,
         });
         self.class_rate.push(0.0);
         self.class_index.insert(key, c);
@@ -909,6 +1004,9 @@ impl FlowSim {
             self.classes[c].live_at = keep.live.len();
             keep.live.push(c);
         }
+        keep.links.extend(merged.links);
+        keep.members += merged.members;
+        keep.blockers += merged.blockers;
     }
 
     /// Mark class `c`'s domain dirty (its member set or environment changed).
@@ -924,19 +1022,24 @@ impl FlowSim {
         self.dirty = true;
     }
 
+    /// Index of the record of class `c`'s domain.
+    fn record_of(&mut self, c: usize) -> usize {
+        self.record_for(self.classes[c].route.first().copied())
+    }
+
     /// Put class `c`, which just gained its first member, on its domain's
-    /// live list.
-    fn go_live(&mut self, c: usize) {
-        let r = self.record_for(self.classes[c].route.first().copied());
+    /// (record `r`'s) live list.
+    fn go_live(&mut self, c: usize, r: usize) {
         let rec = &mut self.records[r];
-        self.classes[c].live_at = rec.live.len();
+        let cl = &mut self.classes[c];
+        cl.live_at = rec.live.len();
         rec.live.push(c);
+        rec.blockers += usize::from(cl.blocks_exit);
     }
 
     /// Take class `c`, which just lost its last member, off its domain's
-    /// live list.
-    fn go_idle(&mut self, c: usize) {
-        let r = self.record_for(self.classes[c].route.first().copied());
+    /// (record `r`'s) live list.
+    fn go_idle(&mut self, c: usize, r: usize) {
         let rec = &mut self.records[r];
         let at = self.classes[c].live_at;
         debug_assert_eq!(rec.live[at], c, "a live class knows its place");
@@ -944,6 +1047,7 @@ impl FlowSim {
         if let Some(&moved) = rec.live.get(at) {
             self.classes[moved].live_at = at;
         }
+        rec.blockers -= usize::from(self.classes[c].blocks_exit);
     }
 
     /// Re-solve the max-min allocation **incrementally**: only the domains a
@@ -1033,13 +1137,20 @@ impl FlowSim {
                 continue;
             }
             self.domain_solves += 1;
-            self.residual_replays += solve_domain(
-                &self.net.capacity,
-                &self.classes,
-                &rec.live,
-                &mut self.dscratch,
-                &mut self.class_rate,
-            );
+            if let Some(inc) = covered_increment(&self.net.capacity, &self.link_members, rec) {
+                self.covered_solves += 1;
+                for &c in &rec.live {
+                    self.class_rate[c] = inc;
+                }
+            } else {
+                self.residual_replays += solve_domain(
+                    &self.net.capacity,
+                    &self.classes,
+                    &rec.live,
+                    &mut self.dscratch,
+                    &mut self.class_rate,
+                );
+            }
             #[cfg(debug_assertions)]
             self.assert_domain_matches_reference(root);
         }
@@ -1118,12 +1229,17 @@ impl FlowSim {
         let id = FlowId(self.next_id);
         self.next_id += 1;
         let c = class.index();
+        let r = self.record_of(c);
         if self.classes[c].queue.is_empty() {
-            self.go_live(c);
+            self.go_live(c, r);
         }
-        let queue = &mut self.classes[c].queue;
-        let at = queue.partition_point(|&(_, remaining)| remaining <= bytes);
-        queue.insert(at, (id, bytes));
+        self.records[r].members += 1;
+        let cl = &mut self.classes[c];
+        for l in &cl.route {
+            self.link_members[l.index()] += 1;
+        }
+        let at = cl.queue.partition_point(|&(_, remaining)| remaining <= bytes);
+        cl.queue.insert(at, (id, bytes));
         self.flow_class.insert(id.0, c);
         self.mark_route_dirty(c);
         self.recompute();
@@ -1243,15 +1359,21 @@ impl FlowSim {
         let Some(c) = self.flow_class.remove(id.0) else {
             panic!("unknown flow {id:?}")
         };
-        let queue = &mut self.classes[c].queue;
+        let r = self.record_of(c);
+        self.records[r].members -= 1;
+        let cl = &mut self.classes[c];
+        for l in &cl.route {
+            self.link_members[l.index()] -= 1;
+        }
         // Usually the head: completions leave a class in queue order.
-        let at = queue
+        let at = cl
+            .queue
             .iter()
             .position(|&(f, _)| f == id)
             .expect("active flow is queued");
-        queue.remove(at);
-        if queue.is_empty() {
-            self.go_idle(c);
+        cl.queue.remove(at);
+        if cl.queue.is_empty() {
+            self.go_idle(c, r);
         }
         self.mark_route_dirty(c);
         self.recompute();
@@ -1454,7 +1576,10 @@ pub(crate) mod tests {
 
     /// Each domain record's live list holds exactly the classes of its
     /// domain that have members, once each, and every live class's
-    /// `live_at` names its place in that list.
+    /// `live_at` names its place in that list. The state the one-round
+    /// exit reads matches a recount: each record's member total, its
+    /// blocking classes and its links (those of every interned route of
+    /// its domain), and each link's members once per route occurrence.
     fn assert_live_lists(sim: &FlowSim) {
         let root = |mut x: usize| {
             while sim.domains.parent[x] != x {
@@ -1462,16 +1587,27 @@ pub(crate) mod tests {
             }
             x
         };
+        let record = |route: &[LinkId]| match route.first() {
+            None => LINK_FREE,
+            Some(l) => sim.link_record[root(l.index())] as usize,
+        };
         let mut want: Vec<Vec<usize>> = vec![Vec::new(); sim.records.len()];
+        let mut links: Vec<Vec<usize>> = vec![Vec::new(); sim.records.len()];
+        let mut members = vec![0; sim.records.len()];
+        let mut blockers = vec![0; sim.records.len()];
+        let mut link_members = vec![0; sim.net.link_count()];
         for (c, cl) in sim.classes.iter().enumerate() {
+            let r = record(&cl.route);
+            links[r].extend(cl.route.iter().map(|l| l.index()));
             if cl.queue.is_empty() {
                 continue;
             }
-            let r = match cl.route.first() {
-                None => LINK_FREE,
-                Some(l) => sim.link_record[root(l.index())] as usize,
-            };
             want[r].push(c);
+            members[r] += cl.members();
+            blockers[r] += usize::from(cl.blocks_exit);
+            for l in &cl.route {
+                link_members[l.index()] += cl.members();
+            }
         }
         for (r, rec) in sim.records.iter().enumerate() {
             let mut live = rec.live.clone();
@@ -1480,7 +1616,49 @@ pub(crate) mod tests {
             for (at, &c) in rec.live.iter().enumerate() {
                 assert_eq!(sim.classes[c].live_at, at, "class {c}'s live_at");
             }
+            if r == LINK_FREE {
+                continue;
+            }
+            let mut rec_links = rec.links.clone();
+            rec_links.sort_unstable();
+            links[r].sort_unstable();
+            links[r].dedup();
+            assert_eq!(rec_links, links[r], "record {r}'s links");
+            assert_eq!(rec.members, members[r], "record {r}'s members");
+            assert_eq!(rec.blockers, blockers[r], "record {r}'s blockers");
         }
+        assert_eq!(sim.link_members, link_members, "per-link members");
+    }
+
+    /// Start one flow per spec at `now` and check every active flow's rate
+    /// against [`FlowNet::max_min_rates_ref`] run on all of them, so the
+    /// specs must form one link domain. Returns how many of the solves the
+    /// one-round exit closed.
+    fn add_and_check(
+        sim: &mut FlowSim,
+        flows: &mut Vec<(FlowId, FlowSpec)>,
+        specs: &[FlowSpec],
+    ) -> u64 {
+        let before = sim.covered_solves();
+        for spec in specs {
+            let id = sim.add_flow(sim.now(), spec.clone(), 1e6);
+            flows.push((id, spec.clone()));
+        }
+        assert_matches_ref(sim, flows);
+        sim.covered_solves() - before
+    }
+
+    /// Every flow of `flows`, one link domain, has the rate
+    /// [`FlowNet::max_min_rates_ref`] gives it, bit for bit, and the
+    /// persistent counts match a recount.
+    fn assert_matches_ref(sim: &FlowSim, flows: &[(FlowId, FlowSpec)]) {
+        let specs: Vec<FlowSpec> = flows.iter().map(|(_, s)| s.clone()).collect();
+        let want = sim.net().max_min_rates_ref(&specs);
+        for ((id, _), w) in flows.iter().zip(&want) {
+            let got = sim.rate(*id).expect("flow is active");
+            assert_eq!(got.to_bits(), w.to_bits(), "{id:?}: sim={got} ref={w}");
+        }
+        assert_live_lists(sim);
     }
 
     #[test]
@@ -1923,6 +2101,97 @@ pub(crate) mod tests {
         }
     }
 
+    #[test]
+    fn a_route_crossing_a_link_twice_blocks_the_exit() {
+        // A crosses link 0 twice and link 1 once, B crosses link 1 only.
+        // Link 0 counts A twice, which equals the member total, yet B does
+        // not cross it: A freezes at half of link 0 and B takes the rest
+        // of link 1.
+        let mut sim = FlowSim::new(FlowNet::from_capacities(vec![1e9, 4e9]));
+        let mut flows = Vec::new();
+        let a = FlowSpec::new(vec![link(0), link(1), link(0)]);
+        assert_eq!(add_and_check(&mut sim, &mut flows, &[a]), 0);
+        assert_eq!(add_and_check(&mut sim, &mut flows, &[FlowSpec::new(vec![link(1)])]), 0);
+        assert_eq!(sim.rate(flows[0].0), Some(5e8));
+        assert_eq!(sim.rate(flows[1].0), Some(3.5e9));
+    }
+
+    #[test]
+    fn a_covering_link_tied_at_the_minimum_takes_the_exit() {
+        // Link 0 (2 GB/s) is crossed by both flows, link 1 (1 GB/s) by A
+        // alone: both quotients are 1 GB/s, both links saturate in round 1,
+        // and every flow crosses link 0.
+        let mut sim = FlowSim::new(FlowNet::from_capacities(vec![2e9, 1e9]));
+        let mut flows = Vec::new();
+        let specs = [FlowSpec::new(vec![link(0), link(1)]), FlowSpec::new(vec![link(0)])];
+        assert_eq!(add_and_check(&mut sim, &mut flows, &specs), 2);
+        assert_eq!(sim.rate(flows[1].0), Some(1e9));
+    }
+
+    #[test]
+    fn a_routed_demand_cap_blocks_the_exit() {
+        // A capped class on link 0 keeps every solve of the domain on the
+        // full path, binding or not; once it leaves, the exit returns.
+        let mut sim = FlowSim::new(FlowNet::from_capacities(vec![1e9]));
+        let mut flows = Vec::new();
+        let open = FlowSpec::new(vec![link(0)]);
+        assert_eq!(add_and_check(&mut sim, &mut flows, std::slice::from_ref(&open)), 1);
+        let binding = FlowSpec::with_demand(vec![link(0)], 1e8);
+        assert_eq!(add_and_check(&mut sim, &mut flows, &[binding]), 0);
+        assert_eq!(sim.rate(flows[1].0), Some(1e8));
+        let loose = FlowSpec::with_demand(vec![link(0)], 8e8);
+        assert_eq!(add_and_check(&mut sim, &mut flows, &[loose]), 0);
+        let before = sim.covered_solves();
+        for (id, _) in flows.drain(1..) {
+            sim.complete(sim.now(), id);
+        }
+        assert_eq!(sim.covered_solves(), before + 1, "the last completion leaves A alone");
+        assert_eq!(add_and_check(&mut sim, &mut flows, &[open]), 1);
+    }
+
+    #[test]
+    fn a_join_of_two_live_domains_merges_their_counts() {
+        // Links 0 and 1 start as two domains, each closing its solves by
+        // the exit. A route over both merges them: no link is crossed by
+        // every member of the merged domain until only that route's flows
+        // are left.
+        let mut sim = FlowSim::new(FlowNet::from_capacities(vec![1e9, 2e9]));
+        let mut left = Vec::new();
+        let mut right = Vec::new();
+        let zero = FlowSpec::new(vec![link(0)]);
+        let one = FlowSpec::new(vec![link(1)]);
+        assert_eq!(add_and_check(&mut sim, &mut left, &[zero.clone(), zero]), 2);
+        assert_eq!(add_and_check(&mut sim, &mut right, &[one]), 1);
+        let mut flows: Vec<(FlowId, FlowSpec)> = left.into_iter().chain(right).collect();
+        let both = FlowSpec::new(vec![link(0), link(1)]);
+        assert_eq!(add_and_check(&mut sim, &mut flows, &[both.clone(), both]), 0);
+        assert_eq!(sim.records.len(), 2, "one record per domain, the link-free one included");
+        let before = sim.covered_solves();
+        for (id, _) in flows.drain(..3) {
+            sim.complete(sim.now(), id);
+        }
+        assert_matches_ref(&sim, &flows);
+        assert_eq!(sim.covered_solves(), before + 1, "the last completion leaves one route");
+    }
+
+    #[test]
+    fn a_degrade_that_moves_the_minimum_off_the_covering_link_blocks_the_exit() {
+        // Link 0 is crossed by both flows and binds first, until link 1,
+        // crossed by A alone, degrades below link 0's share.
+        let mut sim = FlowSim::new(FlowNet::from_capacities(vec![1e9, 1e9]));
+        let mut flows = Vec::new();
+        let specs = [FlowSpec::new(vec![link(0), link(1)]), FlowSpec::new(vec![link(0)])];
+        assert_eq!(add_and_check(&mut sim, &mut flows, &specs), 2);
+        let before = sim.covered_solves();
+        sim.set_capacity(sim.now(), link(1), 2e8);
+        assert_eq!(sim.covered_solves(), before);
+        assert_matches_ref(&sim, &flows);
+        assert_eq!(sim.rate(flows[1].0), Some(8e8));
+        sim.set_capacity(sim.now(), link(1), 1e9);
+        assert_eq!(sim.covered_solves(), before + 1);
+        assert_matches_ref(&sim, &flows);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -1995,6 +2264,42 @@ pub(crate) mod tests {
             ),
         ) {
             check_history([1e9, 2e9, 0.5e9].repeat(4), ops, grouped_route);
+        }
+
+        /// Random add/complete/degrade histories over four links where most
+        /// solves can close by the one-round exit: every route crosses at
+        /// least one link, one add in eight is demand-capped, and routes may
+        /// cross a link twice. [`check_history`] compares every step with
+        /// the oracle, and [`assert_live_lists`] recounts the state the exit
+        /// reads. The history opens with an uncapped flow alone on link 0,
+        /// a solve the exit must close.
+        #[test]
+        fn exit_histories_match_reference(
+            ops in proptest::collection::vec(
+                (
+                    0u8..3,
+                    proptest::collection::vec(0u32..4, 1..4),
+                    0u8..8,
+                    1u64..1_000_000,
+                    0usize..4,
+                    0usize..4,
+                ),
+                1..60,
+            ),
+        ) {
+            let first = (0, vec![0], false, 1, 0, 0);
+            let ops = std::iter::once(first)
+                .chain(ops.into_iter().map(|(op, picks, capped, v, size, step)| {
+                    (op, picks, capped == 0, v, size, step)
+                }))
+                .collect();
+            let sim = check_history_with(
+                vec![2e9, 1e9, 0.5e9, 1e9],
+                ops,
+                |picks| picks.to_vec(),
+                assert_live_lists,
+            );
+            prop_assert!(sim.covered_solves() > 0, "the exit never fired");
         }
     }
 

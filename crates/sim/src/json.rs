@@ -224,10 +224,13 @@ impl<'a> Parser<'a> {
         if end > self.text.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        // `get` fails only off a character boundary, where the four bytes
-        // cannot all be hex digits anyway.
-        let s = self.text.get(self.pos..end).ok_or_else(|| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid \\u escape"))?;
+        // Exactly four ASCII hex digits: `u32::from_str_radix` alone would
+        // also take a leading `+`. Checked bytewise, so the slice below is
+        // on character boundaries.
+        if !self.text.as_bytes()[self.pos..end].iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("invalid \\u escape"));
+        }
+        let v = u32::from_str_radix(&self.text[self.pos..end], 16).expect("four hex digits");
         self.pos = end;
         Ok(v)
     }
@@ -371,6 +374,7 @@ mod tests {
             ("\"\\uDC00\"", 7, "lone low surrogate"),
             ("\"\\u12", 3, "truncated \\u escape"),
             ("\"\\uZZZZ\"", 3, "invalid \\u escape"),
+            ("\"\\u+041\"", 3, "invalid \\u escape"),
             ("\"\\u000é\"", 3, "invalid \\u escape"),
             ("\"abc", 4, "unterminated string"),
             ("\"日本", 7, "unterminated string"),
