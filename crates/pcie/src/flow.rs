@@ -418,12 +418,6 @@ impl DomainRecord {
 /// O(links), and allocates nothing once warm.
 #[derive(Debug, Clone, Default)]
 struct DomainScratch {
-    /// Links of the domain under solve (deduplicated via `link_epoch`).
-    links: Vec<usize>,
-    /// Dedup stamps for `links`; a link is in the current domain's list iff
-    /// its stamp equals the current epoch. Never cleared, only outdated.
-    link_epoch: Vec<u64>,
-    epoch: u64,
     /// Residual capacity, refreshed per solve on domain links only. Exact
     /// (the chain's value) at the start of every round on the links that
     /// still carry unfrozen members; elsewhere possibly owing subtractions.
@@ -432,15 +426,18 @@ struct DomainScratch {
     owed: Vec<usize>,
     /// Whether a link saturated in the current round (the freeze test).
     saturated: Vec<bool>,
-    /// Unfrozen member count per link; zeroed back after every solve so the
-    /// next domain starts clean without a full sweep.
+    /// Unfrozen member count per link, copied from `FlowSim::link_members`
+    /// at the start of a solve.
     unfrozen_on: Vec<usize>,
     /// Per-domain-class state, indexed by position in the solve's class list.
     rate: Vec<f64>,
     frozen: Vec<bool>,
-    /// Dirty domain roots of the current recompute (deduplicated).
+    /// Dirty domain roots of the current recompute, deduplicated: a root is
+    /// listed iff its `root_epoch` stamp equals `epoch`. Stamps are never
+    /// cleared, only outdated.
     dirty_roots: Vec<usize>,
     root_epoch: Vec<u64>,
+    epoch: u64,
 }
 
 /// Monotone union-find over link indices: links sharing a route are merged
@@ -568,12 +565,13 @@ fn covered_increment(
 }
 
 /// Progressive filling over a single link domain, touching only the
-/// domain's links. `ids` names the domain's live classes, in any order;
-/// rates land in `class_rate`. Returns how many residual chains it
-/// replayed.
+/// domain's links: `rec`'s live classes, in any order, over `rec`'s links,
+/// with `link_members` as the first round's unfrozen counts. Rates land in
+/// `class_rate`. Returns how many residual chains it replayed.
 ///
 /// Bit-identical to [`FlowNet::max_min_rates_ref`] run on the domain's flows
-/// alone, by construction, and independent of the order of `ids`:
+/// alone, by construction, and independent of the order of the classes and
+/// of the links:
 ///
 /// * within a round every unfrozen flow receives the *same* increment, so a
 ///   link crossed by `k` unfrozen flows ends the round after `k` identical
@@ -594,45 +592,38 @@ fn covered_increment(
 ///   tests read integer member counts and chains that depend only on
 ///   their count, and the freeze pass reads flags set before it;
 /// * restricting the round scan to the domain's links loses nothing — every
-///   link with a nonzero unfrozen count is in the domain by construction.
+///   link with a nonzero unfrozen count is in the domain by construction,
+///   and a domain link no live class crosses has a zero count throughout.
 ///
-/// Per-link unfrozen counts are maintained incrementally (decremented when a
-/// class freezes) instead of rescanned from the flow list each round, and
-/// the link-indexed scratch vectors are refreshed only on the domain's links
-/// (epoch-stamped dedup), so a round costs O(domain links + domain classes),
-/// independent of the fabric size and of the member count, plus the length
-/// of any chain it replays.
+/// Per-link unfrozen counts start from the simulator's persistent counts
+/// and are decremented when a class freezes, instead of rescanned from the
+/// flow list each round, and the link-indexed scratch vectors are refreshed
+/// only on the domain's links, so a round costs O(domain links + domain
+/// classes), independent of the fabric size and of the member count, plus
+/// the length of any chain it replays.
 fn solve_domain(
     capacity: &[f64],
     classes: &[FlowClass],
-    ids: &[usize],
+    rec: &DomainRecord,
+    link_members: &[usize],
     ds: &mut DomainScratch,
     class_rate: &mut [f64],
 ) -> u64 {
+    let (ids, links) = (&rec.live, &rec.links);
     let n = ids.len();
-    ds.links.clear();
     ds.rate.clear();
     ds.rate.resize(n, 0.0);
     ds.frozen.clear();
     ds.frozen.resize(n, false);
-    for k in 0..n {
-        let cl = &classes[ids[k]];
-        for l in &cl.route {
-            let li = l.index();
-            if ds.link_epoch[li] != ds.epoch {
-                ds.link_epoch[li] = ds.epoch;
-                ds.links.push(li);
-                ds.residual[li] = capacity[li];
-                ds.unfrozen_on[li] = 0;
-            }
-            ds.unfrozen_on[li] += cl.members();
-        }
+    for &li in links {
+        ds.residual[li] = capacity[li];
+        ds.unfrozen_on[li] = link_members[li];
     }
     let mut replays = 0;
     let mut unfrozen = n;
     while unfrozen > 0 {
         let mut inc = f64::INFINITY;
-        for &li in &ds.links {
+        for &li in links {
             if ds.unfrozen_on[li] > 0 {
                 inc = inc.min(ds.residual[li] / ds.unfrozen_on[li] as f64);
             }
@@ -653,7 +644,7 @@ fn solve_domain(
         let inc = inc.max(0.0);
         // Each link crossed by `k` unfrozen members owes `k` subtractions of
         // `inc`: settle its freeze test, replaying the chain only if needed.
-        for &li in &ds.links {
+        for &li in links {
             let k = ds.unfrozen_on[li];
             if k == 0 {
                 continue;
@@ -696,7 +687,7 @@ fn solve_domain(
         // The next round reads the residual of every link that still
         // carries unfrozen members: pay what those links owe.
         if unfrozen > 0 {
-            for &li in &ds.links {
+            for &li in links {
                 if ds.unfrozen_on[li] > 0 && ds.owed[li] > 0 {
                     ds.residual[li] = subtract_chain(ds.residual[li], inc, ds.owed[li]);
                     ds.owed[li] = 0;
@@ -707,11 +698,6 @@ fn solve_domain(
     }
     for k in 0..n {
         class_rate[ids[k]] = ds.rate[k];
-    }
-    // Leave the unfrozen counts zeroed for the next solve (they already are
-    // unless the termination guard broke the loop early).
-    for &li in &ds.links {
-        ds.unfrozen_on[li] = 0;
     }
     replays
 }
@@ -1088,8 +1074,7 @@ impl FlowSim {
     fn solve_dirty_domains(&mut self) {
         let n_links = self.net.capacity.len();
         let ds = &mut self.dscratch;
-        if ds.link_epoch.len() < n_links {
-            ds.link_epoch.resize(n_links, 0);
+        if ds.root_epoch.len() < n_links {
             ds.root_epoch.resize(n_links, 0);
             ds.residual.resize(n_links, 0.0);
             ds.owed.resize(n_links, 0);
@@ -1146,7 +1131,8 @@ impl FlowSim {
                 self.residual_replays += solve_domain(
                     &self.net.capacity,
                     &self.classes,
-                    &rec.live,
+                    rec,
+                    &self.link_members,
                     &mut self.dscratch,
                     &mut self.class_rate,
                 );
