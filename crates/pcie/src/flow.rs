@@ -536,11 +536,7 @@ const EPS: f64 = 1e-9;
 /// that saturated link, so round 1 freezes them all at `inc`: bit for bit
 /// the full solve's rates. The covered link tested is the one with the
 /// smallest quotient, the one most likely to saturate.
-fn covered_increment(
-    capacity: &[f64],
-    link_members: &[usize],
-    rec: &DomainRecord,
-) -> Option<f64> {
+fn covered_increment(capacity: &[f64], link_members: &[usize], rec: &DomainRecord) -> Option<f64> {
     if rec.blockers > 0 {
         return None;
     }
